@@ -108,19 +108,18 @@ def expectation(dist: DiscreteDistribution, values) -> float | np.ndarray:
     """Exact expectation of a per-support-point function.
 
     ``values`` has one entry (scalar or vector/matrix) per support point,
-    i.e. shape (S,) or (S, ...).  Each output component is a compensated sum
-    of the ``prob * value`` products, so linearity and the unit integral hold
-    to well below 1e-12.  Returns a float for scalar input, else an array of
+    i.e. shape (S,) or (S, ...).  The ``prob * value`` products are formed in
+    one array operation; each output component is then the correctly rounded
+    sum (``math.fsum``) of its column of products, so linearity and the unit
+    integral hold to well below 1e-12 and the result does not depend on the
+    order of the atoms.  Returns a float for scalar input, else an array of
     the trailing shape.
     """
     v = np.asarray(values, dtype=float)
     if v.shape[0] != dist.n_atoms:
         raise LengthMismatch(f"{v.shape[0]} values for {dist.n_atoms} support points")
-    flat = v.reshape(dist.n_atoms, -1)
-    w = dist.probs
-    out = np.array(
-        [math.fsum(w[s] * flat[s, j] for s in range(dist.n_atoms)) for j in range(flat.shape[1])]
-    )
+    products = dist.probs[:, None] * v.reshape(dist.n_atoms, -1)
+    out = np.array([math.fsum(column) for column in products.T.tolist()])
     if v.ndim == 1:
         return float(out[0])
     return out.reshape(v.shape[1:])

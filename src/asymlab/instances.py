@@ -12,7 +12,7 @@ Two built-ins cover the full verification surface:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -36,6 +36,9 @@ class GmmInstance:
     dist: DiscreteDistribution
     model: MomentModel
     theta0: np.ndarray
+    _bases: tuple[SubspaceBasis, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     kind = "gmm"
 
@@ -51,6 +54,9 @@ class IvInstance:
     name: str
     dist: DiscreteDistribution
     model: IVModel
+    _bases: tuple[SubspaceBasis, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     kind = "iv"
 
@@ -130,18 +136,20 @@ def instance_by_name(name: str) -> Instance:
         ) from None
 
 
-_BASES_CACHE: dict[int, tuple[SubspaceBasis, ...]] = {}
-
-
 def tangent_bases(instance: Instance) -> tuple[SubspaceBasis, ...]:
-    """(T, T_perp) for a moment instance; (T, T_perp_cap_M, M_perp) for an IV one."""
-    key = id(instance)
-    if key not in _BASES_CACHE:
+    """(T, T_perp) for a moment instance; (T, T_perp_cap_M, M_perp) for an IV one.
+
+    Built on the first call and held on the instance itself, so the bases
+    live exactly as long as the instance and always belong to its
+    distribution.
+    """
+    if instance._bases is None:
         if isinstance(instance, GmmInstance):
-            _BASES_CACHE[key] = gmm_tangent_basis(instance.dist, instance.model, instance.theta0)
+            bases = gmm_tangent_basis(instance.dist, instance.model, instance.theta0)
         else:
-            _BASES_CACHE[key] = iv_tangent_bases(instance.dist, instance.model)
-    return _BASES_CACHE[key]
+            bases = iv_tangent_bases(instance.dist, instance.model)
+        object.__setattr__(instance, "_bases", bases)  # the instance is frozen
+    return instance._bases
 
 
 def three_way_bases(instance: Instance) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis]:

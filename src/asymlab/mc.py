@@ -146,18 +146,17 @@ class ExperimentSummary:
 
 
 def _replication(config: ExperimentConfig, rows: np.ndarray) -> tuple[dict, dict]:
-    """Estimator deviations and test records for one sample; raises on failure."""
+    """Estimates and test records for one sample; raises on failure."""
     inst = config.instance
-    devs: dict[str, np.ndarray] = {}
+    ests: dict[str, np.ndarray] = {}
     tests: dict[str, tuple[float, int, bool]] = {}
-    root_n = math.sqrt(config.n)
     if isinstance(inst, GmmInstance):
         start = inst.theta0 if config.theta_init is None else config.theta_init
         est = estimate_gmm(Dataset(rows), inst.model, start)
         if not est.converged:
             raise AsymlabError("estimator did not converge")
         if "gmm" in config.estimators:
-            devs["gmm"] = root_n * (est.theta_hat - inst.theta0)
+            ests["gmm"] = est.theta_hat
         if "j" in config.tests:
             stat = j_statistic(Dataset(rows), inst.model, est)
             tests["j"] = (stat.value, stat.dof, stat.reject(config.alpha))
@@ -166,13 +165,13 @@ def _replication(config: ExperimentConfig, rows: np.ndarray) -> tuple[dict, dict
         ols = estimate_ols(data)
         tsls = estimate_2sls(data)
         if "ols" in config.estimators:
-            devs["ols"] = root_n * (ols.beta - inst.model.beta0)
+            ests["ols"] = ols.beta
         if "tsls" in config.estimators:
-            devs["tsls"] = root_n * (tsls.beta - inst.model.beta0)
+            ests["tsls"] = tsls.beta
         if "dwh" in config.tests:
             stat = dwh_statistic(data, ols, tsls)
             tests["dwh"] = (stat.value, stat.dof, stat.reject(config.alpha))
-    return devs, tests
+    return ests, tests
 
 
 def run_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentSummary:
@@ -183,15 +182,16 @@ def run_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentSummary
     dof, reject flag).
     """
     path = LocalPath(config.instance.dist, config.score, tilt="exponential")
-    local_dist = path_distribution(path, 1.0 / math.sqrt(config.n))
+    root_n = math.sqrt(config.n)
+    local_dist = path_distribution(path, 1.0 / root_n)
+    truth = config.instance.truth
     devs: dict[str, list[np.ndarray]] = {name: [] for name in config.estimators}
     flags: dict[str, list[tuple[float, int, bool]]] = {name: [] for name in config.tests}
     failed = 0
     if raw_sink is not None:
-        truth_dim = config.instance.truth.shape[0]
         header = ["rep", "seed"]
         for name in config.estimators:
-            header.extend(f"{name}_{j + 1}" for j in range(truth_dim))
+            header.extend(f"{name}_{j + 1}" for j in range(truth.shape[0]))
         for name in config.tests:
             header.extend([f"{name}_stat", f"{name}_dof", f"{name}_reject"])
         raw_sink.write(",".join(header) + "\n")
@@ -200,20 +200,18 @@ def run_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentSummary
         idx = draw_indices(local_dist, config.n, seed)
         rows = local_dist.support[idx]
         try:
-            rep_devs, rep_tests = _replication(config, rows)
+            rep_ests, rep_tests = _replication(config, rows)
         except AsymlabError:
             failed += 1
             continue
         for name in config.estimators:
-            devs[name].append(rep_devs[name])
+            devs[name].append(root_n * (rep_ests[name] - truth))
         for name in config.tests:
             flags[name].append(rep_tests[name])
         if raw_sink is not None:
             cells = [str(rep), str(seed)]
-            root_n = math.sqrt(config.n)
             for name in config.estimators:
-                est = config.instance.truth + rep_devs[name] / root_n
-                cells.extend(f"{v!r}" for v in est)
+                cells.extend(repr(v) for v in rep_ests[name].tolist())
             for name in config.tests:
                 value, dof, reject = rep_tests[name]
                 cells.extend([f"{value!r}", str(dof), str(int(reject))])

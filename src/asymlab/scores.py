@@ -127,9 +127,6 @@ class SubspaceBasis:
             return np.zeros((0, self.dist.n_atoms))
         return np.array([f.values for f in self.functions])
 
-    def relabel(self, label: str) -> "SubspaceBasis":
-        return SubspaceBasis(self.dist, self.functions, label)
-
 
 def _require_same_dist(dist: DiscreteDistribution, f: ScoreFunction) -> None:
     if not same_distribution(dist, f.dist):
@@ -157,13 +154,16 @@ def _fix_sign(values: np.ndarray) -> np.ndarray:
 def orthonormal_basis(
     dist: DiscreteDistribution, spanning: list[ScoreFunction], label: str = "full"
 ) -> SubspaceBasis:
-    """Orthonormalize a spanning set by modified Gram-Schmidt.
+    """Orthonormalize a spanning set by classical Gram-Schmidt applied twice (CGS2).
 
-    Each vector is orthogonalized twice against the accepted basis
-    (re-orthogonalization keeps the loss of orthogonality near machine
-    precision); vectors whose residual norm falls below ``DROP_TOL`` times the
-    largest input norm are discarded, so the output size is the numerical rank
-    of the span.  Raises ``EmptySpan`` when nothing survives.
+    Vectors are taken in input order.  The accepted basis is held as the rows
+    of one (k, S) array, so each orthogonalization pass is one weighted
+    mat-vec for the coefficients against every accepted vector and one
+    mat-vec for the update; the second pass (re-orthogonalization) keeps the
+    loss of orthogonality near machine precision.  Vectors whose residual
+    norm falls below ``DROP_TOL`` times the largest input norm are discarded,
+    so the output size is the numerical rank of the span.  Raises
+    ``EmptySpan`` when nothing survives.
     """
     if not spanning:
         raise EmptySpan("no spanning functions supplied")
@@ -173,19 +173,22 @@ def orthonormal_basis(
     max_norm = max(math.sqrt(max(expectation(dist, f.values**2), 0.0)) for f in spanning)
     if max_norm == 0.0:
         raise EmptySpan("all spanning functions are zero")
-    accepted: list[np.ndarray] = []
+    basis = np.empty((len(spanning), dist.n_atoms))  # accepted vectors in rows [:k]
+    weighted = np.empty_like(basis)  # the same rows times the probabilities
+    k = 0
     for f in spanning:
-        v = f.values.copy()
+        v = f.values
         for _ in range(2):
-            for b in accepted:
-                v = v - math.fsum(w * b * v) * b
+            v = v - (weighted[:k] @ v) @ basis[:k]
         nrm = math.sqrt(max(expectation(dist, v**2), 0.0))
         if nrm <= DROP_TOL * max_norm:
             continue
-        accepted.append(_fix_sign(v / nrm))
-    if not accepted:
+        basis[k] = _fix_sign(v / nrm)
+        weighted[k] = w * basis[k]
+        k += 1
+    if k == 0:
         raise EmptySpan("spanning set has numerical rank zero")
-    return SubspaceBasis(dist, tuple(ScoreFunction(dist, v) for v in accepted), label)
+    return SubspaceBasis(dist, tuple(ScoreFunction(dist, v) for v in basis[:k]), label)
 
 
 def project(dist: DiscreteDistribution, g: ScoreFunction, onto: SubspaceBasis) -> ScoreFunction:
@@ -198,11 +201,6 @@ def project(dist: DiscreteDistribution, g: ScoreFunction, onto: SubspaceBasis) -
     mat = onto.matrix()
     coefs = (mat * dist.probs) @ g.values
     return ScoreFunction(dist, coefs @ mat)
-
-
-def residual_norm(dist: DiscreteDistribution, g: ScoreFunction, onto: SubspaceBasis) -> float:
-    """Norm of g - proj(g): zero iff g lies in the subspace."""
-    return (g - project(dist, g, onto)).norm()
 
 
 # --- null spaces of linear constraints -----------------------------------------

@@ -23,6 +23,12 @@ from .gmm import efficient_influence
 from .scores import ScoreFunction, centered_score, decompose_score, inner_product, project
 
 
+def _require(ok: bool, message: str) -> None:
+    """Fail a check; unlike ``assert`` this still runs under ``python -O``."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _random_score(dist, rng) -> ScoreFunction:
     return centered_score(dist, rng.standard_normal(dist.n_atoms))
 
@@ -30,10 +36,10 @@ def _random_score(dist, rng) -> ScoreFunction:
 def _check_expectation():
     g1 = g1_instance()
     x = g1.dist.column(0)
-    assert abs(expectation(g1.dist, np.ones(5)) - 1.0) < 1e-12
-    assert abs(expectation(g1.dist, x)) < 1e-12
-    assert abs(expectation(g1.dist, x**2) - 1.2) < 1e-12
-    assert abs(expectation(g1.dist, x**4) - 3.6) < 1e-12
+    _require(abs(expectation(g1.dist, np.ones(5)) - 1.0) < 1e-12, "E[1] != 1")
+    _require(abs(expectation(g1.dist, x)) < 1e-12, "E[x] != 0")
+    _require(abs(expectation(g1.dist, x**2) - 1.2) < 1e-12, "E[x^2] != 1.2")
+    _require(abs(expectation(g1.dist, x**4) - 3.6) < 1e-12, "E[x^4] != 3.6")
 
 
 def _check_projections():
@@ -45,20 +51,20 @@ def _check_projections():
         h = _random_score(g1.dist, rng)
         pg = project(g1.dist, g, t_basis)
         ppg = project(g1.dist, pg, t_basis)
-        assert (pg - ppg).norm() < 1e-10, "projection not idempotent"
+        _require((pg - ppg).norm() < 1e-10, "projection not idempotent")
         lhs = inner_product(g1.dist, pg, h)
         rhs = inner_product(g1.dist, g, project(g1.dist, h, t_basis))
-        assert abs(lhs - rhs) < 1e-10, "projection not self-adjoint"
+        _require(abs(lhs - rhs) < 1e-10, "projection not self-adjoint")
 
 
 def _check_g1_dimensions():
     g1 = g1_instance()
     t_basis, t_perp = tangent_bases(g1)
-    assert t_basis.dim == 3 and t_perp.dim == 1, (t_basis.dim, t_perp.dim)
+    _require(t_basis.dim == 3 and t_perp.dim == 1, f"dimensions {(t_basis.dim, t_perp.dim)}")
     x = g1.dist.column(0)
     ref = centered_score(g1.dist, (x**2 - 1.2) / math.sqrt(2.16))
     gap = abs(abs(inner_product(g1.dist, ref, t_perp.functions[0])) - 1.0)
-    assert gap < 1e-10, "orthocomplement direction is not the standardized second moment"
+    _require(gap < 1e-10, "orthocomplement direction is not the standardized second moment")
 
 
 def _check_orthogonality_channels():
@@ -66,29 +72,47 @@ def _check_orthogonality_channels():
     rng = np.random.default_rng(7)
     t_basis, t_perp = tangent_bases(g1)
     nu, info, _ = efficient_influence(g1.dist, g1.model, g1.theta0)
-    assert abs(info[0, 0] - 1.0 / 1.2) < 1e-12
+    _require(abs(info[0, 0] - 1.0 / 1.2) < 1e-12, "efficient information is not 1 / 1.2")
     for _ in range(20):
         coefs = rng.standard_normal(t_basis.dim)
         g_in_t = ScoreFunction(g1.dist, coefs @ t_basis.matrix())
-        assert j_noncentrality(g1.dist, g1.model, g1.theta0, g_in_t) < 1e-10
+        _require(
+            j_noncentrality(g1.dist, g1.model, g1.theta0, g_in_t) < 1e-10,
+            "a tangent direction moves the J test",
+        )
         coefs = rng.standard_normal(t_perp.dim)
         g_perp = ScoreFunction(g1.dist, coefs @ t_perp.matrix())
-        assert np.max(np.abs(predicted_bias(g1.dist, nu, g_perp))) < 1e-10
+        _require(
+            np.max(np.abs(predicted_bias(g1.dist, nu, g_perp))) < 1e-10,
+            "an orthocomplement direction biases the estimator",
+        )
 
 
 def _check_iv1_structure():
     iv1 = iv1_instance()
     t_basis, t_perp_m, m_perp = tangent_bases(iv1)
-    assert (t_basis.dim, t_perp_m.dim, m_perp.dim) == (5, 2, 0)
+    _require(
+        (t_basis.dim, t_perp_m.dim, m_perp.dim) == (5, 2, 0),
+        f"dimensions {(t_basis.dim, t_perp_m.dim, m_perp.dim)}",
+    )
     e = iv1.model.errors_on(iv1.dist.support)
     x1 = iv1.dist.column(1)
     z1 = iv1.dist.column(3)
     g_tan = centered_score(iv1.dist, x1 * e)
-    assert (g_tan - project(iv1.dist, g_tan, t_basis)).norm() < 1e-10
+    _require(
+        (g_tan - project(iv1.dist, g_tan, t_basis)).norm() < 1e-10,
+        "x e is not in the null tangent space",
+    )
     g_det = centered_score(iv1.dist, (z1 - 0.5 * x1) * e)
-    assert project(iv1.dist, g_det, t_basis).norm() < 1e-10
+    _require(
+        project(iv1.dist, g_det, t_basis).norm() < 1e-10,
+        "the detectable direction is not orthogonal to T",
+    )
     report = decompose_score(iv1.dist, g_det, (t_basis, t_perp_m, m_perp))
-    assert abs(report.var_TperpM - inner_product(iv1.dist, g_det, g_det)) < 1e-10
+    _require(
+        abs(report.var_TperpM - inner_product(iv1.dist, g_det, g_det)) < 1e-10,
+        "the detectable direction is not all in T_perp_cap_M",
+    )
 
 
 def _check_paths():
@@ -99,50 +123,65 @@ def _check_paths():
         g = (1.0 / g.norm()) * g
         path = LocalPath(g1.dist, g, tilt=tilt)
         res = [hellinger_residual(path, t) for t in (0.1, 0.05, 0.025)]
-        assert res[0] > res[1] > res[2] > 0, "residual not decreasing"
+        _require(res[0] > res[1] > res[2] > 0, "residual not decreasing")
         ratios = [r / t**2 for r, t in zip(res, (0.1, 0.05, 0.025))]
-        assert max(ratios) < 4 * min(ratios), "residual not quadratic"
+        _require(max(ratios) < 4 * min(ratios), "residual not quadratic")
         fd = numerical_score(path)
-        assert np.max(np.abs(fd - g.values)) < 1e-6, "score mismatch"
+        _require(np.max(np.abs(fd - g.values)) < 1e-6, "score mismatch")
         probs = path_distribution(path, 0.05).probs
-        assert abs(math.fsum(probs) - 1.0) < 1e-12
+        _require(abs(math.fsum(probs) - 1.0) < 1e-12, "path probabilities do not sum to one")
 
 
 def _check_kl():
     g1 = g1_instance()
     rng = np.random.default_rng(5)
     proj, lam = kl_projection(g1.dist, g1.model, g1.theta0)
-    assert np.linalg.norm(lam) < 1e-10, "tilt at the truth is not zero"
+    _require(np.linalg.norm(lam) < 1e-10, "tilt at the truth is not zero")
     for _ in range(5):
         eta = make_distribution(g1.dist.support, rng.dirichlet(np.full(5, 5.0)))
         theta = rng.uniform(-0.3, 0.3, size=1)
         proj, lam = kl_projection(eta, g1.model, theta)
         moments = expectation(proj, g1.model.moments_at(theta, proj.support))
-        assert np.max(np.abs(moments)) < 1e-10, "projection violates the constraints"
+        _require(np.max(np.abs(moments)) < 1e-10, "projection violates the constraints")
 
 
 def _check_chi2():
-    assert abs(noncentral_chisq_cdf(3.841458820694124, 1, 0.0) - 0.95) < 1e-9
+    _require(
+        abs(noncentral_chisq_cdf(3.841458820694124, 1, 0.0) - 0.95) < 1e-9,
+        "chi2(1) CDF at its 95% quantile is not 0.95",
+    )
     for k in (1, 3):
         for alpha in (0.01, 0.05, 0.10):
-            assert abs(local_power(k, 0.0, alpha) - alpha) < 1e-8
+            _require(
+                abs(local_power(k, 0.0, alpha) - alpha) < 1e-8,
+                "power at zero noncentrality is not alpha",
+            )
     values = [local_power(1, ncp, 0.05) for ncp in (0.0, 1.0, 2.0, 4.0, 8.0)]
-    assert all(a < b for a, b in zip(values, values[1:])), "power not increasing"
+    _require(all(a < b for a, b in zip(values, values[1:])), "power not increasing")
 
 
 def _check_estimators():
     g1 = g1_instance()
     data = population_dataset(g1.dist, 10)
     est = estimate_gmm(data, g1.model, np.array([0.4]))
-    assert est.converged and abs(est.theta_hat[0]) < 1e-8 and est.j_stat < 1e-12
-    assert j_statistic(data, g1.model, est).dof == 1
+    _require(
+        est.converged and abs(est.theta_hat[0]) < 1e-8 and est.j_stat < 1e-12,
+        "GMM at the population is not exact",
+    )
+    _require(j_statistic(data, g1.model, est).dof == 1, "J test degrees of freedom")
     iv1 = iv1_instance()
     ivdata = ivdataset_from_rows(population_dataset(iv1.dist, 8).rows, iv1.model.dims)
     ols = estimate_ols(ivdata)
     tsls = estimate_2sls(ivdata)
-    assert np.max(np.abs(ols.beta - iv1.model.beta0)) < 1e-10
-    assert np.max(np.abs(tsls.beta - iv1.model.beta0)) < 1e-10
-    assert dwh_statistic(ivdata, ols, tsls).dof == 1
+    _require(
+        np.max(np.abs(ols.beta - iv1.model.beta0)) < 1e-10,
+        "OLS at the population is not exact",
+    )
+    _require(
+        np.max(np.abs(tsls.beta - iv1.model.beta0)) < 1e-10,
+        "2SLS at the population is not exact",
+    )
+    _require(dwh_statistic(ivdata, ols, tsls).dof == 1, "DWH degrees of freedom")
 
 
 def _check_hall():
@@ -151,7 +190,7 @@ def _check_hall():
     for _ in range(20):
         g = _random_score(g1.dist, rng)
         ident, over = hall_split(g1.dist, g1.model, g1.theta0, g)
-        assert abs(ident @ over) < 1e-12, "split is not orthogonal"
+        _require(abs(ident @ over) < 1e-12, "split is not orthogonal")
 
 
 _CHECKS = [

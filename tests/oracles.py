@@ -2,11 +2,14 @@
 
 These deliberately avoid the code paths they are used to check: the
 noncentral chi-square CDF oracle integrates the Bessel-form density by
-adaptive quadrature, with no Poisson mixture and no incomplete gamma.
+adaptive quadrature, with no Poisson mixture and no incomplete gamma; the
+score-space oracles sum one support point at a time with ``math.fsum``
+instead of forming whole-array products.
 """
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma, iv
 
@@ -36,3 +39,42 @@ def noncentral_chisq_cdf_by_quadrature(x: float, k: int, lam: float) -> float:
     )
     assert err < 1e-10
     return val
+
+
+def expectation_per_atom(probs, values) -> np.ndarray:
+    """E[values] column by column, one ``math.fsum`` over per-atom products each."""
+    flat = np.asarray(values, dtype=float).reshape(len(probs), -1)
+    return np.array(
+        [math.fsum(probs[s] * flat[s, j] for s in range(len(probs))) for j in range(flat.shape[1])]
+    )
+
+
+def gram_schmidt_fsum(probs, spanning, drop_tol: float) -> np.ndarray:
+    """Modified Gram-Schmidt, each vector orthogonalized twice, every inner
+    product a separate ``math.fsum``.
+
+    Vectors are taken in input order; one whose residual norm is at most
+    ``drop_tol`` times the largest input norm is dropped.  Each kept vector is
+    normalized under the weights ``probs`` and its sign is fixed so that its
+    first coordinate above 1e-8 of its largest magnitude is positive.
+    Returns the kept vectors as rows, shape (k, S).
+    """
+    w = np.asarray(probs, dtype=float)
+
+    def norm(v):
+        return math.sqrt(max(math.fsum(w * v * v), 0.0))
+
+    max_norm = max(norm(np.asarray(f, dtype=float)) for f in spanning)
+    accepted = []
+    for f in spanning:
+        v = np.array(f, dtype=float)
+        for _ in range(2):
+            for b in accepted:
+                v = v - math.fsum(w * b * v) * b
+        nrm = norm(v)
+        if nrm <= drop_tol * max_norm:
+            continue
+        v = v / nrm
+        lead = v[np.abs(v) > 1e-8 * np.max(np.abs(v))][0]
+        accepted.append(v if lead > 0 else -v)
+    return np.array(accepted).reshape(len(accepted), len(w))

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +222,31 @@ class TestCliCommands:
         assert execute(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "10/10 checks passed" in out
+
+    def test_selftest_still_checks_under_optimized_mode(self):
+        # python -O strips assert statements; a sabotaged expectation must
+        # still be caught.
+        script = (
+            "import json, sys\n"
+            "import asymlab.selftest as st\n"
+            "if not sys.flags.optimize:\n"
+            "    sys.exit(3)\n"
+            "st.expectation = lambda dist, values: 0.5\n"
+            "print(json.dumps(st.run_selftest()))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        failures, lines = json.loads(proc.stdout)
+        assert failures >= 1
+        assert any(line.startswith("FAIL expectation-exactness") for line in lines)
 
     def test_run_dump_sample_and_raw_csv(self, tmp_path, capsys):
         sample = tmp_path / "sample.csv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import expectation_per_atom
 
 from asymlab.dist import (
     atom_indices,
@@ -106,6 +107,25 @@ class TestExpectation:
         lhs = expectation(self.dist, a * f + b * g)
         rhs = a * expectation(self.dist, f) + b * expectation(self.dist, g)
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(a) + abs(b))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n_atoms=st.integers(2, 60),
+        trailing=st.sampled_from([(), (1,), (3,), (2, 3)]),
+        key=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_per_atom_fsum(self, n_atoms, trailing, key):
+        rng = np.random.default_rng(key)
+        dist = make_distribution(np.arange(n_atoms, dtype=float), rng.dirichlet(np.ones(n_atoms)))
+        shape = (n_atoms, *trailing)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        got = expectation(dist, values)
+        want = expectation_per_atom(dist.probs, values)
+        if not trailing:
+            assert isinstance(got, float) and got == want[0]
+        else:
+            assert got.shape == trailing
+            assert np.array_equal(got.ravel(), want)
 
 
 class TestDrawSample:

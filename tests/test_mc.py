@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 import asymlab.mc
+from asymlab.dist import Dataset, draw_indices, replication_seed
 from asymlab.errors import ConfigInvalid, ShapeMismatch, TooManyFailures
+from asymlab.gmm import estimate_gmm
 from asymlab.instances import GmmInstance
+from asymlab.iv import estimate_2sls, estimate_ols, ivdataset_from_rows
+from asymlab.paths import LocalPath, path_distribution
 from asymlab.mc import (
     ExperimentConfig,
     ExperimentSummary,
@@ -149,6 +153,46 @@ class TestRunExperiment:
         assert int(cells[0]) == 1
         assert int(cells[4]) == 1  # dof column
         assert cells[5] in ("0", "1")
+
+    def test_raw_csv_holds_the_estimators_own_values(self, g1, iv1):
+        x = g1.dist.column(0)
+        e = iv1.model.errors_on(iv1.dist.support)
+        configs = [
+            g1_config(g1, score=centered_score(g1.dist, 1.5 * x / 1.2), n=100, reps=100),
+            ExperimentConfig(
+                iv1,
+                centered_score(iv1.dist, iv1.dist.column(3) * e),
+                n=100,
+                reps=100,
+                alpha=0.05,
+                master_seed=3,
+                estimators=("ols", "tsls"),
+                tests=(),
+            ),
+        ]
+        for config in configs:
+            sink = io.StringIO()
+            run_experiment(config, raw_sink=sink)
+            header, *lines = sink.getvalue().strip().splitlines()
+            assert len(lines) == config.reps
+            local = path_distribution(
+                LocalPath(config.instance.dist, config.score, tilt="exponential"),
+                1.0 / math.sqrt(config.n),
+            )
+            names = header.split(",")
+            for line in lines:
+                cells = dict(zip(names, line.split(",")))
+                seed = replication_seed(config.master_seed, int(cells["rep"]))
+                assert int(cells["seed"]) == seed
+                rows = local.support[draw_indices(local, config.n, seed)]
+                if "gmm" in config.estimators:
+                    found = {"gmm": estimate_gmm(Dataset(rows), g1.model, g1.theta0).theta_hat}
+                else:
+                    data = ivdataset_from_rows(rows, iv1.model.dims)
+                    found = {"ols": estimate_ols(data).beta, "tsls": estimate_2sls(data).beta}
+                for name, values in found.items():
+                    for j, value in enumerate(values.tolist()):
+                        assert float(cells[f"{name}_{j + 1}"]) == value
 
     def test_too_many_failures(self, g1, monkeypatch):
         from asymlab.errors import AsymlabError

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import gram_schmidt_fsum
 
-from asymlab.dist import expectation, make_distribution
+from asymlab.dist import expectation, make_distribution, same_distribution
 from asymlab.errors import (
     DistributionMismatch,
     EmptySpan,
@@ -12,12 +15,14 @@ from asymlab.errors import (
     SingularSigma,
 )
 from asymlab.instances import (
+    GmmInstance,
     linear_iv_moment_model,
     overidentified_mean_model,
     tangent_bases,
 )
 from asymlab.models import IVModel, MomentModel
 from asymlab.scores import (
+    DROP_TOL,
     ScoreFunction,
     centered_score,
     decompose_score,
@@ -111,6 +116,61 @@ class TestOrthonormalBasis:
         for row in a:
             lead = row[np.abs(row) > 1e-8 * np.max(np.abs(row))][0]
             assert lead > 0
+
+
+@st.composite
+def spanning_sets(draw):
+    """A random weighted support and a spanning set of scores on it.
+
+    ``rank`` Gaussian directions of mixed scale, with zero vectors and exact
+    linear combinations of earlier vectors inserted at random positions, so
+    most sets are rank deficient by construction.
+    """
+    n_atoms = draw(st.integers(2, 24))
+    rank = draw(st.integers(1, n_atoms - 1))
+    extra = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dist = make_distribution(np.arange(n_atoms, dtype=float), rng.uniform(0.05, 1.0, n_atoms))
+    raw = [rng.standard_normal(n_atoms) * 10.0 ** rng.integers(-3, 4) for _ in range(rank)]
+    for _ in range(extra):
+        at = int(rng.integers(0, len(raw) + 1))
+        if at == 0 or rng.random() < 0.25:
+            raw.insert(at, np.zeros(n_atoms))
+        else:
+            raw.insert(at, rng.standard_normal(at) @ np.array(raw[:at]))
+    return dist, [centered_score(dist, v) for v in raw]
+
+
+class TestOrthonormalBasisAgainstFsumOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(case=spanning_sets())
+    def test_matches_modified_gram_schmidt(self, case):
+        dist, spanning = case
+        oracle = gram_schmidt_fsum(dist.probs, [f.values for f in spanning], DROP_TOL)
+        got = orthonormal_basis(dist, spanning).matrix()
+        assert got.shape == oracle.shape
+        root_p = np.sqrt(dist.probs)
+        proj_got = (got * root_p).T @ (got * root_p)
+        proj_oracle = (oracle * root_p).T @ (oracle * root_p)
+        assert np.max(np.abs(proj_got - proj_oracle)) < 1e-12
+        assert np.max(np.abs(got - oracle)) < 1e-10
+
+
+class TestTangentBasesCache:
+    def test_bases_belong_to_the_callers_distribution(self):
+        # Two custom instances are built and dropped in turn; a new instance
+        # usually takes the memory (and so the id) of the one just freed.
+        parts = []
+        for mass in ([0.1, 0.2, 0.4, 0.2, 0.1], [0.15, 0.2, 0.3, 0.2, 0.15]):
+            dist = make_distribution([-2.0, -1.0, 0.0, 1.0, 2.0], mass)
+            v = expectation(dist, dist.column(0) ** 2)
+            parts.append((dist, overidentified_mean_model(v)))
+        for k in range(20):
+            dist, model = parts[k % 2]
+            instance = GmmInstance(name="custom", dist=dist, model=model, theta0=np.array([0.0]))
+            for basis in tangent_bases(instance):
+                assert same_distribution(basis.dist, dist)
+            del instance
 
 
 class TestProject:

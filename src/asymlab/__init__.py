@@ -74,7 +74,6 @@ from .predict import (
     hausman_noncentrality,
     j_noncentrality,
     predicted_bias,
-    with_noncentrality,
 )
 from .scores import (
     DecompositionReport,

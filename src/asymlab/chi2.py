@@ -80,15 +80,10 @@ def local_power(k: int, ncp: float, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class TestStatistic:
-    """A chi-square-type test statistic with its degrees of freedom.
-
-    ``noncentrality_hint`` is filled by the prediction layer when the
-    statistic's local limit is known; it plays no role in ``reject``.
-    """
+    """A chi-square-type test statistic with its degrees of freedom."""
 
     value: float
     dof: int
-    noncentrality_hint: float | None = None
 
     __test__ = False  # keep pytest from collecting this as a test class
 

@@ -11,7 +11,7 @@ independent of any scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,13 +47,33 @@ class DiscreteDistribution:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An i.i.d. sample: ``rows`` has shape (n, d), one observation per row."""
+    """An i.i.d. sample held as rows with multiplicities.
+
+    ``rows`` has shape (m, d); ``counts`` (shape (m,), non-negative
+    integers, all ones by default) says how many observations each row
+    stands for, so a sample on a finite support can be passed as the support
+    and its count vector.  ``n = counts.sum()`` is the sample size.  Every
+    consumer weights a row by its count.
+    """
 
     rows: np.ndarray
+    counts: np.ndarray | None = None
+    n: int = field(init=False)
 
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
+    def __post_init__(self):
+        m = self.rows.shape[0]
+        if self.counts is None:
+            counts = np.ones(m, dtype=np.int64)
+        else:
+            counts = np.asarray(self.counts)
+            if counts.shape != (m,):
+                raise LengthMismatch(f"counts have shape {counts.shape} for {m} rows")
+            if not np.issubdtype(counts.dtype, np.integer):
+                raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+            if m and counts.min() < 0:
+                raise ValueError(f"counts must be non-negative, got {counts.min()}")
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "n", int(counts.sum()))
 
     @property
     def dim(self) -> int:

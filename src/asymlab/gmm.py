@@ -1,9 +1,13 @@
 """Two-step GMM estimation, the overidentification statistic, and the
 information-projection of a reference distribution onto a moment constraint set.
 
-Estimation collapses the sample to (unique point, count) pairs first: every
-observation is a support atom, so sample moments are short weighted sums and
-each replication costs O(S) per optimizer step.
+Estimation works on (distinct point, frequency) pairs: ``_compress`` groups
+a sample's rows and sums their counts, so a sample on a finite support --
+most cheaply passed as the support with its count vector -- reduces to S
+points.  Sample moments are then frequency-weighted sums of one vectorised
+moment evaluation, and each Gauss-Newton step costs O(S) array work: one
+moment and one Jacobian evaluation, a Cholesky test of the normal matrix,
+and moment-only evaluations for the line-search trials.
 """
 
 from __future__ import annotations
@@ -83,16 +87,28 @@ def efficient_influence(
 
 
 def _compress(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    pts, counts = np.unique(data.rows, axis=0, return_counts=True)
-    return pts, counts / data.n
+    """Distinct rows in sorted order and their sample frequencies.
+
+    Rows are grouped with ``np.unique``, their counts summed, and rows whose
+    total count is zero dropped.
+    """
+    pts, inverse = np.unique(data.rows, axis=0, return_inverse=True)
+    totals = np.bincount(inverse.reshape(-1), weights=data.counts, minlength=pts.shape[0])
+    keep = totals > 0
+    return pts[keep], totals[keep] / data.n
 
 
 def _weighted_moments(
     model: MomentModel, theta: np.ndarray, pts: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    m = model.moments_at(theta, pts)
+) -> np.ndarray:
+    return w @ model.moments_at(theta, pts)
+
+
+def _weighted_jacobian(
+    model: MomentModel, theta: np.ndarray, pts: np.ndarray, w: np.ndarray
+) -> np.ndarray:
     g = model.jacobians_at(theta, pts)
-    return w @ m, np.tensordot(w, g, axes=1)
+    return (w @ g.reshape(g.shape[0], -1)).reshape(model.l, model.p)
 
 
 def _gauss_newton(
@@ -102,37 +118,47 @@ def _gauss_newton(
     theta_init: np.ndarray,
     weight: np.ndarray,
 ) -> tuple[np.ndarray, bool, int]:
-    """Minimize mbar(theta)' W mbar(theta) by Gauss-Newton with halving line search.
+    """Minimize mbar(theta)' W mbar(theta) by Gauss-Newton with a halving line search.
+
+    A trial step is accepted on sufficient decrease (Armijo with constant
+    1/4): the objective must fall by at least a quarter of what the gradient
+    predicts for the step.  A normal matrix that is not positive definite, or
+    a line search that finds no such step, ends the search unconverged.
 
     Convergence: gradient norm below GRAD_TOL, step norm below STEP_TOL, or
     the Newton decrement below the double-precision resolution of the
     objective (no representable improvement remains).
     """
     theta = np.asarray(theta_init, dtype=float).copy()
+    mbar = _weighted_moments(model, theta, pts, w)
     for it in range(1, MAX_ITER + 1):
-        mbar, gbar = _weighted_moments(model, theta, pts, w)
-        grad = 2.0 * gbar.T @ weight @ mbar
+        gbar = _weighted_jacobian(model, theta, pts, w)
+        gw = gbar.T @ weight
+        rhs = gw @ mbar
+        grad = 2.0 * rhs
         if np.linalg.norm(grad) < GRAD_TOL:
             return theta, True, it
         obj = mbar @ weight @ mbar
-        normal = gbar.T @ weight @ gbar
+        normal = gw @ gbar
         try:
-            step = -scipy.linalg.solve(normal, gbar.T @ weight @ mbar, assume_a="pos")
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
+            np.linalg.cholesky(normal)  # raises unless positive definite
+            step = -np.linalg.solve(normal, rhs)
+        except np.linalg.LinAlgError:
             return theta, False, it
-        if -(grad @ step) <= 1e-11 * max(obj, 1e-30):
+        slope = grad @ step
+        if -slope <= 1e-11 * max(obj, 1e-30):
             return theta, True, it
         alpha = 1.0
         for _ in range(MAX_HALVINGS):
             cand = model.clip_to_bounds(theta + alpha * step)
-            m_c, _ = _weighted_moments(model, cand, pts, w)
-            if m_c @ weight @ m_c < obj:
+            m_c = _weighted_moments(model, cand, pts, w)
+            if m_c @ weight @ m_c <= obj + 0.25 * alpha * slope:
                 break
             alpha *= 0.5
         else:
             return theta, False, it
         moved = cand - theta
-        theta = cand
+        theta, mbar = cand, m_c
         if np.linalg.norm(moved) < STEP_TOL:
             return theta, True, it
     return theta, False, MAX_ITER
@@ -165,7 +191,8 @@ def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
     weight = scipy.linalg.cho_solve(chol, np.eye(model.l))
     weight = 0.5 * (weight + weight.T)
     theta2, conv2, it2 = _gauss_newton(model, pts, w, theta1, weight)
-    mbar, gbar = _weighted_moments(model, theta2, pts, w)
+    mbar = _weighted_moments(model, theta2, pts, w)
+    gbar = _weighted_jacobian(model, theta2, pts, w)
     j_stat = float(data.n * mbar @ weight @ mbar)
     info_hat = gbar.T @ weight @ gbar
     info_hat = 0.5 * (info_hat + info_hat.T)

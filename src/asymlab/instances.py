@@ -72,12 +72,18 @@ def overidentified_mean_model(v: float) -> MomentModel:
     """Mean model with a known-variance side restriction: m = (x - t, (x - t)^2 - v)."""
 
     def m(theta, x):
-        d = x[0] - theta[0]
-        return np.array([d, d * d - v])
+        d = x[:, 0] - theta[0]
+        out = np.empty((d.shape[0], 2))
+        out[:, 0] = d
+        out[:, 1] = d * d - v
+        return out
 
     def jac(theta, x):
-        d = x[0] - theta[0]
-        return np.array([[-1.0], [-2.0 * d]])
+        d = x[:, 0] - theta[0]
+        out = np.empty((d.shape[0], 2, 1))
+        out[:, 0, 0] = -1.0
+        out[:, 1, 0] = -2.0 * d
+        return out
 
     return MomentModel(m=m, jac=jac, p=1, l=2)
 
@@ -87,13 +93,13 @@ def linear_iv_moment_model(dims: tuple[int, int, int]) -> MomentModel:
     k1, k2, q = dims
     shell = IVModel(beta0=np.zeros(k1 + k2), sigma0_sq=1.0, dims=dims)
 
-    def m(beta, row):
-        y, X, Z = shell.design_matrices(row[None, :])
-        return Z[0] * (y[0] - X[0] @ beta)
+    def m(beta, rows):
+        y, X, Z = shell.design_matrices(rows)
+        return Z * (y - X @ beta)[:, None]
 
-    def jac(beta, row):
-        _, X, Z = shell.design_matrices(row[None, :])
-        return -np.outer(Z[0], X[0])
+    def jac(beta, rows):
+        _, X, Z = shell.design_matrices(rows)
+        return -(Z[:, :, None] * X[:, None, :])
 
     return MomentModel(m=m, jac=jac, p=k1 + k2, l=q + k2)
 

@@ -198,11 +198,6 @@ def dwh_statistic(data: IVDataset, ols: LinearEstimate, tsls: LinearEstimate) ->
     return TestStatistic(value=value, dof=int(keep.sum()))
 
 
-def population_contrast_rank(dist: DiscreteDistribution, model: IVModel) -> int:
-    """Rank of the population variance difference (diagnostic counterpart of dof)."""
-    return hausman_contrast_basis(dist, model).dim
-
-
 # --- population score objects ---------------------------------------------------
 
 

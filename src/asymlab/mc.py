@@ -2,9 +2,12 @@
 
 Each replication draws its seed from the master seed by a keyed split, so a
 run is reproducible bit-for-bit no matter how replications would be
-scheduled; replications are executed sequentially here.  Replications whose
-estimator fails to converge are counted and excluded from the moments, never
-retried (retrying would distort the sampling distribution).
+scheduled; replications are executed sequentially here.  A moment-model
+replication passes its draws to GMM as the count vector over the support
+(a sufficient statistic on a finite support); an IV replication passes the
+drawn rows.  Replications whose estimator fails to converge are counted and
+excluded from the moments, never retried (retrying would distort the
+sampling distribution).
 """
 
 from __future__ import annotations
@@ -145,23 +148,27 @@ class ExperimentSummary:
         )
 
 
-def _replication(config: ExperimentConfig, rows: np.ndarray) -> tuple[dict, dict]:
-    """Estimates and test records for one sample; raises on failure."""
+def _replication(config: ExperimentConfig, sample) -> tuple[dict, dict]:
+    """Estimates and test records for one sample; raises on failure.
+
+    ``sample`` is a ``Dataset`` of support counts for a moment instance and
+    the (n, d) array of drawn rows for an IV instance.
+    """
     inst = config.instance
     ests: dict[str, np.ndarray] = {}
     tests: dict[str, tuple[float, int, bool]] = {}
     if isinstance(inst, GmmInstance):
         start = inst.theta0 if config.theta_init is None else config.theta_init
-        est = estimate_gmm(Dataset(rows), inst.model, start)
+        est = estimate_gmm(sample, inst.model, start)
         if not est.converged:
             raise AsymlabError("estimator did not converge")
         if "gmm" in config.estimators:
             ests["gmm"] = est.theta_hat
         if "j" in config.tests:
-            stat = j_statistic(Dataset(rows), inst.model, est)
+            stat = j_statistic(sample, inst.model, est)
             tests["j"] = (stat.value, stat.dof, stat.reject(config.alpha))
     else:
-        data = ivdataset_from_rows(rows, inst.model.dims)
+        data = ivdataset_from_rows(sample, inst.model.dims)
         ols = estimate_ols(data)
         tsls = estimate_2sls(data)
         if "ols" in config.estimators:
@@ -195,12 +202,16 @@ def run_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentSummary
         for name in config.tests:
             header.extend([f"{name}_stat", f"{name}_dof", f"{name}_reject"])
         raw_sink.write(",".join(header) + "\n")
+    by_counts = isinstance(config.instance, GmmInstance)
     for rep in range(1, config.reps + 1):
         seed = replication_seed(config.master_seed, rep)
         idx = draw_indices(local_dist, config.n, seed)
-        rows = local_dist.support[idx]
+        if by_counts:
+            sample = Dataset(local_dist.support, np.bincount(idx, minlength=local_dist.n_atoms))
+        else:
+            sample = local_dist.support[idx]
         try:
-            rep_ests, rep_tests = _replication(config, rows)
+            rep_ests, rep_tests = _replication(config, sample)
         except AsymlabError:
             failed += 1
             continue

@@ -1,7 +1,10 @@
 """Model descriptions: unconditional moment restrictions and the linear IV design.
 
 These are pure data holders; estimation and tangent-space construction live in
-``gmm``, ``iv`` and ``scores``.
+``gmm``, ``iv`` and ``scores``.  Moment functions are vectorised over
+observations: one call evaluates every support point or sample row at once,
+so a Gauss-Newton step costs a few whole-array operations rather than one
+Python call per point.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from .errors import ShapeMismatch
 class MomentModel:
     """Moment restriction E[m(theta0, X)] = 0 with l moments and p parameters.
 
-    ``m(theta, x)`` returns an l-vector for a single observation ``x`` (a
-    d-vector); ``jac(theta, x)`` returns the l-by-p derivative of ``m`` in
-    ``theta``.  ``l == p`` is allowed (just identified) but then the
-    overidentification test is degenerate.
+    ``m(theta, points)`` takes an (S, d) array of observations and returns
+    their moment values, shape (S, l); ``jac(theta, points)`` returns the
+    derivatives of ``m`` in ``theta``, shape (S, l, p).  Row s of either
+    output must depend on row s of ``points`` only.  ``l == p`` is allowed
+    (just identified) but then the overidentification test is degenerate.
     """
 
     m: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -36,18 +40,22 @@ class MomentModel:
 
     def moments_at(self, theta: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Evaluate m on every row of ``points``; returns shape (S, l)."""
-        theta = np.asarray(theta, dtype=float)
-        out = np.array([self.m(theta, x) for x in points], dtype=float)
+        out = np.asarray(self.m(np.asarray(theta, dtype=float), points), dtype=float)
         if out.shape != (points.shape[0], self.l):
-            raise ShapeMismatch(f"moment function returned shape {out.shape}")
+            raise ShapeMismatch(
+                f"moment function returned shape {out.shape}, "
+                f"expected ({points.shape[0]}, {self.l})"
+            )
         return out
 
     def jacobians_at(self, theta: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Evaluate the Jacobian on every row of ``points``; shape (S, l, p)."""
-        theta = np.asarray(theta, dtype=float)
-        out = np.array([self.jac(theta, x) for x in points], dtype=float).reshape(
-            points.shape[0], self.l, self.p
-        )
+        out = np.asarray(self.jac(np.asarray(theta, dtype=float), points), dtype=float)
+        if out.shape != (points.shape[0], self.l, self.p):
+            raise ShapeMismatch(
+                f"jacobian returned shape {out.shape}, "
+                f"expected ({points.shape[0]}, {self.l}, {self.p})"
+            )
         return out
 
     def check_jacobian(self, theta: np.ndarray, points: np.ndarray, tol: float = 1e-6) -> None:

@@ -86,12 +86,15 @@ def sample_local(path: LocalPath, n: int, seed: int) -> Dataset:
 
 
 def log_likelihood_ratio(path: LocalPath, t: float, data: Dataset) -> float:
-    """Sum over observations of log dP_t/dP_0, rows must be support points."""
+    """Sum over observations of log dP_t/dP_0, rows must be support points.
+
+    Each row counts as many times as its multiplicity in ``data.counts``.
+    """
     q = path_distribution(path, t).probs
     p = path.base.probs
     idx = atom_indices(path.base, data.rows)
     logs = np.log(q) - np.log(p)
-    return math.fsum(logs[idx])
+    return math.fsum(logs[idx] * data.counts)
 
 
 def numerical_score(path: LocalPath, step: float = 1e-5) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chi2 import local_power, noncentral_chisq_cdf  # noqa: F401  (re-exported)
+from .chi2 import local_power
 from .dist import DiscreteDistribution, expectation
 from .errors import ShapeMismatch, WrongSubspaceLabel
 from .gmm import efficient_influence
@@ -115,13 +115,6 @@ class TestPrediction:
             raise ShapeMismatch(
                 f"invalid prediction: dof={self.dof}, ncp={self.ncp}, power={self.power}"
             )
-
-
-def with_noncentrality(stat, pred: TestPrediction):
-    """Attach the predicted noncentrality to a computed test statistic."""
-    from dataclasses import replace
-
-    return replace(stat, noncentrality_hint=pred.ncp)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 from .chi2 import local_power, noncentral_chisq_cdf
 from .dist import expectation, make_distribution
 from .gmm import estimate_gmm, j_statistic, kl_projection, population_dataset
-from .instances import g1_instance, iv1_instance, tangent_bases
+from .instances import g1_instance, iv1_instance, linear_iv_moment_model, tangent_bases
 from .iv import dwh_statistic, estimate_2sls, estimate_ols, ivdataset_from_rows
 from .paths import LocalPath, hellinger_residual, numerical_score, path_distribution
 from .predict import hall_split, j_noncentrality, predicted_bias
@@ -184,6 +184,24 @@ def _check_estimators():
     _require(dwh_statistic(ivdata, ols, tsls).dof == 1, "DWH degrees of freedom")
 
 
+def _check_moment_contract():
+    g1 = g1_instance()
+    iv1 = iv1_instance()
+    iv_model = linear_iv_moment_model(iv1.model.dims)
+    cases = [
+        ("overidentified_mean", g1.model, g1.dist.support, g1.theta0),
+        ("linear_iv_moments", iv_model, iv1.dist.support, iv1.model.beta0),
+    ]
+    for name, model, points, theta in cases:
+        shape = np.shape(model.m(theta, points))
+        _require(shape == (points.shape[0], model.l), f"{name} moments have shape {shape}")
+        shape = np.shape(model.jac(theta, points))
+        _require(
+            shape == (points.shape[0], model.l, model.p), f"{name} Jacobians have shape {shape}"
+        )
+        model.check_jacobian(theta + 0.3, points)
+
+
 def _check_hall():
     g1 = g1_instance()
     rng = np.random.default_rng(13)
@@ -204,6 +222,7 @@ _CHECKS = [
     ("chi2-distribution", _check_chi2),
     ("estimators-at-population", _check_estimators),
     ("moment-drift-split", _check_hall),
+    ("moment-contract", _check_moment_contract),
 ]
 
 

@@ -4,7 +4,8 @@ These deliberately avoid the code paths they are used to check: the
 noncentral chi-square CDF oracle integrates the Bessel-form density by
 adaptive quadrature, with no Poisson mixture and no incomplete gamma; the
 score-space oracles sum one support point at a time with ``math.fsum``
-instead of forming whole-array products.
+instead of forming whole-array products; the moment-model oracles evaluate
+one observation at a time.
 """
 
 import math
@@ -78,3 +79,45 @@ def gram_schmidt_fsum(probs, spanning, drop_tol: float) -> np.ndarray:
         lead = v[np.abs(v) > 1e-8 * np.max(np.abs(v))][0]
         accepted.append(v if lead > 0 else -v)
     return np.array(accepted).reshape(len(accepted), len(w))
+
+
+# --- per-observation reference definitions of the catalogue moment models --------
+
+
+def overidentified_mean_per_row(v: float):
+    """(m, jac) for one observation x: m = (x - t, (x - t)^2 - v)."""
+
+    def m(theta, x):
+        d = x[0] - theta[0]
+        return np.array([d, d * d - v])
+
+    def jac(theta, x):
+        d = x[0] - theta[0]
+        return np.array([[-1.0], [-2.0 * d]])
+
+    return m, jac
+
+
+def linear_iv_per_row(dims):
+    """(m, jac) for one row (y, x1, x2, z1): m = z (y - x'beta), z = (z1, x2)."""
+    k1, k2, _ = dims
+
+    def split(row):
+        x = np.concatenate([row[1 : 1 + k1], row[1 + k1 : 1 + k1 + k2]])
+        z = np.concatenate([row[1 + k1 + k2 :], row[1 + k1 : 1 + k1 + k2]])
+        return row[0], x, z
+
+    def m(beta, row):
+        y, x, z = split(row)
+        return z * (y - x @ beta)
+
+    def jac(beta, row):
+        _, x, z = split(row)
+        return -np.outer(z, x)
+
+    return m, jac
+
+
+def stack_rows(fn, theta, points) -> np.ndarray:
+    """Apply a per-observation function to every row of ``points`` and stack."""
+    return np.array([fn(theta, x) for x in points], dtype=float)

@@ -221,18 +221,15 @@ class TestCliCommands:
     def test_selftest_passes(self, capsys):
         assert execute(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert "10/10 checks passed" in out
+        assert "11/11 checks passed" in out
 
-    def test_selftest_still_checks_under_optimized_mode(self):
-        # python -O strips assert statements; a sabotaged expectation must
-        # still be caught.
+    @staticmethod
+    def _selftest_under_optimized_mode(sabotage: str):
         script = (
             "import json, sys\n"
             "import asymlab.selftest as st\n"
             "if not sys.flags.optimize:\n"
-            "    sys.exit(3)\n"
-            "st.expectation = lambda dist, values: 0.5\n"
-            "print(json.dumps(st.run_selftest()))\n"
+            "    sys.exit(3)\n" + sabotage + "print(json.dumps(st.run_selftest()))\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=src)
@@ -244,9 +241,31 @@ class TestCliCommands:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        failures, lines = json.loads(proc.stdout)
+        return json.loads(proc.stdout)
+
+    def test_selftest_still_checks_under_optimized_mode(self):
+        # python -O strips assert statements; a sabotaged expectation must
+        # still be caught.
+        failures, lines = self._selftest_under_optimized_mode(
+            "st.expectation = lambda dist, values: 0.5\n"
+        )
         assert failures >= 1
         assert any(line.startswith("FAIL expectation-exactness") for line in lines)
+
+    def test_moment_contract_check_catches_a_wrong_jacobian_shape(self):
+        # the IV catalogue model is swapped for one whose Jacobian drops its
+        # parameter axis; only the moment-contract check may notice
+        failures, lines = self._selftest_under_optimized_mode(
+            "from asymlab.models import MomentModel\n"
+            "real = st.linear_iv_moment_model\n"
+            "def squeezed(dims):\n"
+            "    model = real(dims)\n"
+            "    jac = lambda beta, rows: model.jac(beta, rows)[:, :, 0]\n"
+            "    return MomentModel(m=model.m, jac=jac, p=model.p, l=model.l)\n"
+            "st.linear_iv_moment_model = squeezed\n"
+        )
+        assert failures == 1
+        assert lines[-2].startswith("FAIL moment-contract: linear_iv_moments Jacobians")
 
     def test_run_dump_sample_and_raw_csv(self, tmp_path, capsys):
         sample = tmp_path / "sample.csv"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import expectation_per_atom
 
 from asymlab.dist import (
+    Dataset,
     atom_indices,
     draw_sample,
     expectation,
@@ -193,3 +194,23 @@ def test_fsum_accumulation_beats_naive():
     dist = make_distribution(np.arange(size, dtype=float), probs)
     assert abs(expectation(dist, np.ones(size)) - 1.0) < 1e-14
     assert abs(math.fsum(dist.probs) - 1.0) < 1e-15
+
+
+class TestDatasetCounts:
+    def test_rows_count_once_by_default(self):
+        data = Dataset(np.zeros((7, 2)))
+        assert data.n == 7 and data.dim == 2
+        assert np.array_equal(data.counts, np.ones(7))
+
+    def test_n_is_the_total_count(self):
+        data = Dataset(np.array([[0.0], [1.0], [2.0]]), np.array([4, 0, 3]))
+        assert data.n == 7
+
+    def test_bad_counts_rejected(self):
+        rows = np.zeros((3, 1))
+        with pytest.raises(LengthMismatch):
+            Dataset(rows, np.array([1, 2]))
+        with pytest.raises(ValueError):
+            Dataset(rows, np.array([1, -1, 2]))
+        with pytest.raises(ValueError):
+            Dataset(rows, np.array([1.0, 0.5, 2.0]))

@@ -2,27 +2,38 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import linear_iv_per_row, overidentified_mean_per_row, stack_rows
 
 from asymlab.dist import Dataset, draw_sample, expectation, make_distribution
-from asymlab.errors import DegenerateDof, Infeasible, MomentNotSatisfied, SingularSigma
+from asymlab.errors import (
+    AsymlabError,
+    DegenerateDof,
+    Infeasible,
+    MomentNotSatisfied,
+    ShapeMismatch,
+    SingularSigma,
+)
 from asymlab.gmm import (
+    _compress,
     efficient_influence,
     estimate_gmm,
     j_statistic,
     kl_projection,
     population_dataset,
 )
-from asymlab.instances import tangent_bases
+from asymlab.instances import linear_iv_moment_model, overidentified_mean_model, tangent_bases
 from asymlab.models import MomentModel
 from asymlab.scores import ScoreFunction, project
 
 
 def mean_model():
     def m(theta, x):
-        return np.array([x[0] - theta[0]])
+        return x[:, :1] - theta[0]
 
     def jac(theta, x):
-        return np.array([[-1.0]])
+        return np.full((x.shape[0], 1, 1), -1.0)
 
     return MomentModel(m=m, jac=jac, p=1, l=1)
 
@@ -43,11 +54,11 @@ class TestEfficientInfluence:
 
     def test_duplicate_moment_singular(self, g1):
         def m(theta, x):
-            d = x[0] - theta[0]
-            return np.array([d, d])
+            d = x[:, 0] - theta[0]
+            return np.stack([d, d], axis=1)
 
         def jac(theta, x):
-            return np.array([[-1.0], [-1.0]])
+            return np.full((x.shape[0], 2, 1), -1.0)
 
         with pytest.raises(SingularSigma):
             efficient_influence(g1.dist, MomentModel(m=m, jac=jac, p=1, l=2), np.array([0.0]))
@@ -132,10 +143,10 @@ class TestEstimateGmm:
         from asymlab.errors import RankDeficientJacobian
 
         def m(theta, x):
-            return np.array([x[0], x[0] ** 2 - 1.2])  # does not depend on theta
+            return np.stack([x[:, 0], x[:, 0] ** 2 - 1.2], axis=1)  # does not depend on theta
 
         def jac(theta, x):
-            return np.array([[0.0], [0.0]])
+            return np.zeros((x.shape[0], 2, 1))
 
         flat = MomentModel(m=m, jac=jac, p=1, l=2)
         with pytest.raises(RankDeficientJacobian):
@@ -179,10 +190,10 @@ class TestKlProjection:
         eta = make_distribution([1.0, -1.0], [0.6, 0.4])
 
         def m(theta, x):
-            return np.array([x[0]])
+            return x[:, :1].copy()
 
         def jac(theta, x):
-            return np.array([[1.0]])
+            return np.ones((x.shape[0], 1, 1))
 
         model = MomentModel(m=m, jac=jac, p=1, l=1)
         projected, lam = kl_projection(eta, model, np.array([0.0]))
@@ -191,10 +202,10 @@ class TestKlProjection:
 
     def test_infeasible_target(self, g1):
         def m(theta, x):
-            return np.array([x[0] - 3.0])
+            return x[:, :1] - 3.0
 
         def jac(theta, x):
-            return np.array([[0.0]])
+            return np.zeros((x.shape[0], 1, 1))
 
         model = MomentModel(m=m, jac=jac, p=1, l=1)
         with pytest.raises(Infeasible):
@@ -232,3 +243,104 @@ class TestProjectionMatrixIdentity:
             g = ScoreFunction(g1.dist, coefs @ t_basis.matrix())
             _, over = hall_split(g1.dist, g1.model, g1.theta0, g)
             assert np.linalg.norm(over) < 1e-10
+
+
+class TestMomentContract:
+    def test_per_row_moment_function_is_refused(self, g1):
+        # a function written for one observation sees the whole (S, d) array
+        # and returns the wrong shape
+        def m(theta, x):
+            return np.array([x[0] - theta[0]])
+
+        def jac(theta, x):
+            return np.array([[-1.0]])
+
+        model = MomentModel(m=m, jac=jac, p=1, l=1)
+        with pytest.raises(ShapeMismatch):
+            model.moments_at(np.array([0.0]), g1.dist.support)
+        with pytest.raises(ShapeMismatch):
+            model.jacobians_at(np.array([0.0]), g1.dist.support)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_points=st.integers(1, 40),
+        v=st.floats(0.1, 5.0),
+    )
+    def test_overidentified_mean_matches_per_row_oracle(self, seed, n_points, v):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-3.0, 3.0, (n_points, 1))
+        theta = rng.uniform(-1.0, 1.0, 1)
+        model = overidentified_mean_model(v)
+        m_row, jac_row = overidentified_mean_per_row(v)
+        assert np.array_equal(model.moments_at(theta, points), stack_rows(m_row, theta, points))
+        assert np.array_equal(
+            model.jacobians_at(theta, points), stack_rows(jac_row, theta, points)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_points=st.integers(1, 40),
+        k1=st.integers(1, 2),
+        k2=st.integers(0, 2),
+        extra=st.integers(0, 2),
+    )
+    def test_linear_iv_matches_per_row_oracle(self, seed, n_points, k1, k2, extra):
+        dims = (k1, k2, k1 + extra)
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-2.0, 2.0, (n_points, 1 + k1 + k2 + k1 + extra))
+        beta = rng.uniform(-2.0, 2.0, k1 + k2)
+        model = linear_iv_moment_model(dims)
+        m_row, jac_row = linear_iv_per_row(dims)
+        got_m = model.moments_at(beta, points)
+        want_m = stack_rows(m_row, beta, points)
+        assert got_m.shape == want_m.shape
+        assert np.max(np.abs(got_m - want_m)) <= 1e-14 * max(1.0, np.max(np.abs(want_m)))
+        got_jac = model.jacobians_at(beta, points)
+        want_jac = stack_rows(jac_row, beta, points)
+        assert got_jac.shape == want_jac.shape
+        assert np.max(np.abs(got_jac - want_jac)) <= 1e-14 * max(1.0, np.max(np.abs(want_jac)))
+
+
+@st.composite
+def count_samples(draw):
+    """Distinct support points in random order with counts, some of them zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_atoms = draw(st.integers(2, 9))
+    support = rng.choice(np.linspace(-3.0, 3.0, 25), n_atoms, replace=False)[:, None]
+    counts = rng.integers(0, 40, n_atoms)
+    counts[rng.random(n_atoms) < 0.3] = 0
+    return support, counts, rng
+
+
+def _estimate_or_error(data, model):
+    try:
+        return estimate_gmm(data, model, np.array([0.0]))
+    except (AsymlabError, ValueError) as exc:
+        return type(exc)
+
+
+class TestCountSamples:
+    def test_compress_groups_unsorted_rows_and_drops_zero_counts(self):
+        rows = np.array([[2.0], [-1.0], [2.0], [0.5]])
+        pts, w = _compress(Dataset(rows, np.array([3, 4, 1, 0])))
+        assert np.array_equal(pts, [[-1.0], [2.0]])
+        assert np.array_equal(w, [0.5, 0.5])
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=count_samples())
+    def test_counts_and_expanded_rows_give_identical_estimates(self, g1, case):
+        support, counts, rng = case
+        rows = rng.permutation(np.repeat(support, counts, axis=0))
+        by_counts = _estimate_or_error(Dataset(support, counts), g1.model)
+        by_rows = _estimate_or_error(Dataset(rows), g1.model)
+        if isinstance(by_rows, type):
+            assert by_counts is by_rows
+            return
+        assert not isinstance(by_counts, type)
+        assert np.array_equal(by_counts.theta_hat, by_rows.theta_hat)
+        assert by_counts.j_stat == by_rows.j_stat
+        assert by_counts.iterations == by_rows.iterations
+        assert by_counts.converged == by_rows.converged
+        assert by_counts.n == by_rows.n == int(counts.sum())

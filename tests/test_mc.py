@@ -1,10 +1,13 @@
 import io
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import asymlab.mc
+from asymlab.config import build_experiment, load_raw, validate_raw
 from asymlab.dist import Dataset, draw_indices, replication_seed
 from asymlab.errors import ConfigInvalid, ShapeMismatch, TooManyFailures
 from asymlab.gmm import estimate_gmm
@@ -19,6 +22,8 @@ from asymlab.mc import (
 )
 from asymlab.predict import build_prediction
 from asymlab.scores import centered_score, zero_score
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def g1_config(g1, score=None, **kw):
@@ -68,10 +73,10 @@ class TestConfigValidation:
         from asymlab.models import MomentModel
 
         def m(theta, x):
-            return np.array([x[0] - theta[0]])
+            return x[:, :1] - theta[0]
 
         def jac(theta, x):
-            return np.array([[-1.0]])
+            return np.full((x.shape[0], 1, 1), -1.0)
 
         flat = GmmInstance(
             name="flat",
@@ -193,6 +198,14 @@ class TestRunExperiment:
                 for name, values in found.items():
                     for j, value in enumerate(values.tolist()):
                         assert float(cells[f"{name}_{j + 1}"]) == value
+
+    def test_g1_perp_at_n100_has_no_failures(self):
+        # the identity-weighted Gauss-Newton step used to oscillate on small
+        # samples until MAX_ITER; sufficient decrease in the line search ends it
+        raw = validate_raw(load_raw(CONFIG_DIR / "g1_perp.json"))
+        config = replace(build_experiment(raw), n=100, reps=300)
+        summary = run_experiment(config)
+        assert summary.reps_failed == 0
 
     def test_too_many_failures(self, g1, monkeypatch):
         from asymlab.errors import AsymlabError

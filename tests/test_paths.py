@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from asymlab.dist import draw_indices, expectation, make_distribution
+from asymlab.dist import Dataset, draw_indices, expectation, make_distribution
 from asymlab.errors import PositivityViolated
 from asymlab.paths import (
     LocalPath,
@@ -147,6 +147,16 @@ class TestLogLikelihoodRatio:
             s = int(np.where(g1.dist.support[:, 0] == row[0])[0][0])
             direct += math.log(q[s] / g1.dist.probs[s])
         assert log_likelihood_ratio(path, t, data) == pytest.approx(direct, abs=1e-12)
+
+    def test_rows_are_weighted_by_their_counts(self, g1):
+        g = centered_score(g1.dist, g1.dist.column(0))
+        path = LocalPath(g1.dist, g)
+        counts = np.array([3, 0, 5, 1, 2])
+        expanded = Dataset(np.repeat(g1.dist.support, counts, axis=0))
+        by_counts = Dataset(g1.dist.support[::-1], counts[::-1])
+        assert log_likelihood_ratio(path, 0.1, by_counts) == pytest.approx(
+            log_likelihood_ratio(path, 0.1, expanded), abs=1e-12
+        )
 
     def test_expansion_error_shrinks_with_n(self, g1):
         # the log likelihood ratio approaches (1/sqrt(n)) sum g - E[g^2] / 2;

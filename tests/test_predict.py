@@ -222,13 +222,3 @@ class TestBuildPrediction:
             TestPrediction(dof=1, ncp=-1.0, power=0.5)
         with pytest.raises(ShapeMismatch):
             TestPrediction(dof=1, ncp=1.0, power=1.5)
-
-    def test_noncentrality_hint_attaches(self, g1):
-        from asymlab.chi2 import TestStatistic
-        from asymlab.predict import TestPrediction, with_noncentrality
-
-        stat = TestStatistic(value=2.0, dof=1)
-        assert stat.noncentrality_hint is None
-        annotated = with_noncentrality(stat, TestPrediction(dof=1, ncp=4.0, power=0.5))
-        assert annotated.noncentrality_hint == 4.0
-        assert annotated.value == stat.value

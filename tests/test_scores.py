@@ -223,10 +223,10 @@ class TestGmmTangentBasis:
         # oracle: dimension count S - 1 - l + p = S - 1
 
         def m(theta, x):
-            return np.array([x[0] - theta[0]])
+            return x[:, :1] - theta[0]
 
         def jac(theta, x):
-            return np.array([[-1.0]])
+            return np.full((x.shape[0], 1, 1), -1.0)
 
         model = MomentModel(m=m, jac=jac, p=1, l=1)
         t_basis, t_perp = gmm_tangent_basis(g1.dist, model, np.array([0.0]))
@@ -248,12 +248,12 @@ class TestGmmTangentBasis:
         s = expectation(dist, dist.column(0) ** 3)
 
         def m(theta, x):
-            d = x[0] - theta[0]
-            return np.array([d, d * d - v, d**3 - s])
+            d = x[:, 0] - theta[0]
+            return np.stack([d, d * d - v, d**3 - s], axis=1)
 
         def jac(theta, x):
-            d = x[0] - theta[0]
-            return np.array([[-1.0], [-2.0 * d], [-3.0 * d * d]])
+            d = x[:, 0] - theta[0]
+            return np.stack([-np.ones_like(d), -2.0 * d, -3.0 * d * d], axis=1)[:, :, None]
 
         model = MomentModel(m=m, jac=jac, p=1, l=3)
         t_basis, t_perp = gmm_tangent_basis(dist, model, np.array([0.0]))
@@ -371,11 +371,11 @@ class TestDecomposeScore:
 
 def test_singular_sigma_detected(g1):
     def m(theta, x):
-        d = x[0] - theta[0]
-        return np.array([d, d])
+        d = x[:, 0] - theta[0]
+        return np.stack([d, d], axis=1)
 
     def jac(theta, x):
-        return np.array([[-1.0], [-1.0]])
+        return np.full((x.shape[0], 2, 1), -1.0)
 
     model = MomentModel(m=m, jac=jac, p=1, l=2)
     with pytest.raises(SingularSigma):

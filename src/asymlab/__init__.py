@@ -39,7 +39,6 @@ from .instances import (
     three_way_bases,
 )
 from .iv import (
-    IVDataset,
     LinearEstimate,
     dwh_statistic,
     estimate_2sls,
@@ -48,7 +47,6 @@ from .iv import (
     iv_efficient_scores,
     iv_influence_functions,
     iv_predicted_biases,
-    ivdataset_from_rows,
 )
 from .mc import (
     ComparisonReport,

@@ -18,10 +18,10 @@ import sys
 import numpy as np
 
 from . import config as cfg
-from .dist import draw_indices, replication_seed
+from .dist import Dataset, draw_indices, replication_seed
 from .errors import AsymlabError, ConfigInvalid
 from .instances import three_way_bases
-from .iv import ivdataset_from_rows, write_csv
+from .iv import write_csv
 from .mc import compare_to_theory, run_experiment
 from .paths import LocalPath, hellinger_residual, path_distribution
 from .predict import build_prediction
@@ -129,7 +129,7 @@ def _dump_first_sample(experiment, path) -> None:
     idx = draw_indices(local, experiment.n, replication_seed(experiment.master_seed, 1))
     rows = local.support[idx]
     if experiment.instance.kind == "iv":
-        write_csv(ivdataset_from_rows(rows, experiment.instance.model.dims), path)
+        write_csv(Dataset(rows), experiment.instance.model, path)
     else:
         header = ",".join(f"x_{j + 1}" for j in range(rows.shape[1]))
         np.savetxt(path, rows, delimiter=",", header=header, comments="")

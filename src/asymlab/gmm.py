@@ -301,7 +301,7 @@ def kl_projection(
 
 
 def population_dataset(dist: DiscreteDistribution, copies: int = 1) -> Dataset:
-    """A synthetic sample replicating each atom proportionally to its probability.
+    """A synthetic sample: the support with each atom counted ``copies * prob`` times.
 
     Only meaningful when ``copies * probs`` are integers (e.g. probabilities
     are multiples of 1/copies); used in tests as an 'infinite sample'.
@@ -309,5 +309,4 @@ def population_dataset(dist: DiscreteDistribution, copies: int = 1) -> Dataset:
     counts = np.rint(dist.probs * copies).astype(int)
     if not np.allclose(counts / counts.sum(), dist.probs, atol=1e-12):
         raise ValueError("copies does not make every atom an integer count")
-    rows = np.repeat(dist.support, counts, axis=0)
-    return Dataset(rows=rows)
+    return Dataset(dist.support, counts)

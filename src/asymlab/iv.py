@@ -3,7 +3,10 @@
 Variance matrices are the homoskedastic forms throughout: the efficiency
 claims that make the contrast test work (OLS efficient under exogeneity,
 2SLS efficient under instrument validity) hold only in that setting, so
-sandwich variances are deliberately out of scope.
+sandwich variances are deliberately out of scope.  A sample is a
+``Dataset``: rows laid out as (y, x1, x2, z1) with integer counts, and every
+cross-product and residual sum weights a row by its count, so a sample on a
+finite support can be passed as the support and its count vector.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .chi2 import TestStatistic
-from .dist import DiscreteDistribution, expectation
+from .dist import Dataset, DiscreteDistribution, expectation
 from .errors import (
     NegativeSpectrumWarning,
     RankDeficientFirstStage,
@@ -37,68 +40,27 @@ from .scores import (
 RANK_TOL = 1e-8  # relative spectral cutoff for the generalized inverse
 
 
-@dataclass(frozen=True)
-class IVDataset:
-    """Sample arrays for the linear IV design: y (n,), x1 (n,k1), x2 (n,k2), z1 (n,q)."""
-
-    y: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    z1: np.ndarray
-
-    def __post_init__(self):
-        n = self.y.shape[0]
-        for name in ("x1", "x2", "z1"):
-            block = getattr(self, name)
-            if block.ndim != 2 or block.shape[0] != n:
-                raise ShapeMismatch(f"{name} has shape {block.shape}, expected ({n}, *)")
-        if n <= self.x1.shape[1] + self.x2.shape[1] + self.z1.shape[1]:
-            raise ShapeMismatch("need more observations than total columns")
-
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
-
-    @property
-    def X(self) -> np.ndarray:
-        return np.hstack([self.x1, self.x2])
-
-    @property
-    def Z(self) -> np.ndarray:
-        return np.hstack([self.z1, self.x2])
-
-
-def ivdataset_from_rows(rows: np.ndarray, dims: tuple[int, int, int]) -> IVDataset:
-    """Split (n, 1+k1+k2+q) rows laid out as (y, x1, x2, z1) into an IVDataset."""
-    rows = np.asarray(rows, dtype=float)
-    k1, k2, q = dims
-    if rows.ndim != 2 or rows.shape[1] != 1 + k1 + k2 + q:
-        raise ShapeMismatch(f"rows have shape {rows.shape}, expected (*, {1 + k1 + k2 + q})")
-    return IVDataset(
-        y=rows[:, 0],
-        x1=rows[:, 1 : 1 + k1],
-        x2=rows[:, 1 + k1 : 1 + k1 + k2],
-        z1=rows[:, 1 + k1 + k2 :],
-    )
-
-
-def write_csv(data: IVDataset, path) -> None:
-    """Write the dataset with header y,x1_1..,x2_1..,z1_1.. (one row per observation)."""
+def write_csv(data: Dataset, model: IVModel, path) -> None:
+    """Write the sample with header y,x1_1..,x2_1..,z1_1.., one line per
+    observation: each row repeated by its count, in row order."""
+    k1, k2, q = model.dims
+    if data.dim != model.point_dim:
+        raise ShapeMismatch(f"rows have width {data.dim}, expected {model.point_dim}")
     header = (
         ["y"]
-        + [f"x1_{j + 1}" for j in range(data.x1.shape[1])]
-        + [f"x2_{j + 1}" for j in range(data.x2.shape[1])]
-        + [f"z1_{j + 1}" for j in range(data.z1.shape[1])]
+        + [f"x1_{j + 1}" for j in range(k1)]
+        + [f"x2_{j + 1}" for j in range(k2)]
+        + [f"z1_{j + 1}" for j in range(q)]
     )
-    table = np.hstack([data.y[:, None], data.x1, data.x2, data.z1])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(table.tolist())
+        writer.writerows(np.repeat(data.rows, data.counts, axis=0).tolist())
 
 
-def read_csv(path) -> IVDataset:
-    """Read a dataset written by ``write_csv``; block sizes come from the header."""
+def read_csv(path) -> tuple[Dataset, tuple[int, int, int]]:
+    """Read a sample written by ``write_csv``; returns it with the block
+    sizes (k1, k2, q) taken from the header."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -108,7 +70,9 @@ def read_csv(path) -> IVDataset:
     q = sum(1 for name in header if name.startswith("z1_"))
     if header[0] != "y" or 1 + k1 + k2 + q != len(header):
         raise ShapeMismatch(f"unrecognized header {header}")
-    return ivdataset_from_rows(body, (k1, k2, q))
+    if body.ndim != 2 or body.shape[1] != len(header):
+        raise ShapeMismatch(f"rows have shape {body.shape}, expected (*, {len(header)})")
+    return Dataset(body), (k1, k2, q)
 
 
 @dataclass(frozen=True)
@@ -121,47 +85,56 @@ class LinearEstimate:
     sigma_sq_hat: float
 
 
-def _solve_spd(mat: np.ndarray, rhs: np.ndarray, error: Exception) -> np.ndarray:
+def _cholesky(mat: np.ndarray, error: Exception):
     try:
-        chol = scipy.linalg.cho_factor(mat)
+        return scipy.linalg.cho_factor(mat)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
         raise error from None
-    return scipy.linalg.cho_solve(chol, rhs)
 
 
-def estimate_ols(data: IVDataset) -> LinearEstimate:
-    """Least squares of y on X = [x1, x2] with homoskedastic variance."""
-    X, y, n = data.X, data.y, data.n
-    xtx = X.T @ X
-    beta = _solve_spd(xtx, X.T @ y, SingularDesign("X'X is singular"))
+def _design(data: Dataset, model: IVModel):
+    """y, X and Z of a sample; refuses one with no more observations than columns."""
+    y, X, Z = model.design_matrices(data.rows)
+    if data.n <= model.point_dim - 1:
+        raise ShapeMismatch("need more observations than total columns")
+    return y, X, Z
+
+
+def _fit(data: Dataset, y, X, beta, factor) -> LinearEstimate:
+    """Residual variance and sqrt(n)-scaled variance of the solution ``beta``
+    of the normal equations whose matrix has Cholesky factor ``factor``."""
     resid = y - X @ beta
-    sigma_sq = float(resid @ resid) / n
-    vcov = sigma_sq * _solve_spd(xtx / n, np.eye(X.shape[1]), SingularDesign("X'X is singular"))
+    sigma_sq = float(data.counts @ resid**2) / data.n
+    vcov = sigma_sq * data.n * scipy.linalg.cho_solve(factor, np.eye(X.shape[1]))
     return LinearEstimate(beta=beta, vcov=0.5 * (vcov + vcov.T), sigma_sq_hat=sigma_sq)
 
 
-def estimate_2sls(data: IVDataset) -> LinearEstimate:
+def estimate_ols(data: Dataset, model: IVModel) -> LinearEstimate:
+    """Least squares of y on X = [x1, x2] with homoskedastic variance."""
+    y, X, _ = _design(data, model)
+    cX = X * data.counts[:, None]
+    factor = _cholesky(cX.T @ X, SingularDesign("X'X is singular"))
+    return _fit(data, y, X, scipy.linalg.cho_solve(factor, cX.T @ y), factor)
+
+
+def estimate_2sls(data: Dataset, model: IVModel) -> LinearEstimate:
     """Two-stage least squares with instruments Z = [z1, x2]."""
-    X, Z, y, n = data.X, data.Z, data.y, data.n
-    ztz = Z.T @ Z
-    ztx = Z.T @ X
-    zty = Z.T @ y
-    first = _solve_spd(ztz, np.hstack([ztx, zty[:, None]]), SingularInstrumentGram("Z'Z is singular"))
+    y, X, Z = _design(data, model)
+    cZ = Z * data.counts[:, None]
+    ztx = cZ.T @ X
+    zty = cZ.T @ y
+    factor = _cholesky(cZ.T @ Z, SingularInstrumentGram("Z'Z is singular"))
+    first = scipy.linalg.cho_solve(factor, np.hstack([ztx, zty[:, None]]))
     xpx = ztx.T @ first[:, :-1]  # X' P_Z X
     xpy = ztx.T @ first[:, -1]
     svals = np.linalg.svd(xpx, compute_uv=False)
     if svals[-1] <= 1e-12 * max(svals[0], 1e-300):
         raise RankDeficientFirstStage("instruments do not span the regressors")
-    beta = _solve_spd(xpx, xpy, RankDeficientFirstStage("X'P_Z X is singular"))
-    resid = y - X @ beta
-    sigma_sq = float(resid @ resid) / n
-    vcov = sigma_sq * _solve_spd(
-        xpx / n, np.eye(X.shape[1]), RankDeficientFirstStage("X'P_Z X is singular")
-    )
-    return LinearEstimate(beta=beta, vcov=0.5 * (vcov + vcov.T), sigma_sq_hat=sigma_sq)
+    factor = _cholesky(xpx, RankDeficientFirstStage("X'P_Z X is singular"))
+    return _fit(data, y, X, scipy.linalg.cho_solve(factor, xpy), factor)
 
 
-def dwh_statistic(data: IVDataset, ols: LinearEstimate, tsls: LinearEstimate) -> TestStatistic:
+def dwh_statistic(data: Dataset, ols: LinearEstimate, tsls: LinearEstimate) -> TestStatistic:
     """Contrast test n * (b_ols - b_2sls)' V^- (b_ols - b_2sls).
 
     V estimates the asymptotic variance of the scaled contrast by the

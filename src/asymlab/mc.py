@@ -2,11 +2,11 @@
 
 Each replication draws its seed from the master seed by a keyed split, so a
 run is reproducible bit-for-bit no matter how replications would be
-scheduled; replications are executed sequentially here.  A moment-model
-replication passes its draws to GMM as the count vector over the support
-(a sufficient statistic on a finite support); an IV replication passes the
-drawn rows.  Replications whose estimator fails to converge are counted and
-excluded from the moments, never retried (retrying would distort the
+scheduled; replications are executed sequentially here.  Every
+replication's sample, GMM or IV, is the count vector of its draws over the
+support (a sufficient statistic on a finite support for every estimator and
+test run here).  Replications whose estimator fails to converge are counted
+and excluded from the moments, never retried (retrying would distort the
 sampling distribution).
 """
 
@@ -21,7 +21,7 @@ from .dist import Dataset, draw_indices, replication_seed
 from .errors import AsymlabError, ConfigInvalid, ShapeMismatch, TooManyFailures
 from .gmm import estimate_gmm, j_statistic
 from .instances import GmmInstance, Instance
-from .iv import dwh_statistic, estimate_2sls, estimate_ols, ivdataset_from_rows
+from .iv import dwh_statistic, estimate_2sls, estimate_ols
 from .paths import LocalPath, path_distribution
 from .predict import Prediction
 from .scores import ScoreFunction, _require_same_dist
@@ -148,11 +148,11 @@ class ExperimentSummary:
         )
 
 
-def _replication(config: ExperimentConfig, sample) -> tuple[dict, dict]:
+def _replication(config: ExperimentConfig, sample: Dataset) -> tuple[dict, dict]:
     """Estimates and test records for one sample; raises on failure.
 
-    ``sample`` is a ``Dataset`` of support counts for a moment instance and
-    the (n, d) array of drawn rows for an IV instance.
+    ``sample`` is a ``Dataset`` of the support points and their counts in
+    the replication's draws.
     """
     inst = config.instance
     ests: dict[str, np.ndarray] = {}
@@ -168,15 +168,14 @@ def _replication(config: ExperimentConfig, sample) -> tuple[dict, dict]:
             stat = j_statistic(sample, inst.model, est)
             tests["j"] = (stat.value, stat.dof, stat.reject(config.alpha))
     else:
-        data = ivdataset_from_rows(sample, inst.model.dims)
-        ols = estimate_ols(data)
-        tsls = estimate_2sls(data)
+        ols = estimate_ols(sample, inst.model)
+        tsls = estimate_2sls(sample, inst.model)
         if "ols" in config.estimators:
             ests["ols"] = ols.beta
         if "tsls" in config.estimators:
             ests["tsls"] = tsls.beta
         if "dwh" in config.tests:
-            stat = dwh_statistic(data, ols, tsls)
+            stat = dwh_statistic(sample, ols, tsls)
             tests["dwh"] = (stat.value, stat.dof, stat.reject(config.alpha))
     return ests, tests
 
@@ -202,14 +201,10 @@ def run_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentSummary
         for name in config.tests:
             header.extend([f"{name}_stat", f"{name}_dof", f"{name}_reject"])
         raw_sink.write(",".join(header) + "\n")
-    by_counts = isinstance(config.instance, GmmInstance)
     for rep in range(1, config.reps + 1):
         seed = replication_seed(config.master_seed, rep)
         idx = draw_indices(local_dist, config.n, seed)
-        if by_counts:
-            sample = Dataset(local_dist.support, np.bincount(idx, minlength=local_dist.n_atoms))
-        else:
-            sample = local_dist.support[idx]
+        sample = Dataset(local_dist.support, np.bincount(idx, minlength=local_dist.n_atoms))
         try:
             rep_ests, rep_tests = _replication(config, sample)
         except AsymlabError:

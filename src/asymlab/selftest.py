@@ -16,7 +16,7 @@ from .chi2 import local_power, noncentral_chisq_cdf
 from .dist import expectation, make_distribution
 from .gmm import estimate_gmm, j_statistic, kl_projection, population_dataset
 from .instances import g1_instance, iv1_instance, linear_iv_moment_model, tangent_bases
-from .iv import dwh_statistic, estimate_2sls, estimate_ols, ivdataset_from_rows
+from .iv import dwh_statistic, estimate_2sls, estimate_ols
 from .paths import LocalPath, hellinger_residual, numerical_score, path_distribution
 from .predict import hall_split, j_noncentrality, predicted_bias
 from .gmm import efficient_influence
@@ -170,9 +170,9 @@ def _check_estimators():
     )
     _require(j_statistic(data, g1.model, est).dof == 1, "J test degrees of freedom")
     iv1 = iv1_instance()
-    ivdata = ivdataset_from_rows(population_dataset(iv1.dist, 8).rows, iv1.model.dims)
-    ols = estimate_ols(ivdata)
-    tsls = estimate_2sls(ivdata)
+    ivdata = population_dataset(iv1.dist, 8)
+    ols = estimate_ols(ivdata, iv1.model)
+    tsls = estimate_2sls(ivdata, iv1.model)
     _require(
         np.max(np.abs(ols.beta - iv1.model.beta0)) < 1e-10,
         "OLS at the population is not exact",

@@ -288,7 +288,7 @@ class TestCliCommands:
             ]
         )
         assert code in (0, 1)  # small-reps comparison may legitimately flag
-        data = read_csv(sample)
+        data, _ = read_csv(sample)
         assert data.n == 200
         lines = raw.read_text().strip().splitlines()
         assert lines[0].startswith("rep,seed,ols_1,ols_2,tsls_1,tsls_2,dwh_stat")

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from asymlab.dist import draw_sample, make_distribution
+from asymlab.dist import Dataset, draw_sample, make_distribution
 from asymlab.errors import (
+    AsymlabError,
     NegativeSpectrumWarning,
     NullModelViolated,
     RankDeficientFirstStage,
@@ -12,9 +15,8 @@ from asymlab.errors import (
     SingularDesign,
 )
 from asymlab.gmm import population_dataset
-from asymlab.instances import tangent_bases
+from asymlab.instances import iv1_instance, tangent_bases
 from asymlab.iv import (
-    IVDataset,
     LinearEstimate,
     dwh_statistic,
     estimate_2sls,
@@ -23,38 +25,42 @@ from asymlab.iv import (
     iv_efficient_scores,
     iv_influence_functions,
     iv_predicted_biases,
-    ivdataset_from_rows,
     read_csv,
     write_csv,
 )
+from asymlab.models import IVModel
 from asymlab.scores import ScoreFunction, inner_product, project
 
 
 def iv1_sample(iv1, n=400, seed=8):
-    return ivdataset_from_rows(draw_sample(iv1.dist, n, seed).rows, iv1.model.dims)
+    return draw_sample(iv1.dist, n, seed)
+
+
+def synthetic(y, x1, x2, z1):
+    """Rows laid out as (y, x1, x2, z1) and an IV model with the matching dims."""
+    k1, k2, q = x1.shape[1], x2.shape[1], z1.shape[1]
+    model = IVModel(beta0=np.zeros(k1 + k2), sigma0_sq=1.0, dims=(k1, k2, q))
+    return Dataset(np.column_stack([y, x1, x2, z1])), model
 
 
 class TestIVDataset:
     def test_from_rows_layout(self, iv1):
         data = iv1_sample(iv1)
-        assert data.X.shape == (400, 2) and data.Z.shape == (400, 2)
+        _, X, Z = iv1.model.design_matrices(data.rows)
+        assert X.shape == (400, 2) and Z.shape == (400, 2)
         # X stacks (x1, x2), Z stacks (z1, x2): shared exogenous column
-        assert np.array_equal(data.X[:, 1], data.Z[:, 1])
+        assert np.array_equal(X[:, 1], Z[:, 1])
 
     def test_shape_validation(self):
+        model = IVModel(beta0=np.zeros(2), sigma0_sq=1.0, dims=(1, 1, 1))
+        narrow = Dataset(np.zeros((5, 3)))
         with pytest.raises(ShapeMismatch):
-            IVDataset(
-                y=np.zeros(5),
-                x1=np.zeros((4, 1)),
-                x2=np.zeros((5, 1)),
-                z1=np.zeros((5, 1)),
-            )
-        with pytest.raises(ShapeMismatch):
-            ivdataset_from_rows(np.zeros((5, 3)), dims=(1, 1, 1))
+            model.design_matrices(narrow.rows)
+        for estimator in (estimate_ols, estimate_2sls):
+            with pytest.raises(ShapeMismatch):
+                estimator(narrow, model)
 
     def test_order_condition_enforced(self):
-        from asymlab.models import IVModel
-
         with pytest.raises(ShapeMismatch):
             IVModel(beta0=np.zeros(3), sigma0_sq=1.0, dims=(2, 1, 1))
         with pytest.raises(ValueError):
@@ -63,42 +69,62 @@ class TestIVDataset:
     def test_csv_roundtrip(self, iv1, tmp_path):
         data = iv1_sample(iv1, n=60, seed=2)
         path = tmp_path / "sample.csv"
-        write_csv(data, path)
+        write_csv(data, iv1.model, path)
         header = path.read_text().splitlines()[0]
         assert header == "y,x1_1,x2_1,z1_1"
-        back = read_csv(path)
-        assert np.allclose(back.y, data.y)
-        assert np.allclose(back.x1, data.x1)
-        assert np.allclose(back.z1, data.z1)
+        back, dims = read_csv(path)
+        assert dims == iv1.model.dims
+        y, x1, _, z1 = iv1.model.split_rows(data.rows)
+        back_y, back_x1, _, back_z1 = iv1.model.split_rows(back.rows)
+        assert np.allclose(back_y, y)
+        assert np.allclose(back_x1, x1)
+        assert np.allclose(back_z1, z1)
+        # a count sample is written one line per observation
+        counts = np.array([3, 0, 1, 2, 0, 0, 4, 1])
+        write_csv(Dataset(iv1.dist.support, counts), iv1.model, path)
+        assert len(path.read_text().splitlines()) == 1 + counts.sum()
+        back, _ = read_csv(path)
+        assert np.array_equal(back.rows, np.repeat(iv1.dist.support, counts, axis=0))
+
+    def test_csv_refuses_bad_header_and_width(self, iv1, tmp_path):
+        path = tmp_path / "sample.csv"
+        path.write_text("y,x1_1,w,z1_1\n1,2,3,4\n")
+        with pytest.raises(ShapeMismatch):
+            read_csv(path)
+        path.write_text("y,x1_1,x2_1,z1_1\n1,2,3\n")
+        with pytest.raises(ShapeMismatch):
+            read_csv(path)
+        with pytest.raises(ShapeMismatch):
+            write_csv(Dataset(np.zeros((4, 3))), iv1.model, path)
 
 
 class TestOls:
     def test_noiseless_exact_fit(self, rng):
         X = rng.standard_normal((50, 2))
         beta = np.array([2.0, -1.0])
-        data = IVDataset(y=X @ beta, x1=X[:, :1], x2=X[:, 1:], z1=rng.standard_normal((50, 1)))
-        est = estimate_ols(data)
+        data, model = synthetic(X @ beta, X[:, :1], X[:, 1:], rng.standard_normal((50, 1)))
+        est = estimate_ols(data, model)
         assert np.max(np.abs(est.beta - beta)) < 1e-12
 
     def test_population_weighted_sample(self, iv1):
         # oracle: E[X e] = 0 under the design by independence
-        rows = population_dataset(iv1.dist, 8).rows
-        est = estimate_ols(ivdataset_from_rows(rows, iv1.model.dims))
+        est = estimate_ols(population_dataset(iv1.dist, 8), iv1.model)
         assert np.max(np.abs(est.beta - iv1.model.beta0)) < 1e-10
 
     def test_collinear_design(self, rng):
         x = rng.standard_normal((30, 1))
-        data = IVDataset(y=rng.standard_normal(30), x1=x, x2=x.copy(), z1=np.ones((30, 1)))
+        data, model = synthetic(rng.standard_normal(30), x, x.copy(), np.ones((30, 1)))
         with pytest.raises(SingularDesign):
-            estimate_ols(data)
+            estimate_ols(data, model)
 
 
 class TestTsls:
     def test_just_identified_closed_form(self, iv1):
         # oracle: with dim Z = dim X the estimator is (Z'X)^{-1} Z'Y
         data = iv1_sample(iv1, n=300, seed=21)
-        est = estimate_2sls(data)
-        direct = np.linalg.solve(data.Z.T @ data.X, data.Z.T @ data.y)
+        est = estimate_2sls(data, iv1.model)
+        y, X, Z = iv1.model.design_matrices(data.rows)
+        direct = np.linalg.solve(Z.T @ X, Z.T @ y)
         assert np.max(np.abs(est.beta - direct)) < 1e-10
 
     def test_noiseless_recovery(self, rng):
@@ -107,19 +133,17 @@ class TestTsls:
         x2 = np.ones((80, 1))
         beta = np.array([1.5, -0.5])
         X = np.hstack([x1, x2])
-        data = IVDataset(y=X @ beta, x1=x1, x2=x2, z1=z)
-        est = estimate_2sls(data)
+        data, model = synthetic(X @ beta, x1, x2, z)
+        est = estimate_2sls(data, model)
         assert np.max(np.abs(est.beta - beta)) < 1e-12
 
     def test_rank_deficient_first_stage(self, rng):
         # instrument orthogonal to the regressor in-sample
         x1 = np.concatenate([np.ones(20), -np.ones(20)])[:, None]
         z1 = np.concatenate([np.ones(10), -np.ones(10), np.ones(10), -np.ones(10)])[:, None]
-        data = IVDataset(
-            y=rng.standard_normal(40), x1=x1, x2=np.ones((40, 1)), z1=z1
-        )
+        data, model = synthetic(rng.standard_normal(40), x1, np.ones((40, 1)), z1)
         with pytest.raises(RankDeficientFirstStage):
-            estimate_2sls(data)
+            estimate_2sls(data, model)
 
 
 class TestDwh:
@@ -136,16 +160,17 @@ class TestDwh:
         # oracle: the population variance difference has rank k1 = 1
         assert hausman_contrast_basis(iv1.dist, iv1.model).dim == 1
         data = iv1_sample(iv1, n=500, seed=31)
-        stat = dwh_statistic(data, estimate_ols(data), estimate_2sls(data))
+        stat = dwh_statistic(data, estimate_ols(data, iv1.model), estimate_2sls(data, iv1.model))
         assert stat.dof == 1
 
     def test_row_reordering_invariance(self, iv1, rng):
         data = iv1_sample(iv1, n=200, seed=12)
-        stat = dwh_statistic(data, estimate_ols(data), estimate_2sls(data))
+        stat = dwh_statistic(data, estimate_ols(data, iv1.model), estimate_2sls(data, iv1.model))
         perm = rng.permutation(200)
-        rows = np.hstack([data.y[:, None], data.x1, data.x2, data.z1])[perm]
-        shuffled = ivdataset_from_rows(rows, iv1.model.dims)
-        stat2 = dwh_statistic(shuffled, estimate_ols(shuffled), estimate_2sls(shuffled))
+        shuffled = Dataset(data.rows[perm])
+        stat2 = dwh_statistic(
+            shuffled, estimate_ols(shuffled, iv1.model), estimate_2sls(shuffled, iv1.model)
+        )
         assert stat2.value == pytest.approx(stat.value, rel=1e-12)
         assert stat2.dof == stat.dof
 
@@ -154,7 +179,8 @@ class TestDwh:
         reps, n, hits = 400, 800, 0
         for rep in range(reps):
             data = iv1_sample(iv1, n=n, seed=5000 + rep)
-            if dwh_statistic(data, estimate_ols(data), estimate_2sls(data)).reject(0.05):
+            ols, tsls = estimate_ols(data, iv1.model), estimate_2sls(data, iv1.model)
+            if dwh_statistic(data, ols, tsls).reject(0.05):
                 hits += 1
         rate = hits / reps
         assert abs(rate - 0.05) < 4.0 * math.sqrt(0.05 * 0.95 / reps)
@@ -181,6 +207,101 @@ class TestDwh:
             exz @ np.linalg.solve(ezz, exz.T)
         )
         assert np.linalg.eigvalsh(v_tsls - v_ols)[0] > -1e-12
+
+
+@st.composite
+def iv_count_samples(draw):
+    """An IV support (IV1's or a random one), its model and counts, some zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    on_iv1 = draw(st.booleans())
+    if on_iv1:
+        iv1 = iv1_instance()
+        support, model = iv1.dist.support, iv1.model
+    else:
+        k1, k2 = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+        q = k1 + draw(st.integers(0, 2))
+        model = IVModel(beta0=np.zeros(k1 + k2), sigma0_sq=1.0, dims=(k1, k2, q))
+        n_atoms = draw(st.integers(k1 + k2 + q + 3, 14))
+        support = rng.uniform(-2.0, 2.0, (n_atoms, model.point_dim))
+        # x1 is the first k1 instruments plus small noise: a strong first
+        # stage in every sample, so 2SLS is well conditioned and rounding
+        # differences stay near machine precision
+        x1 = support[:, 1 : 1 + k1]
+        x1[:] = support[:, 1 + k1 + k2 : 1 + 2 * k1 + k2] + 0.25 * x1
+    counts = rng.integers(1, 30, support.shape[0])
+    counts[rng.random(support.shape[0]) < 0.3] = 0
+    # on fewer random atoms than columns a Gram matrix is singular and only
+    # rounding decides whether its factorisation fails; IV1's integer sums are exact
+    assume(on_iv1 or np.count_nonzero(counts) >= model.point_dim)
+    return support, counts, model, rng
+
+
+def _fit_or_error(data, model):
+    try:
+        return estimate_ols(data, model), estimate_2sls(data, model)
+    except AsymlabError as exc:
+        return type(exc)
+
+
+def _contrast_is_determined(ols, tsls):
+    """True when every eigenvalue of the variance difference the DWH statistic
+    inverts is far from its rank cutoff, so rounding cannot change the dof."""
+    if ols.sigma_sq_hat <= 0.0:
+        return False
+    vdiff = tsls.vcov - (tsls.sigma_sq_hat / ols.sigma_sq_hat) * ols.vcov
+    evals = np.linalg.eigvalsh(0.5 * (vdiff + vdiff.T))
+    top = evals[-1]
+    if top <= 1e-6 * np.max(np.abs(tsls.vcov)):
+        return False
+    return bool(np.all((np.abs(evals) <= 1e-10 * top) | (evals >= 1e-3 * top)))
+
+
+class TestCountSamples:
+    @settings(max_examples=150, deadline=None)
+    @given(case=iv_count_samples())
+    def test_counts_and_expanded_rows_agree(self, case):
+        support, counts, model, rng = case
+        by_counts = Dataset(support, counts)
+        by_rows = Dataset(rng.permutation(np.repeat(support, counts, axis=0)))
+        got, want = _fit_or_error(by_counts, model), _fit_or_error(by_rows, model)
+        if isinstance(want, type):
+            assert got is want
+            return
+        assert not isinstance(got, type)
+        y, X, _ = model.design_matrices(by_rows.rows)
+        for a, b in zip(got, want):
+            # summation order perturbs the cross-products by a few ulps; the
+            # normal matrix amplifies that by its condition number, so the
+            # 1e-12 holds relative to scale up to a condition number of 100
+            amplify = max(100.0, np.linalg.cond(b.vcov) if b.sigma_sq_hat > 0.0 else 1.0) / 100.0
+            beta_scale = max(1.0, np.max(np.abs(b.beta)))
+            # residuals are differences of y and X beta, so their rounding
+            # scales with |y| + |X| |beta|, not with the residuals themselves
+            scale = np.mean((np.abs(y) + np.abs(X) @ np.abs(b.beta)) ** 2)
+            vcov_scale = np.max(np.abs(b.vcov)) * max(1.0, scale / max(b.sigma_sq_hat, 1e-300))
+            assert np.max(np.abs(a.beta - b.beta)) <= 1e-12 * amplify * beta_scale
+            assert np.max(np.abs(a.vcov - b.vcov)) <= 1e-12 * amplify * vcov_scale
+            assert abs(a.sigma_sq_hat - b.sigma_sq_hat) <= 1e-12 * scale
+        if not _contrast_is_determined(*want):
+            return
+        stat_counts = dwh_statistic(by_counts, *got)
+        stat_rows = dwh_statistic(by_rows, *want)
+        assert stat_counts.dof == stat_rows.dof
+        assert stat_counts.value == pytest.approx(stat_rows.value, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 20))
+    def test_too_few_observations_refused_whatever_the_row_count(self, iv1, seed, n_rows):
+        rng = np.random.default_rng(seed)
+        support = rng.uniform(-2.0, 2.0, (n_rows, iv1.model.point_dim))
+        counts = np.zeros(n_rows, dtype=np.int64)
+        columns = iv1.model.point_dim - 1
+        np.add.at(counts, rng.integers(0, n_rows, rng.integers(0, columns + 1)), 1)
+        data = Dataset(support, counts)
+        assert data.n <= columns
+        for estimator in (estimate_ols, estimate_2sls):
+            with pytest.raises(ShapeMismatch):
+                estimator(data, iv1.model)
 
 
 class TestPopulationScores:

@@ -12,7 +12,7 @@ from asymlab.dist import Dataset, draw_indices, replication_seed
 from asymlab.errors import ConfigInvalid, ShapeMismatch, TooManyFailures
 from asymlab.gmm import estimate_gmm
 from asymlab.instances import GmmInstance
-from asymlab.iv import estimate_2sls, estimate_ols, ivdataset_from_rows
+from asymlab.iv import estimate_2sls, estimate_ols
 from asymlab.paths import LocalPath, path_distribution
 from asymlab.mc import (
     ExperimentConfig,
@@ -189,12 +189,15 @@ class TestRunExperiment:
                 cells = dict(zip(names, line.split(",")))
                 seed = replication_seed(config.master_seed, int(cells["rep"]))
                 assert int(cells["seed"]) == seed
-                rows = local.support[draw_indices(local, config.n, seed)]
+                idx = draw_indices(local, config.n, seed)
+                sample = Dataset(local.support, np.bincount(idx, minlength=local.n_atoms))
                 if "gmm" in config.estimators:
-                    found = {"gmm": estimate_gmm(Dataset(rows), g1.model, g1.theta0).theta_hat}
+                    found = {"gmm": estimate_gmm(sample, g1.model, g1.theta0).theta_hat}
                 else:
-                    data = ivdataset_from_rows(rows, iv1.model.dims)
-                    found = {"ols": estimate_ols(data).beta, "tsls": estimate_2sls(data).beta}
+                    found = {
+                        "ols": estimate_ols(sample, iv1.model).beta,
+                        "tsls": estimate_2sls(sample, iv1.model).beta,
+                    }
                 for name, values in found.items():
                     for j, value in enumerate(values.tolist()):
                         assert float(cells[f"{name}_{j + 1}"]) == value

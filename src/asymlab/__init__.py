@@ -44,7 +44,6 @@ from .iv import (
     estimate_2sls,
     estimate_ols,
     hausman_contrast_basis,
-    iv_efficient_scores,
     iv_influence_functions,
     iv_predicted_biases,
 )

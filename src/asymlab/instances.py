@@ -169,7 +169,7 @@ def three_way_bases(instance: Instance) -> tuple[SubspaceBasis, SubspaceBasis, S
     if len(bases) == 3:
         return bases
     t_basis, t_perp = bases
-    empty = SubspaceBasis(instance.dist, (), label="M_perp")
+    empty = SubspaceBasis(instance.dist, np.zeros((0, instance.dist.n_atoms)), label="M_perp")
     return t_basis, t_perp, empty
 
 

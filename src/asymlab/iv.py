@@ -141,9 +141,11 @@ def dwh_statistic(data: Dataset, ols: LinearEstimate, tsls: LinearEstimate) -> T
     difference of the two variance matrices, both scaled to the 2SLS residual
     variance (a single variance scale keeps the difference exactly singular
     in the directions where the estimators coincide, so the spectral cutoff
-    identifies the rank cleanly).  Eigenvalues below RANK_TOL times the
-    largest are zeroed; the dof is the retained rank.  Eigenvalues below the
-    negative of the cutoff raise ``NegativeSpectrumWarning`` and are dropped.
+    identifies the rank cleanly).  Eigenvalues below RANK_TOL times the scale
+    of the two variance matrices (their largest entry) are zeroed, so a
+    difference made only of rounding has rank zero; the dof is the retained
+    rank.  Eigenvalues below the negative of the cutoff raise
+    ``NegativeSpectrumWarning`` and are dropped.
     """
     if ols.beta.shape != tsls.beta.shape:
         raise ShapeMismatch("estimates have different parameter dimensions")
@@ -154,10 +156,8 @@ def dwh_statistic(data: Dataset, ols: LinearEstimate, tsls: LinearEstimate) -> T
     vdiff = tsls.vcov - ratio * ols.vcov
     vdiff = 0.5 * (vdiff + vdiff.T)
     evals, evecs = np.linalg.eigh(vdiff)
-    top = float(evals[-1])
-    if top <= 0.0:
-        return TestStatistic(value=0.0, dof=0)
-    cutoff = RANK_TOL * top
+    scale = max(tsls.vcov.max(), ratio * ols.vcov.max())  # PSD: the largest |entry|
+    cutoff = RANK_TOL * scale
     if evals[0] < -cutoff:
         warnings.warn(
             f"variance difference has negative eigenvalue {evals[0]:.3e}; "
@@ -172,24 +172,6 @@ def dwh_statistic(data: Dataset, ols: LinearEstimate, tsls: LinearEstimate) -> T
 
 
 # --- population score objects ---------------------------------------------------
-
-
-def iv_efficient_scores(
-    dist: DiscreteDistribution, model: IVModel
-) -> tuple[list[ScoreFunction], list[ScoreFunction]]:
-    """Efficient scores of the null (exogeneity) and maintained (IV) models.
-
-    Null model: x e / sigma0^2.  Maintained model:
-    E[XZ'] E[ZZ']^{-1} z e / sigma0^2.  One score function per coefficient.
-    """
-    check_iv_null_model(dist, model)
-    _, X, Z = model.design_matrices(dist.support)
-    e = model.errors_on(dist.support)
-    _, exz, ezz = iv_population_matrices(dist, model)
-    ell_p = X * (e / model.sigma0_sq)[:, None]
-    ell_m = (Z @ np.linalg.solve(ezz, exz.T)) * (e / model.sigma0_sq)[:, None]
-    make = lambda vals: [centered_score(dist, vals[:, j]) for j in range(vals.shape[1])]
-    return make(ell_p), make(ell_m)
 
 
 def iv_influence_functions(
@@ -219,7 +201,7 @@ def hausman_contrast_basis(dist: DiscreteDistribution, model: IVModel) -> Subspa
     diffs = [t - v for t, v in zip(tau, nu)]
     keep = [d for d in diffs if d.norm() > 1e-12]
     if not keep:
-        return SubspaceBasis(dist, (), label="T_perp_cap_M")
+        return SubspaceBasis(dist, np.zeros((0, dist.n_atoms)), label="T_perp_cap_M")
     return orthonormal_basis(dist, keep, label="T_perp_cap_M")
 
 

@@ -26,6 +26,7 @@ from .scores import (
     ScoreFunction,
     SubspaceBasis,
     _population_moment_objects,
+    coordinates,
     decompose_score,
     inner_product,
 )
@@ -95,8 +96,8 @@ def hausman_noncentrality(
         raise WrongSubspaceLabel(
             f"contrast basis must be labeled T_perp_cap_M or T_perp, got {f_basis.label!r}"
         )
-    ncp = sum(inner_product(dist, f, g) ** 2 for f in f_basis.functions)
-    return float(ncp), f_basis.dim
+    coefs = coordinates(dist, g, f_basis)
+    return float(coefs @ coefs), f_basis.dim
 
 
 # --- bundled predictions for an experiment -----------------------------------------

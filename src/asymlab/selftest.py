@@ -63,7 +63,7 @@ def _check_g1_dimensions():
     _require(t_basis.dim == 3 and t_perp.dim == 1, f"dimensions {(t_basis.dim, t_perp.dim)}")
     x = g1.dist.column(0)
     ref = centered_score(g1.dist, (x**2 - 1.2) / math.sqrt(2.16))
-    gap = abs(abs(inner_product(g1.dist, ref, t_perp.functions[0])) - 1.0)
+    gap = abs(abs(inner_product(g1.dist, ref, ScoreFunction(g1.dist, t_perp.matrix()[0]))) - 1.0)
     _require(gap < 1e-10, "orthocomplement direction is not the standardized second moment")
 
 

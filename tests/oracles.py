@@ -50,35 +50,73 @@ def expectation_per_atom(probs, values) -> np.ndarray:
     )
 
 
-def gram_schmidt_fsum(probs, spanning, drop_tol: float) -> np.ndarray:
-    """Modified Gram-Schmidt, each vector orthogonalized twice, every inner
-    product a separate ``math.fsum``.
+def gram_schmidt_fsum(probs, spanning, drop_tol: float, tie: float = 1e-10) -> np.ndarray:
+    """Pivoted modified Gram-Schmidt, each vector orthogonalized twice, every
+    inner product a separate ``math.fsum``.
 
-    Vectors are taken in input order; one whose residual norm is at most
-    ``drop_tol`` times the largest input norm is dropped.  Each kept vector is
-    normalized under the weights ``probs`` and its sign is fixed so that its
-    first coordinate above 1e-8 of its largest magnitude is positive.
-    Returns the kept vectors as rows, shape (k, S).
+    A residual norm at most ``drop_tol`` times the largest input norm is
+    negligible.  Every step recomputes the residual of each remaining vector
+    against the accepted ones and, among the vectors whose residual is not
+    negligible, takes the one whose residual norm is the largest share of
+    its own norm; shares within a relative ``tie`` of the largest count as
+    tied and the earliest input wins.  Once every residual is negligible the
+    remaining vectors are dropped.  Each kept vector is normalized under the
+    weights ``probs`` and its sign is fixed so that its first coordinate
+    above 1e-8 of its largest magnitude is positive.  Returns the kept
+    vectors as rows, shape (k, S).
     """
     w = np.asarray(probs, dtype=float)
 
     def norm(v):
         return math.sqrt(max(math.fsum(w * v * v), 0.0))
 
-    max_norm = max(norm(np.asarray(f, dtype=float)) for f in spanning)
-    accepted = []
-    for f in spanning:
+    def residual(f):
         v = np.array(f, dtype=float)
         for _ in range(2):
             for b in accepted:
                 v = v - math.fsum(w * b * v) * b
-        nrm = norm(v)
-        if nrm <= drop_tol * max_norm:
-            continue
-        v = v / nrm
+        return v
+
+    remaining = [np.asarray(f, dtype=float) for f in spanning]
+    cutoff = drop_tol * max(norm(f) for f in remaining)
+    accepted = []
+    while remaining:
+        residuals = [residual(f) for f in remaining]
+        shares = [
+            norm(v) / norm(f) if norm(v) > cutoff else -1.0 for v, f in zip(residuals, remaining)
+        ]
+        top = max(shares)
+        if top < 0.0:
+            break
+        i = next(i for i, share in enumerate(shares) if share >= (1.0 - tie) * top)
+        v = residuals[i] / norm(residuals[i])
         lead = v[np.abs(v) > 1e-8 * np.max(np.abs(v))][0]
         accepted.append(v if lead > 0 else -v)
+        del remaining[i]
     return np.array(accepted).reshape(len(accepted), len(w))
+
+
+def iv_efficient_scores(probs, rows, model) -> tuple[np.ndarray, np.ndarray]:
+    """Efficient-score columns of the linear IV null model, x e / sigma0^2,
+    and of the maintained model, E[XZ'] E[ZZ']^{-1} z e / sigma0^2, each of
+    shape (S, p), for rows laid out as (y, x1, x2, z1) with x = (x1, x2) and
+    z = (z1, x2); every population moment is a per-atom ``math.fsum``."""
+    k1, k2, _ = model.dims
+    rows = np.asarray(rows, dtype=float)
+    x = rows[:, 1 : 1 + k1 + k2]
+    z = np.hstack([rows[:, 1 + k1 + k2 :], rows[:, 1 + k1 : 1 + k1 + k2]])
+    e = rows[:, 0] - x @ model.beta0
+
+    def moment(a, b):
+        return np.array(
+            [
+                [math.fsum(probs * a[:, i] * b[:, j]) for j in range(b.shape[1])]
+                for i in range(a.shape[1])
+            ]
+        )
+
+    scale = (e / model.sigma0_sq)[:, None]
+    return x * scale, (z @ np.linalg.solve(moment(z, z), moment(x, z).T)) * scale
 
 
 # --- per-observation reference definitions of the catalogue moment models --------

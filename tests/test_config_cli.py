@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -224,38 +221,30 @@ class TestCliCommands:
         assert "11/11 checks passed" in out
 
     @staticmethod
-    def _selftest_under_optimized_mode(sabotage: str):
+    def _selftest_under_optimized_mode(run_python, sabotage: str):
         script = (
             "import json, sys\n"
             "import asymlab.selftest as st\n"
             "if not sys.flags.optimize:\n"
             "    sys.exit(3)\n" + sabotage + "print(json.dumps(st.run_selftest()))\n"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout)
+        return json.loads(run_python(script, PYTHONOPTIMIZE="1"))
 
-    def test_selftest_still_checks_under_optimized_mode(self):
+    def test_selftest_still_checks_under_optimized_mode(self, run_python):
         # python -O strips assert statements; a sabotaged expectation must
         # still be caught.
         failures, lines = self._selftest_under_optimized_mode(
+            run_python,
             "st.expectation = lambda dist, values: 0.5\n"
         )
         assert failures >= 1
         assert any(line.startswith("FAIL expectation-exactness") for line in lines)
 
-    def test_moment_contract_check_catches_a_wrong_jacobian_shape(self):
+    def test_moment_contract_check_catches_a_wrong_jacobian_shape(self, run_python):
         # the IV catalogue model is swapped for one whose Jacobian drops its
         # parameter axis; only the moment-contract check may notice
         failures, lines = self._selftest_under_optimized_mode(
+            run_python,
             "from asymlab.models import MomentModel\n"
             "real = st.linear_iv_moment_model\n"
             "def squeezed(dims):\n"

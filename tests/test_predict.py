@@ -90,7 +90,9 @@ class TestHausmanNoncentrality:
 
     def test_basis_element_has_unit_ncp(self, iv1):
         basis = hausman_contrast_basis(iv1.dist, iv1.model)
-        ncp, _ = hausman_noncentrality(iv1.dist, basis, basis.functions[0])
+        ncp, _ = hausman_noncentrality(
+            iv1.dist, basis, ScoreFunction(basis.dist, basis.matrix()[0])
+        )
         assert ncp == pytest.approx(1.0, abs=1e-12)
 
     def test_detectable_direction_matches_decomposition(self, iv1):
@@ -125,7 +127,7 @@ class TestHallSplit:
         # oracle: the influence is orthogonal to g, so E[grad m]' Sigma^{-1}
         # E[m g] vanishes
         _, t_perp = tangent_bases(g1)
-        g = t_perp.functions[0]
+        g = ScoreFunction(t_perp.dist, t_perp.matrix()[0])
         ident, _ = hall_split(g1.dist, g1.model, g1.theta0, g)
         assert np.linalg.norm(ident) < 1e-10
 

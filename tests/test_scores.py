@@ -1,4 +1,6 @@
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,8 +81,8 @@ class TestOrthonormalBasis:
         assert basis.dim == 1
         expected = g1.dist.column(0) / math.sqrt(1.2)
         agree = min(
-            np.max(np.abs(basis.functions[0].values - expected)),
-            np.max(np.abs(basis.functions[0].values + expected)),
+            np.max(np.abs(ScoreFunction(basis.dist, basis.matrix()[0]).values - expected)),
+            np.max(np.abs(ScoreFunction(basis.dist, basis.matrix()[0]).values + expected)),
         )
         assert agree < 1e-12
 
@@ -156,6 +158,105 @@ class TestOrthonormalBasisAgainstFsumOracle:
         assert np.max(np.abs(got - oracle)) < 1e-10
 
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+class TestBasesDoNotDependOnThreads:
+    def test_iv_wide_bases_agree_across_blas_thread_counts(self, run_python, tmp_path):
+        # 256-atom IV designs: the nuisance spaces are complements of 129 and
+        # 3 constraints, and T_perp_cap_M is read off 255 M vectors spanning
+        # 126 dimensions; no basis vector may depend on how BLAS splits sums
+        saved = {}
+        for threads in ("1", "2"):
+            path = tmp_path / f"threads{threads}.npz"
+            code = (
+                "import sys\n"
+                "import numpy as np\n"
+                f"sys.path.insert(0, {str(BENCH)!r})\n"
+                "from workloads import iv_wide_design\n"
+                "from asymlab.config import build_instance\n"
+                "from asymlab.instances import tangent_bases\n"
+                "out = {}\n"
+                "for seed in (1, 2, 3):\n"
+                "    instance = build_instance(iv_wide_design(seed)['instance'])\n"
+                "    for basis in tangent_bases(instance):\n"
+                "        out[f'{seed}_{basis.label}'] = basis.matrix()\n"
+                f"np.savez({str(path)!r}, **out)\n"
+            )
+            run_python(code, OPENBLAS_NUM_THREADS=threads)
+            saved[threads] = np.load(path)
+        one, two = saved["1"], saved["2"]
+        assert sorted(one.files) == sorted(two.files) and len(one.files) == 9
+        for name in one.files:
+            assert one[name].shape == two[name].shape
+            if one[name].size:
+                assert np.max(np.abs(one[name] - two[name])) <= 1e-10, name
+
+
+@st.composite
+def perturbed_instances(draw):
+    """A builder of a random instance's bases from its probabilities, and two
+    probability vectors: as drawn, and with every probability moved by a
+    relative 1e-14 in a way that keeps the model exactly true.
+
+    Half are overidentified-mean instances on a random support, with theta0
+    and the variance restriction recomputed for each probability vector.
+    Half are IV designs on a grid of instrument values z, shocks w and errors
+    e = -1, +1 with x1 = z'a + w: each (x1, z) cell gives its two errors one
+    mass, so the conditional null holds whatever the cell masses.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n_atoms = draw(st.integers(3, 12))
+        support = np.sort(rng.uniform(-3.0, 3.0, n_atoms))
+        weights = rng.uniform(0.05, 1.0, n_atoms)
+        bump = rng.uniform(-1.0, 1.0, n_atoms)
+
+        def build(w):
+            dist = make_distribution(support, w)
+            theta0 = expectation(dist, dist.column(0))
+            v = expectation(dist, (dist.column(0) - theta0) ** 2)
+            model, theta0 = overidentified_mean_model(v), np.array([theta0])
+            instance = GmmInstance(name="random", dist=dist, model=model, theta0=theta0)
+            return tangent_bases(instance), dist
+
+    else:
+        q = draw(st.integers(1, 2))
+        z_levels = [np.sort(rng.uniform(-2.0, 2.0, draw(st.integers(2, 4)))) for _ in range(q)]
+        w_levels = np.sort(rng.uniform(-1.0, 1.0, draw(st.integers(2, 4))))
+        a = rng.uniform(0.5, 1.5, q)
+        beta = rng.uniform(-1.0, 1.0, 2)
+        rows = []
+        for z in itertools.product(*z_levels):
+            for w in w_levels:
+                x1 = float(np.dot(a, z)) + w
+                for e in (-1.0, 1.0):
+                    rows.append([beta[0] * x1 + beta[1] + e, x1, 1.0, *z])
+        cells = rng.uniform(0.5, 1.5, len(rows) // 2)
+        weights = np.repeat(cells, 2)
+        bump = np.repeat(rng.uniform(-1.0, 1.0, cells.shape[0]), 2)
+        model = IVModel(beta0=beta, sigma0_sq=1.0, dims=(1, 1, q))
+
+        def build(w):
+            dist = make_distribution(rows, w)
+            return iv_tangent_bases(dist, model), dist
+
+    return build, weights, weights * (1.0 + 1e-14 * bump)
+
+
+class TestBasesUnderPerturbation:
+    @settings(max_examples=40, deadline=None)
+    @given(case=perturbed_instances())
+    def test_projectors_move_no_more_than_the_instance(self, case):
+        build, weights, moved = case
+        (bases, dist), (bases_moved, dist_moved) = build(weights), build(moved)
+        assert [b.dim for b in bases] == [b.dim for b in bases_moved]
+        for basis, other in zip(bases, bases_moved):
+            a = basis.matrix() * np.sqrt(dist.probs)
+            b = other.matrix() * np.sqrt(dist_moved.probs)
+            assert np.max(np.abs(a.T @ a - b.T @ b), initial=0.0) <= 1e-12, basis.label
+
+
 class TestTangentBasesCache:
     def test_bases_belong_to_the_callers_distribution(self):
         # Two custom instances are built and dropped in turn; a new instance
@@ -217,7 +318,8 @@ class TestGmmTangentBasis:
         assert t_basis.dim == 3 and t_perp.dim == 1
         x = g1.dist.column(0)
         ref = centered_score(g1.dist, (x**2 - 1.2) / math.sqrt(2.16))
-        assert abs(abs(inner_product(g1.dist, ref, t_perp.functions[0])) - 1.0) < 1e-12
+        f = ScoreFunction(t_perp.dist, t_perp.matrix()[0])
+        assert abs(abs(inner_product(g1.dist, ref, f)) - 1.0) < 1e-12
 
     def test_just_identified_spans_everything(self, g1):
         # oracle: dimension count S - 1 - l + p = S - 1
@@ -270,7 +372,8 @@ class TestGmmTangentBasis:
         m_span = orthonormal_basis(
             g1.dist, [x_score(g1.dist), quad_score(g1.dist)], label="full"
         )
-        for f in t_basis.functions:
+        for row in t_basis.matrix():
+            f = ScoreFunction(t_basis.dist, row)
             leak = inner_product(g1.dist, ell, f - project(g1.dist, f, m_span))
             assert abs(leak) < 1e-10
 
@@ -332,7 +435,8 @@ class TestIvTangentBases:
         assert m_perp.dim == 1  # l - p = 3 - 2
         assert t_basis.dim + t_perp_m.dim + m_perp.dim == s - 1
         # nesting: every null tangent direction stays inside the maintained space
-        for f in t_basis.functions:
+        for row in t_basis.matrix():
+            f = ScoreFunction(t_basis.dist, row)
             assert project(dist, f, m_perp).norm() < 1e-10
 
 
@@ -347,7 +451,9 @@ class TestDecomposeScore:
 
     def test_unit_construction_variances(self, iv1):
         bases = tangent_bases(iv1)
-        g = bases[0].functions[0] + bases[1].functions[0]
+        g = ScoreFunction(bases[0].dist, bases[0].matrix()[0]) + ScoreFunction(
+            bases[1].dist, bases[1].matrix()[0]
+        )
         report = decompose_score(iv1.dist, g, bases)
         assert np.allclose(report.variances, [1.0, 1.0, 0.0], atol=1e-10)
 

@@ -5,9 +5,14 @@ Estimation works on (distinct point, frequency) pairs: ``_compress`` groups
 a sample's rows and sums their counts, so a sample on a finite support --
 most cheaply passed as the support with its count vector -- reduces to S
 points.  Sample moments are then frequency-weighted sums of one vectorised
-moment evaluation, and each Gauss-Newton step costs O(S) array work: one
-moment and one Jacobian evaluation, a Cholesky test of the normal matrix,
-and moment-only evaluations for the line-search trials.
+moment evaluation.  Each GMM step minimises its weighted objective by damped
+Newton (``_newton``), whose Hessian takes the second derivatives of the
+moments from central differences of the vectorised Jacobian.  A Newton step
+costs O(S) array work: 1 + 2p Jacobian evaluations, two p x p Cholesky
+factorisations at most, and moment-only evaluations for the line-search
+trials.  Where the residual is large, Gauss-Newton converges only linearly;
+Newton converges quadratically and stops at the exact minimiser up to
+rounding.  Each step records why it stopped (``GmmEstimate.stop_reasons``).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linprog
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .chi2 import TestStatistic
 from .dist import Dataset, DiscreteDistribution, make_distribution
@@ -37,15 +42,32 @@ from .scores import (
     project,
 )
 
-GRAD_TOL = 1e-10
+FIRST_ORDER_TOL = 1e-13
+DECREMENT_TOL = 1e-12
+FINAL_STEPS = 2
 STEP_TOL = 1e-12
 MAX_ITER = 200
 MAX_HALVINGS = 40
 
+# Why a minimisation stopped.  The first three end it converged.
+FIRST_ORDER = "first-order"
+STEP = "step"
+DECREMENT = "decrement"
+ITERATION_CAP = "iteration cap"
+NOT_POSITIVE_DEFINITE = "not positive definite"
+LINE_SEARCH = "line search"
+CONVERGED_REASONS = frozenset({FIRST_ORDER, STEP, DECREMENT})
+
 
 @dataclass(frozen=True)
 class GmmEstimate:
-    """Result of two-step GMM: parameter, moment variance, information, J value."""
+    """Result of two-step GMM: parameter, moment variance, information, J value.
+
+    ``stop_reasons`` says why step one and step two stopped, each one of
+    the reason strings of this module; ``converged`` holds when both are in
+    ``CONVERGED_REASONS``.  ``iterations`` counts the steps (Newton or
+    Gauss-Newton) that both minimisations took.
+    """
 
     theta_hat: np.ndarray
     sigma_hat: np.ndarray
@@ -56,6 +78,7 @@ class GmmEstimate:
     n: int
     l: int
     p: int
+    stop_reasons: tuple[str, str]
 
 
 def efficient_influence(
@@ -89,19 +112,31 @@ def efficient_influence(
 def _compress(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows in sorted order and their sample frequencies.
 
-    Rows are grouped with ``np.unique``, their counts summed, and rows whose
-    total count is zero dropped.
+    Rows are sorted lexicographically (first column first) by a stable
+    ``np.lexsort``; adjacent equal rows form a group whose integer counts
+    are summed, and groups whose total count is zero are dropped.
     """
-    pts, inverse = np.unique(data.rows, axis=0, return_inverse=True)
-    totals = np.bincount(inverse.reshape(-1), weights=data.counts, minlength=pts.shape[0])
+    rows = data.rows
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    first = np.empty(rows.shape[0], dtype=bool)
+    first[0] = True
+    np.any(rows[1:] != rows[:-1], axis=1, out=first[1:])
+    starts = np.flatnonzero(first)
+    totals = np.add.reduceat(data.counts[order], starts)
     keep = totals > 0
-    return pts[keep], totals[keep] / data.n
+    return rows[starts[keep]], totals[keep] / data.n
 
 
-def _weighted_moments(
-    model: MomentModel, theta: np.ndarray, pts: np.ndarray, w: np.ndarray
-) -> np.ndarray:
-    return w @ model.moments_at(theta, pts)
+def _cholesky(a: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of a symmetric matrix; None unless it is positive definite.
+
+    LAPACK is called directly: on the p x p and l x l matrices here the
+    ``np.linalg`` and ``scipy.linalg`` wrappers cost several times the
+    factorisation.
+    """
+    factor, info = dpotrf(a, lower=1)
+    return factor if info == 0 else None
 
 
 def _weighted_jacobian(
@@ -111,57 +146,152 @@ def _weighted_jacobian(
     return (w @ g.reshape(g.shape[0], -1)).reshape(model.l, model.p)
 
 
-def _gauss_newton(
+def _curvature(
+    model: MomentModel,
+    pts: np.ndarray,
+    w: np.ndarray,
+    theta: np.ndarray,
+    gbar: np.ndarray,
+    wm: np.ndarray,
+) -> np.ndarray:
+    """sum_k (W mbar)_k d^2 mbar_k / d theta d theta', by differences of the Jacobian.
+
+    Column j differences the weighted Jacobian between theta -/+ h e_j
+    clipped to the parameter bounds, so the difference is central inside
+    the bounds and one-sided at a bound (reusing ``gbar`` at theta); a
+    coordinate pinned between equal bounds gets no curvature.  Costs at
+    most 2p Jacobian evaluations.
+    """
+    out = np.zeros((model.p, model.p))
+    for j in range(model.p):
+        h = 6e-6 * max(1.0, abs(theta[j]))  # about eps^(1/3), the central-difference optimum
+        up, dn = theta.copy(), theta.copy()
+        up[j] += h
+        dn[j] -= h
+        up, dn = model.clip_to_bounds(up), model.clip_to_bounds(dn)
+        width = up[j] - dn[j]
+        if width <= 0.0:
+            continue
+        g_up = gbar if up[j] == theta[j] else _weighted_jacobian(model, up, pts, w)
+        g_dn = gbar if dn[j] == theta[j] else _weighted_jacobian(model, dn, pts, w)
+        out[:, j] = wm @ (g_up - g_dn) / width
+    return 0.5 * (out + out.T)
+
+
+def _direction(
+    model: MomentModel,
+    pts: np.ndarray,
+    w: np.ndarray,
+    theta: np.ndarray,
+    weight: np.ndarray,
+    gbar: np.ndarray,
+    wm: np.ndarray,
+    rhs: np.ndarray,
+) -> np.ndarray | None:
+    """The Newton step, or the Gauss-Newton step where the Hessian is not
+    positive definite; None when the normal matrix G'WG is not either."""
+    normal = gbar.T @ weight @ gbar
+    hess = normal + _curvature(model, pts, w, theta, gbar, wm)
+    for matrix in (hess, normal):
+        factor = _cholesky(matrix)
+        if factor is not None:
+            return -dpotrs(factor, rhs, lower=1)[0]
+    return None
+
+
+@dataclass(frozen=True)
+class _Minimum:
+    """Where a weighted minimisation stopped, with the moments there."""
+
+    theta: np.ndarray
+    m_vals: np.ndarray  # (S, l): moments at theta on the distinct points
+    mbar: np.ndarray
+    gbar: np.ndarray
+    steps: int
+    reason: str
+
+
+def _newton(
     model: MomentModel,
     pts: np.ndarray,
     w: np.ndarray,
     theta_init: np.ndarray,
     weight: np.ndarray,
-) -> tuple[np.ndarray, bool, int]:
-    """Minimize mbar(theta)' W mbar(theta) by Gauss-Newton with a halving line search.
+) -> _Minimum:
+    """Minimise mbar(theta)' W mbar(theta) by damped Newton.
 
-    A trial step is accepted on sufficient decrease (Armijo with constant
-    1/4): the objective must fall by at least a quarter of what the gradient
-    predicts for the step.  A normal matrix that is not positive definite, or
-    a line search that finds no such step, ends the search unconverged.
+    The Hessian is 2 (G'WG + sum_k (W mbar)_k d^2 mbar_k), its second-order
+    term from ``_curvature``.  Where it is not positive definite the
+    Gauss-Newton step (normal matrix G'WG) is taken; where the normal matrix
+    is not positive definite either, the search stops (NOT_POSITIVE_DEFINITE).
+    A step is accepted on sufficient decrease: Armijo with constant 1/4,
+    halving up to MAX_HALVINGS times, else the search stops (LINE_SEARCH).
 
-    Convergence: gradient norm below GRAD_TOL, step norm below STEP_TOL, or
-    the Newton decrement below the double-precision resolution of the
-    objective (no representable improvement remains).
+    Once a step's predicted decrease is at most DECREMENT_TOL times
+    |W mbar|' (sum_s w_s |m_s|), that step and every later one is applied
+    without a line search.  That sum bounds the objective, and eps times it
+    bounds the objective's rounding error (cancellation in mbar included), so
+    below it the line search could no longer resolve a step.  Newton
+    converges quadratically there, and the search stops at rounding level
+    after FINAL_STEPS such steps (DECREMENT).
+
+    Every iterate is first tested for the scale-free first-order condition
+    ||G'W mbar|| <= FIRST_ORDER_TOL ||G|| ||W mbar|| (FIRST_ORDER).  A step
+    shorter than STEP_TOL is applied without a line search, and so ends the
+    search, as does a line-searched step that moves theta by less than
+    STEP_TOL (STEP).  An iterate reached after MAX_ITER steps ends it too
+    (ITERATION_CAP).  FIRST_ORDER, DECREMENT and STEP count as converged.
+    The moments and the Jacobian at the returned theta come back with it.
     """
     theta = np.asarray(theta_init, dtype=float).copy()
-    mbar = _weighted_moments(model, theta, pts, w)
-    for it in range(1, MAX_ITER + 1):
+    m_vals = model.moments_at(theta, pts)
+    steps = 0
+    unsearched = 0  # steps applied without a line search
+    reason = None
+    while True:
+        mbar = w @ m_vals
         gbar = _weighted_jacobian(model, theta, pts, w)
-        gw = gbar.T @ weight
-        rhs = gw @ mbar
-        grad = 2.0 * rhs
-        if np.linalg.norm(grad) < GRAD_TOL:
-            return theta, True, it
-        obj = mbar @ weight @ mbar
-        normal = gw @ gbar
-        try:
-            np.linalg.cholesky(normal)  # raises unless positive definite
-            step = -np.linalg.solve(normal, rhs)
-        except np.linalg.LinAlgError:
-            return theta, False, it
-        slope = grad @ step
-        if -slope <= 1e-11 * max(obj, 1e-30):
-            return theta, True, it
+        wm = weight @ mbar
+        rhs = gbar.T @ wm  # half the gradient
+        if reason is None:
+            if rhs @ rhs <= FIRST_ORDER_TOL**2 * np.vdot(gbar, gbar) * (wm @ wm):
+                reason = FIRST_ORDER
+            elif unsearched == FINAL_STEPS:
+                reason = DECREMENT
+            elif steps == MAX_ITER:
+                reason = ITERATION_CAP
+            else:
+                step = _direction(model, pts, w, theta, weight, gbar, wm, rhs)
+                if step is None:
+                    reason = NOT_POSITIVE_DEFINITE
+        if reason is not None:
+            return _Minimum(theta, m_vals, mbar, gbar, steps, reason)
+        steps += 1
+        obj = mbar @ wm
+        slope = 2.0 * (rhs @ step)
+        bound = np.abs(wm) @ (w @ np.abs(m_vals))  # >= obj; eps * bound >= obj's rounding error
+        if unsearched or -slope <= 2.0 * DECREMENT_TOL * bound:
+            unsearched += 1
+        elif step @ step < STEP_TOL**2:
+            reason = STEP
+        if unsearched or reason is not None:
+            theta = model.clip_to_bounds(theta + step)
+            m_vals = model.moments_at(theta, pts)
+            continue
         alpha = 1.0
         for _ in range(MAX_HALVINGS):
             cand = model.clip_to_bounds(theta + alpha * step)
-            m_c = _weighted_moments(model, cand, pts, w)
-            if m_c @ weight @ m_c <= obj + 0.25 * alpha * slope:
+            m_c = model.moments_at(cand, pts)
+            mbar_c = w @ m_c
+            if mbar_c @ weight @ mbar_c <= obj + 0.25 * alpha * slope:
                 break
             alpha *= 0.5
         else:
-            return theta, False, it
+            return _Minimum(theta, m_vals, mbar, gbar, steps, LINE_SEARCH)
         moved = cand - theta
-        theta, mbar = cand, m_c
-        if np.linalg.norm(moved) < STEP_TOL:
-            return theta, True, it
-    return theta, False, MAX_ITER
+        if moved @ moved < STEP_TOL**2:
+            reason = STEP
+        theta, m_vals = cand, m_c
 
 
 def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
@@ -169,10 +299,13 @@ def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
 
     Step one minimizes the identity-weighted moment norm from ``theta_init``;
     the moment variance is estimated there and held fixed while step two
-    minimizes the efficiently weighted objective.  The overidentification
-    value n * mbar' SigmaHat^{-1} mbar is computed with the same fixed weight.
-    A failed line search or iteration cap yields ``converged=False`` rather
-    than an exception.
+    minimizes the efficiently weighted objective from the step-one
+    estimate.  Both steps run ``_newton``, which hands back the moments and
+    Jacobian at its minimiser, so neither is evaluated again.  The
+    overidentification value n * mbar' SigmaHat^{-1} mbar is computed with
+    the same fixed weight.  A failed line search, a normal matrix that is
+    not positive definite or the iteration cap yields ``converged=False``
+    rather than an exception; ``stop_reasons`` records which.
     """
     theta_init = np.asarray(theta_init, dtype=float)
     if data.n <= model.l:
@@ -180,34 +313,33 @@ def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
     if not model.within_bounds(theta_init):
         raise ValueError("theta_init violates the parameter bounds")
     pts, w = _compress(data)
-    theta1, conv1, it1 = _gauss_newton(model, pts, w, theta_init, np.eye(model.l))
-    m_vals = model.moments_at(theta1, pts)
+    first = _newton(model, pts, w, theta_init, np.eye(model.l))
+    m_vals = first.m_vals
     sigma_hat = (m_vals.T * w) @ m_vals
     sigma_hat = 0.5 * (sigma_hat + sigma_hat.T)
-    try:
-        chol = scipy.linalg.cho_factor(sigma_hat)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-        raise SingularSigmaHat("first-step moment variance is singular") from None
-    weight = scipy.linalg.cho_solve(chol, np.eye(model.l))
+    factor = _cholesky(sigma_hat)
+    if factor is None:
+        raise SingularSigmaHat("first-step moment variance is singular")
+    weight = dpotrs(factor, np.eye(model.l), lower=1)[0]
     weight = 0.5 * (weight + weight.T)
-    theta2, conv2, it2 = _gauss_newton(model, pts, w, theta1, weight)
-    mbar = _weighted_moments(model, theta2, pts, w)
-    gbar = _weighted_jacobian(model, theta2, pts, w)
+    second = _newton(model, pts, w, first.theta, weight)
+    mbar, gbar = second.mbar, second.gbar
     j_stat = float(data.n * mbar @ weight @ mbar)
     info_hat = gbar.T @ weight @ gbar
     info_hat = 0.5 * (info_hat + info_hat.T)
-    if np.linalg.eigvalsh(info_hat)[0] <= 0.0:
+    if _cholesky(info_hat) is None:
         raise RankDeficientJacobian("sample information matrix is not positive definite")
     return GmmEstimate(
-        theta_hat=theta2,
+        theta_hat=second.theta,
         sigma_hat=sigma_hat,
         info_hat=info_hat,
         j_stat=max(j_stat, 0.0),
-        converged=bool(conv1 and conv2),
-        iterations=it1 + it2,
+        converged=first.reason in CONVERGED_REASONS and second.reason in CONVERGED_REASONS,
+        iterations=first.steps + second.steps,
         n=data.n,
         l=model.l,
         p=model.p,
+        stop_reasons=(first.reason, second.reason),
     )
 
 
@@ -231,6 +363,8 @@ def _hull_interior_margin(m_vals: np.ndarray) -> float:
     optimum is positive exactly when some strictly positive mixture of the
     moment values hits zero.
     """
+    from scipy.optimize import linprog  # deferred: scipy.optimize costs 0.2 s to import
+
     s, l = m_vals.shape
     # variables: (a_1..a_s, t); minimize -t
     c = np.zeros(s + 1)

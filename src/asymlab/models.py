@@ -3,8 +3,8 @@
 These are pure data holders; estimation and tangent-space construction live in
 ``gmm``, ``iv`` and ``scores``.  Moment functions are vectorised over
 observations: one call evaluates every support point or sample row at once,
-so a Gauss-Newton step costs a few whole-array operations rather than one
-Python call per point.
+so a step of the GMM solver costs a few whole-array operations rather than
+one Python call per point.
 """
 
 from __future__ import annotations

@@ -159,3 +159,71 @@ def linear_iv_per_row(dims):
 def stack_rows(fn, theta, points) -> np.ndarray:
     """Apply a per-observation function to every row of ``points`` and stack."""
     return np.array([fn(theta, x) for x in points], dtype=float)
+
+
+# --- sample reduction and two-step GMM ---------------------------------------------
+
+
+def unique_row_groups(rows, counts, n) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows by ``np.unique(axis=0)`` with their count totals over ``n``,
+    rows whose total is zero dropped: the grouping ``gmm._compress`` must
+    reproduce bit for bit."""
+    pts, inverse = np.unique(rows, axis=0, return_inverse=True)
+    totals = np.bincount(inverse.reshape(-1), weights=counts, minlength=pts.shape[0])
+    keep = totals > 0
+    return pts[keep], totals[keep] / n
+
+
+def overidentified_mean_two_step(values, counts, v) -> float:
+    """Exact two-step GMM estimate for m = (x - t, (x - t)^2 - v) on a sample
+    given as distinct scalar values with integer counts.
+
+    All sample moments are exact rationals (``Fraction``).  With d = xbar - t
+    and s2 the sample variance (divisor n), the identity-weighted objective
+    d^2 + (s2 + d^2 - v)^2 has its unique minimum at d = 0 when
+    s2 > v - 1/2, so step one is the sample mean.  The efficient weight
+    W = SigmaHat^{-1} at the mean is then exact, and the step-two first-order
+    condition (1, 2d) W (d, s2 + d^2 - v)' = 0 is the cubic
+    2 c d^3 + 3 b d^2 + (a + 2 c e) d + b e = 0 with W = [[a, b], [b, c]] and
+    e = s2 - v.  Its real roots are polished by Newton's method in 60-digit
+    decimal arithmetic, and the root with the smallest objective wins.
+    """
+    from decimal import Decimal, localcontext
+    from fractions import Fraction
+
+    xs = [Fraction(float(x)) for x in values]
+    ns = [int(c) for c in counts]
+    n = sum(ns)
+    mean = sum(c * x for c, x in zip(ns, xs)) / n
+
+    def central(k):
+        return sum(c * (x - mean) ** k for c, x in zip(ns, xs)) / n
+
+    s2, m3, m4 = central(2), central(3), central(4)
+    if not s2 > Fraction(v) - Fraction(1, 2):
+        raise ValueError("the identity-weighted step has two minima off the sample mean")
+    e = s2 - Fraction(v)
+    sigma = [[s2, m3], [m3, m4 - 2 * Fraction(v) * s2 + Fraction(v) ** 2]]
+    det = sigma[0][0] * sigma[1][1] - sigma[0][1] ** 2
+    a, b, c = sigma[1][1] / det, -sigma[0][1] / det, sigma[0][0] / det
+    coefs = [2 * c, 3 * b, a + 2 * c * e, b * e]
+
+    def objective(d):
+        m1, m2 = d, e + d * d
+        return a * m1 * m1 + 2 * b * m1 * m2 + c * m2 * m2
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dec = [Decimal(q.numerator) / Decimal(q.denominator) for q in coefs]
+        roots = []
+        for guess in np.roots([float(q) for q in coefs]):
+            if abs(guess.imag) > 1e-8 * max(1.0, abs(guess.real)):
+                continue
+            d = Decimal(float(guess.real))
+            for _ in range(8):
+                f = ((dec[0] * d + dec[1]) * d + dec[2]) * d + dec[3]
+                df = (3 * dec[0] * d + 2 * dec[1]) * d + dec[2]
+                d -= f / df
+            roots.append(d)
+        d_hat = min(roots, key=lambda d: objective(Fraction(d)))
+        return float(Decimal(mean.numerator) / Decimal(mean.denominator) - d_hat)

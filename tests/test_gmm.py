@@ -1,22 +1,43 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import linear_iv_per_row, overidentified_mean_per_row, stack_rows
+from oracles import (
+    linear_iv_per_row,
+    overidentified_mean_per_row,
+    overidentified_mean_two_step,
+    stack_rows,
+    unique_row_groups,
+)
 
-from asymlab.dist import Dataset, draw_sample, expectation, make_distribution
+import asymlab.gmm as gmm
+from asymlab.config import build_experiment, load_raw, validate_raw
+from asymlab.dist import (
+    Dataset,
+    draw_indices,
+    draw_sample,
+    expectation,
+    make_distribution,
+    replication_seed,
+)
 from asymlab.errors import (
     AsymlabError,
     DegenerateDof,
     Infeasible,
     MomentNotSatisfied,
+    RankDeficientJacobian,
     ShapeMismatch,
     SingularSigma,
 )
 from asymlab.gmm import (
     _compress,
+    _curvature,
+    _newton,
+    _weighted_jacobian,
     efficient_influence,
     estimate_gmm,
     j_statistic,
@@ -25,8 +46,11 @@ from asymlab.gmm import (
 )
 from asymlab.instances import linear_iv_moment_model, overidentified_mean_model, tangent_bases
 from asymlab.models import MomentModel
+from asymlab.paths import LocalPath, path_distribution
 from asymlab.scores import ScoreFunction, project
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+G1_V = 1.2  # the variance restriction of the G1 instance
 
 def mean_model():
     def m(theta, x):
@@ -344,3 +368,264 @@ class TestCountSamples:
         assert by_counts.iterations == by_rows.iterations
         assert by_counts.converged == by_rows.converged
         assert by_counts.n == by_rows.n == int(counts.sum())
+
+
+@st.composite
+def row_samples(draw):
+    """Rows of one to three columns on a coarse grid, so that rows repeat,
+    with integer counts (some zero) that sum to at least one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows = draw(st.integers(1, 30))
+    rows = rng.choice(np.linspace(-2.0, 2.0, 5), (n_rows, draw(st.integers(1, 3))))
+    counts = rng.integers(0, 4, n_rows)
+    counts[rng.integers(n_rows)] += 1
+    return rows, counts
+
+
+class TestCompress:
+    @settings(max_examples=200, deadline=None)
+    @given(case=row_samples())
+    def test_matches_the_unique_row_grouping_bit_for_bit(self, case):
+        rows, counts = case
+        data = Dataset(rows, counts)
+        pts, w = _compress(data)
+        want_pts, want_w = unique_row_groups(rows, counts, data.n)
+        assert pts.dtype == want_pts.dtype and w.dtype == want_w.dtype
+        assert pts.shape == want_pts.shape and pts.tobytes() == want_pts.tobytes()
+        assert w.shape == want_w.shape and w.tobytes() == want_w.tobytes()
+
+
+def _flat_direction_model():
+    """m = (x - t1 - t2, x^2 - 1.2): the Jacobian has rank one everywhere."""
+
+    def m(theta, x):
+        return np.stack([x[:, 0] - theta[0] - theta[1], x[:, 0] ** 2 - G1_V], axis=1)
+
+    def jac(theta, x):
+        out = np.zeros((x.shape[0], 2, 2))
+        out[:, 0, :] = -1.0
+        return out
+
+    return MomentModel(m=m, jac=jac, p=2, l=2)
+
+
+def _sign_flipped(model):
+    """The same moments with the Jacobian negated: every step goes uphill."""
+    return MomentModel(m=model.m, jac=lambda t, x: -model.jac(t, x), p=model.p, l=model.l)
+
+
+class TestStopReasons:
+    def test_first_order_at_the_start_takes_no_step(self, g1):
+        est = estimate_gmm(population_dataset(g1.dist, 10), g1.model, g1.theta0)
+        assert est.stop_reasons == (gmm.FIRST_ORDER, gmm.FIRST_ORDER)
+        assert est.iterations == 0 and est.theta_hat[0] == 0.0
+
+    def test_step(self, g1):
+        # the just-identified mean model is linear: from 0.3 one Newton step
+        # lands on the sample mean up to the rounding of 0.3, and on data
+        # spread over 1e-8 the objective still resolves the next step, which
+        # is below STEP_TOL
+        data = draw_sample(g1.dist, 200, seed=11)
+        tiny = Dataset(1e-8 * data.rows, data.counts)
+        est = estimate_gmm(tiny, mean_model(), np.array([0.3]))
+        assert est.stop_reasons[0] == gmm.STEP
+        assert est.converged
+        assert est.theta_hat[0] == pytest.approx(1e-8 * float(np.mean(data.rows)), rel=1e-12)
+
+    def test_first_order(self, g1):
+        est = estimate_gmm(draw_sample(g1.dist, 100, seed=0), g1.model, g1.theta0)
+        assert est.stop_reasons == (gmm.FIRST_ORDER, gmm.FIRST_ORDER)
+        assert est.converged
+
+    def test_decrement(self, g1):
+        # J is 7.6e-6 on this sample: W mbar is so small that rounding keeps
+        # the first-order test from passing, and the search ends after its
+        # FINAL_STEPS unsearched Newton steps
+        est = estimate_gmm(draw_sample(g1.dist, 100, seed=71), g1.model, g1.theta0)
+        assert est.j_stat < 1e-5
+        assert est.stop_reasons == (gmm.DECREMENT, gmm.DECREMENT)
+        assert est.converged
+
+    def test_iteration_cap(self, g1, monkeypatch):
+        monkeypatch.setattr(gmm, "MAX_ITER", 1)
+        est = estimate_gmm(draw_sample(g1.dist, 100, seed=0), g1.model, g1.theta0)
+        assert est.stop_reasons == (gmm.ITERATION_CAP, gmm.ITERATION_CAP)
+        assert est.iterations == 2 and not est.converged
+
+    def test_line_search(self, g1):
+        data = draw_sample(g1.dist, 100, seed=0)
+        est = estimate_gmm(data, _sign_flipped(g1.model), np.array([0.3]))
+        assert est.stop_reasons == (gmm.LINE_SEARCH, gmm.LINE_SEARCH)
+        assert not est.converged and est.theta_hat[0] == 0.3
+
+    def test_not_positive_definite(self, g1):
+        # a rank-one Jacobian leaves both the Hessian and the normal matrix
+        # singular; estimate_gmm then refuses the sample information
+        model = _flat_direction_model()
+        pts, w = _compress(draw_sample(g1.dist, 100, seed=0))
+        found = _newton(model, pts, w, np.zeros(2), np.eye(2))
+        assert found.reason == gmm.NOT_POSITIVE_DEFINITE and found.steps == 0
+        assert np.array_equal(found.theta, np.zeros(2))
+        with pytest.raises(RankDeficientJacobian):
+            estimate_gmm(draw_sample(g1.dist, 100, seed=0), model, np.zeros(2))
+
+    def test_newton_hands_back_the_moments_at_its_minimiser(self, g1):
+        pts, w = _compress(draw_sample(g1.dist, 100, seed=0))
+        found = _newton(g1.model, pts, w, g1.theta0, np.eye(2))
+        assert np.array_equal(found.m_vals, g1.model.moments_at(found.theta, pts))
+        assert np.array_equal(found.mbar, w @ found.m_vals)
+        assert np.array_equal(found.gbar, _weighted_jacobian(g1.model, found.theta, pts, w))
+
+
+class TestCurvature:
+    def _bounded(self, lo, hi, seen):
+        """G1's moments on [lo, hi], recording every theta they are evaluated at."""
+        base = overidentified_mean_model(G1_V)
+
+        def m(theta, x):
+            seen.append(theta[0])
+            return base.m(theta, x)
+
+        def jac(theta, x):
+            seen.append(theta[0])
+            return base.jac(theta, x)
+
+        return MomentModel(m=m, jac=jac, p=1, l=2, theta_bounds=(np.array([lo]), np.array([hi])))
+
+    @pytest.mark.parametrize("theta", [-0.5, 0.1, 0.5])
+    def test_differences_stay_inside_the_bounds(self, g1, theta):
+        # d^2 mbar / dt^2 = (0, 2), so the curvature is 2 (W mbar)_2 exactly
+        seen = []
+        model = self._bounded(-0.5, 0.5, seen)
+        pts, w = _compress(draw_sample(g1.dist, 100, seed=0))
+        theta = np.array([theta])
+        gbar = _weighted_jacobian(model, theta, pts, w)
+        wm = np.array([0.3, -0.7])
+        seen.clear()
+        got = _curvature(model, pts, w, theta, gbar, wm)
+        assert got == pytest.approx(np.array([[2.0 * wm[1]]]), rel=1e-8)
+        assert seen and all(-0.5 <= t <= 0.5 for t in seen)
+        assert len(seen) == (2 if -0.5 < theta[0] < 0.5 else 1)
+
+    def test_a_pinned_coordinate_gets_no_curvature(self, g1):
+        seen = []
+        model = self._bounded(0.2, 0.2, seen)
+        pts, w = _compress(draw_sample(g1.dist, 100, seed=0))
+        theta = np.array([0.2])
+        gbar = _weighted_jacobian(model, theta, pts, w)
+        seen.clear()
+        assert np.array_equal(_curvature(model, pts, w, theta, gbar, np.ones(2)), np.zeros((1, 1)))
+        assert seen == []
+
+
+@pytest.fixture(scope="module")
+def g1_perp_sample():
+    """The count sample of replication ``rep`` of the shipped g1_perp config
+    under master seed ``seed``, drawn as ``run_experiment`` draws it."""
+    experiment = build_experiment(validate_raw(load_raw(CONFIG_DIR / "g1_perp.json")))
+    path = LocalPath(experiment.instance.dist, experiment.score, tilt="exponential")
+    local = path_distribution(path, 1.0 / math.sqrt(experiment.n))
+
+    def sample(seed, rep):
+        idx = draw_indices(local, experiment.n, replication_seed(seed, rep))
+        return Dataset(local.support, np.bincount(idx, minlength=local.n_atoms))
+
+    return sample
+
+
+G1_PERP_REPS = [*range(1, 101), 411]
+
+
+class TestExactTwoStep:
+    def test_g1_perp_estimates_are_the_exact_two_step_minimiser(self, g1, g1_perp_sample):
+        for rep in G1_PERP_REPS:
+            data = g1_perp_sample(7, rep)
+            est = estimate_gmm(data, g1.model, g1.theta0)
+            exact = overidentified_mean_two_step(data.rows[:, 0], data.counts, G1_V)
+            assert est.converged
+            assert abs(est.theta_hat[0] - exact) <= 1e-12, rep
+
+    def test_seed_7_rep_411(self, g1, g1_perp_sample):
+        # a sample whose identity-weighted objective stays large (J near 30):
+        # Gauss-Newton, linear there, stopped 3e-7 short of the minimiser
+        data = g1_perp_sample(7, 411)
+        est = estimate_gmm(data, g1.model, g1.theta0)
+        exact = overidentified_mean_two_step(data.rows[:, 0], data.counts, G1_V)
+        assert est.j_stat > 20.0
+        assert abs(est.theta_hat[0] - exact) <= 1e-12
+
+    def test_two_starts_give_the_same_estimate(self, g1, g1_perp_sample):
+        for rep in G1_PERP_REPS:
+            data = g1_perp_sample(7, rep)
+            a = estimate_gmm(data, g1.model, np.array([0.0]))
+            b = estimate_gmm(data, g1.model, np.array([0.3]))
+            assert abs(a.theta_hat[0] - b.theta_hat[0]) <= 1e-12, rep
+
+
+@st.composite
+def overidentified_mean_samples(draw):
+    """A random support of 3 to 12 points with counts, at least three of them
+    positive, and a variance restriction v below s2 + 1/2 (s2 the sample
+    variance), so that the identity-weighted objective has one minimum."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_atoms = draw(st.integers(3, 12))
+    support = rng.uniform(-3.0, 3.0, (n_atoms, 1))
+    counts = rng.integers(0, 60, n_atoms)
+    counts[rng.choice(n_atoms, 3, replace=False)] += 1
+    x, w = support[:, 0], counts / counts.sum()
+    s2 = w @ (x - w @ x) ** 2
+    v = min(draw(st.floats(0.5, 1.5)) * s2, s2 + 0.4)
+    starts = (w @ x) + rng.uniform(-0.5, 0.5, 2)
+    return Dataset(support, counts), v, starts
+
+
+def _first_order_residual(model, v, data, est):
+    """G'W mbar at theta-hat (p = 1), its scale ||G|| ||W mbar||, and the
+    rounding floor of its evaluation for the overidentified-mean model.
+
+    The weight is the solver's, bit for bit: ``cho_solve`` on a lower factor
+    of SigmaHat is the same LAPACK potrf/potrs pair.  mbar sums terms of
+    size |x| + |theta| and (x - theta)^2 + v, each rounded; the floor is 64
+    ulps of their weighted sum, carried through ||G|| ||W||.
+    """
+    pts, w = _compress(data)
+    weight = scipy.linalg.cho_solve(
+        scipy.linalg.cho_factor(est.sigma_hat, lower=True), np.eye(model.l)
+    )
+    weight = 0.5 * (weight + weight.T)
+    theta = est.theta_hat
+    wm = weight @ (w @ model.moments_at(theta, pts))
+    gbar = _weighted_jacobian(model, theta, pts, w)
+    x = pts[:, 0]
+    terms = w @ (np.abs(x) + abs(theta[0]) + (x - theta[0]) ** 2 + v)
+    g_norm = np.linalg.norm(gbar)
+    floor = 64 * np.finfo(float).eps * g_norm * np.linalg.norm(weight) * terms
+    return float((gbar.T @ wm)[0]), g_norm * np.linalg.norm(wm), floor
+
+
+class TestNewtonOnRandomSupports:
+    @settings(max_examples=100, deadline=None)
+    @given(case=overidentified_mean_samples())
+    def test_first_order_condition_holds_and_starts_agree(self, case):
+        data, v, starts = case
+        model = overidentified_mean_model(v)
+        a, b = (estimate_gmm(data, model, np.array([s])) for s in starts)
+        assert a.converged and b.converged
+        assert abs(a.theta_hat[0] - b.theta_hat[0]) <= 1e-12
+        # the scale-free first-order condition, down to the rounding floor
+        # that a sample with J near zero leaves in G'W mbar
+        r, scale, floor = _first_order_residual(model, v, data, a)
+        assert abs(r) <= 1e-13 * scale + floor
+        exact = overidentified_mean_two_step(data.rows[:, 0], data.counts, v)
+        assert abs(a.theta_hat[0] - exact) <= 1e-12
+
+
+def test_the_run_path_does_not_import_scipy_optimize(run_python):
+    # linprog is imported inside _hull_interior_margin: only kl_projection and
+    # the selftest use it, and scipy.optimize takes about 0.2 s to import
+    out = run_python(
+        "import sys\n"
+        "import asymlab.config, asymlab.predict, asymlab.mc\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    assert out.strip() == "False"

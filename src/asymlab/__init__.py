@@ -61,7 +61,6 @@ from .paths import (
     log_likelihood_ratio,
     numerical_score,
     path_distribution,
-    sample_local,
 )
 from .predict import (
     Prediction,

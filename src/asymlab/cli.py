@@ -5,25 +5,26 @@ plus comparison against the predictions), ``decompose`` (three-way score
 split), ``check-path`` (quadratic-mean differentiability residuals), and
 ``selftest`` (fast invariant battery).  Results go to stdout or ``--out``;
 diagnostics go to stderr.  Exit codes: 0 success, 1 a comparison or selftest
-check failed, 2 configuration or usage error.
+check failed or too many replications failed (``run`` then still prints the
+document of the replications that succeeded, when at least two did), 2
+configuration or usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import config as cfg
 from .dist import Dataset, draw_indices, replication_seed
-from .errors import AsymlabError, ConfigInvalid
+from .errors import AsymlabError, ConfigInvalid, TooManyFailures
 from .instances import three_way_bases
 from .iv import write_csv
-from .mc import compare_to_theory, run_experiment
-from .paths import LocalPath, hellinger_residual, path_distribution
+from .mc import compare_to_theory, local_distribution, run_experiment
+from .paths import LocalPath, hellinger_residual
 from .predict import build_prediction
 from .scores import decompose_score
 
@@ -107,25 +108,34 @@ def _cmd_run(args) -> int:
     )
     if args.dump_sample:
         _dump_first_sample(experiment, args.dump_sample)
-    if args.raw_csv:
-        with open(args.raw_csv, "w") as sink:
-            summary = run_experiment(experiment, raw_sink=sink)
-    else:
-        summary = run_experiment(experiment)
+    try:
+        if args.raw_csv:
+            with open(args.raw_csv, "w") as sink:
+                summary = run_experiment(experiment, raw_sink=sink)
+        else:
+            summary = run_experiment(experiment)
+    except TooManyFailures as exc:
+        if exc.summary is not None:
+            _emit_run(pred, exc.summary, args.out)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0 if _emit_run(pred, summary, args.out) else 1
+
+
+def _emit_run(pred, summary, out_path) -> bool:
+    """Write the run document; returns whether every comparison passed."""
     report = compare_to_theory(summary, pred)
     doc = {
         "prediction": pred.to_dict(),
         "summary": summary.to_dict(),
         "comparison": report.to_dict(),
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    return 0 if report.all_pass else 1
+    _emit(json.dumps(doc, indent=2) + "\n", out_path)
+    return report.all_pass
 
 
 def _dump_first_sample(experiment, path) -> None:
-    local = path_distribution(
-        LocalPath(experiment.instance.dist, experiment.score), 1.0 / math.sqrt(experiment.n)
-    )
+    local = local_distribution(experiment)
     idx = draw_indices(local, experiment.n, replication_seed(experiment.master_seed, 1))
     rows = local.support[idx]
     if experiment.instance.kind == "iv":

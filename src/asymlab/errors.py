@@ -111,7 +111,12 @@ class ConfigInvalid(AsymlabError):
 
 
 class TooManyFailures(AsymlabError):
-    """More than 1% of Monte Carlo replications failed to converge."""
+    """More than 1% of Monte Carlo replications failed; ``summary`` covers
+    those that succeeded, or is None when fewer than two did."""
+
+    def __init__(self, message: str, summary=None):
+        super().__init__(message)
+        self.summary = summary
 
 
 class ShapeMismatch(AsymlabError):

@@ -151,29 +151,22 @@ def _curvature(
     pts: np.ndarray,
     w: np.ndarray,
     theta: np.ndarray,
-    gbar: np.ndarray,
     wm: np.ndarray,
 ) -> np.ndarray:
     """sum_k (W mbar)_k d^2 mbar_k / d theta d theta', by differences of the Jacobian.
 
-    Column j differences the weighted Jacobian between theta -/+ h e_j
-    clipped to the parameter bounds, so the difference is central inside
-    the bounds and one-sided at a bound (reusing ``gbar`` at theta); a
-    coordinate pinned between equal bounds gets no curvature.  Costs at
-    most 2p Jacobian evaluations.
+    Column j is the central difference of the weighted Jacobian between
+    theta -/+ h e_j.  Costs 2p Jacobian evaluations.
     """
-    out = np.zeros((model.p, model.p))
+    out = np.empty((model.p, model.p))
     for j in range(model.p):
         h = 6e-6 * max(1.0, abs(theta[j]))  # about eps^(1/3), the central-difference optimum
         up, dn = theta.copy(), theta.copy()
         up[j] += h
         dn[j] -= h
-        up, dn = model.clip_to_bounds(up), model.clip_to_bounds(dn)
-        width = up[j] - dn[j]
-        if width <= 0.0:
-            continue
-        g_up = gbar if up[j] == theta[j] else _weighted_jacobian(model, up, pts, w)
-        g_dn = gbar if dn[j] == theta[j] else _weighted_jacobian(model, dn, pts, w)
+        width = up[j] - dn[j]  # the step as rounded in theta, not 2h
+        g_up = _weighted_jacobian(model, up, pts, w)
+        g_dn = _weighted_jacobian(model, dn, pts, w)
         out[:, j] = wm @ (g_up - g_dn) / width
     return 0.5 * (out + out.T)
 
@@ -191,7 +184,7 @@ def _direction(
     """The Newton step, or the Gauss-Newton step where the Hessian is not
     positive definite; None when the normal matrix G'WG is not either."""
     normal = gbar.T @ weight @ gbar
-    hess = normal + _curvature(model, pts, w, theta, gbar, wm)
+    hess = normal + _curvature(model, pts, w, theta, wm)
     for matrix in (hess, normal):
         factor = _cholesky(matrix)
         if factor is not None:
@@ -275,12 +268,12 @@ def _newton(
         elif step @ step < STEP_TOL**2:
             reason = STEP
         if unsearched or reason is not None:
-            theta = model.clip_to_bounds(theta + step)
+            theta = theta + step
             m_vals = model.moments_at(theta, pts)
             continue
         alpha = 1.0
         for _ in range(MAX_HALVINGS):
-            cand = model.clip_to_bounds(theta + alpha * step)
+            cand = theta + alpha * step
             m_c = model.moments_at(cand, pts)
             mbar_c = w @ m_c
             if mbar_c @ weight @ mbar_c <= obj + 0.25 * alpha * slope:
@@ -310,8 +303,6 @@ def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
     theta_init = np.asarray(theta_init, dtype=float)
     if data.n <= model.l:
         raise ValueError(f"need n > l, got n={data.n}, l={model.l}")
-    if not model.within_bounds(theta_init):
-        raise ValueError("theta_init violates the parameter bounds")
     pts, w = _compress(data)
     first = _newton(model, pts, w, theta_init, np.eye(model.l))
     m_vals = first.m_vals

@@ -1,24 +1,27 @@
 """Monte Carlo engine: sample from a local deviation, estimate, test, compare.
 
-Each replication draws its seed from the master seed by a keyed split, so a
-run is reproducible bit-for-bit no matter how replications would be
-scheduled; replications are executed sequentially here.  Every
-replication's sample, GMM or IV, is the count vector of its draws over the
-support (a sufficient statistic on a finite support for every estimator and
-test run here).  Replications whose estimator fails to converge are counted
-and excluded from the moments, never retried (retrying would distort the
+Replication r draws n atoms from ``local_distribution`` under the seed
+``replication_seed(master_seed, r)``, so a run is reproducible bit-for-bit
+no matter how replications would be scheduled; replications are executed
+sequentially here.  Every replication's sample, GMM or IV, is the count
+vector of its draws over the support (a sufficient statistic on a finite
+support for every estimator and test run here).  Its estimates and test
+results fill one row of the run's record, from which both the summary and
+the raw CSV are read.  Replications whose estimator fails are counted and
+excluded from the moments, never retried (retrying would distort the
 sampling distribution).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import Dataset, draw_indices, replication_seed
-from .errors import AsymlabError, ConfigInvalid, ShapeMismatch, TooManyFailures
+from .dist import Dataset, DiscreteDistribution, draw_indices, replication_seed
+from .errors import AsymlabError, ConfigInvalid, NoConvergence, ShapeMismatch, TooManyFailures
 from .gmm import estimate_gmm, j_statistic
 from .instances import GmmInstance, Instance
 from .iv import dwh_statistic, estimate_2sls, estimate_ols
@@ -120,136 +123,115 @@ class ExperimentSummary:
             },
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentSummary":
-        return cls(
-            n=int(doc["n"]),
-            reps=int(doc["reps"]),
-            alpha=float(doc["alpha"]),
-            reps_failed=int(doc["reps_failed"]),
-            estimators={
-                name: EstimatorSummary(
-                    mean=np.asarray(s["mean"], float),
-                    cov=np.asarray(s["cov"], float),
-                    se=np.asarray(s["se"], float),
-                    reps_used=int(s["reps_used"]),
-                )
-                for name, s in doc["estimators"].items()
-            },
-            tests={
-                name: TestSummary(
-                    rate=float(t["rate"]),
-                    se=float(t["se"]),
-                    mean_dof=float(t["mean_dof"]),
-                    reps_used=int(t["reps_used"]),
-                )
-                for name, t in doc["tests"].items()
-            },
-        )
+
+def local_distribution(config: ExperimentConfig) -> DiscreteDistribution:
+    """The distribution every replication draws from: the instance's
+    distribution tilted exponentially along the score to t = 1/sqrt(n)."""
+    path = LocalPath(config.instance.dist, config.score, tilt="exponential")
+    return path_distribution(path, 1.0 / math.sqrt(config.n))
 
 
-def _replication(config: ExperimentConfig, sample: Dataset) -> tuple[dict, dict]:
-    """Estimates and test records for one sample; raises on failure.
+def _columns(config: ExperimentConfig) -> list[str]:
+    """Names of the record's columns: each estimator's coordinates, then each
+    test's statistic, dof and reject flag (dof and flag held as whole floats)."""
+    p = config.instance.truth.shape[0]
+    names = [f"{name}_{j + 1}" for name in config.estimators for j in range(p)]
+    for name in config.tests:
+        names.extend([f"{name}_stat", f"{name}_dof", f"{name}_reject"])
+    return names
+
+
+def _replication(config: ExperimentConfig, sample: Dataset) -> np.ndarray:
+    """One replication's row of the record, in ``_columns`` order; raises on failure.
 
     ``sample`` is a ``Dataset`` of the support points and their counts in
     the replication's draws.
     """
     inst = config.instance
-    ests: dict[str, np.ndarray] = {}
-    tests: dict[str, tuple[float, int, bool]] = {}
     if isinstance(inst, GmmInstance):
         start = inst.theta0 if config.theta_init is None else config.theta_init
         est = estimate_gmm(sample, inst.model, start)
         if not est.converged:
-            raise AsymlabError("estimator did not converge")
-        if "gmm" in config.estimators:
-            ests["gmm"] = est.theta_hat
-        if "j" in config.tests:
-            stat = j_statistic(sample, inst.model, est)
-            tests["j"] = (stat.value, stat.dof, stat.reject(config.alpha))
+            raise NoConvergence(f"two-step GMM stopped on {est.stop_reasons}")
+        estimates = {"gmm": est.theta_hat}
+        stat = j_statistic(sample, inst.model, est) if config.tests else None
     else:
         ols = estimate_ols(sample, inst.model)
         tsls = estimate_2sls(sample, inst.model)
-        if "ols" in config.estimators:
-            ests["ols"] = ols.beta
-        if "tsls" in config.estimators:
-            ests["tsls"] = tsls.beta
-        if "dwh" in config.tests:
-            stat = dwh_statistic(sample, ols, tsls)
-            tests["dwh"] = (stat.value, stat.dof, stat.reject(config.alpha))
-    return ests, tests
+        estimates = {"ols": ols.beta, "tsls": tsls.beta}
+        stat = dwh_statistic(sample, ols, tsls) if config.tests else None
+    row = [estimates[name] for name in config.estimators]
+    if stat is not None:  # an instance kind has one test
+        row.append([stat.value, stat.dof, stat.reject(config.alpha)])
+    return np.concatenate(row)
 
 
 def run_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentSummary:
     """Run all replications and aggregate.
 
-    ``raw_sink`` may be a writable text file object; each replication then
-    appends a CSV row (rep, seed, estimator coordinates, test statistic,
-    dof, reject flag).
+    Replication r fills row r - 1 of a (reps, columns) record (``_columns``)
+    and marks it in a mask when it succeeds; ``_summarize`` reads the marked
+    rows.  ``raw_sink`` may be a writable text file object; each marked row
+    is then appended to it at once as CSV (rep, seed, the record's columns).
+
+    More than 1% of failures raise ``TooManyFailures``, which counts them by
+    exception class and carries the summary of the rest (None below two).
     """
-    path = LocalPath(config.instance.dist, config.score, tilt="exponential")
-    root_n = math.sqrt(config.n)
-    local_dist = path_distribution(path, 1.0 / root_n)
-    truth = config.instance.truth
-    devs: dict[str, list[np.ndarray]] = {name: [] for name in config.estimators}
-    flags: dict[str, list[tuple[float, int, bool]]] = {name: [] for name in config.tests}
-    failed = 0
+    local = local_distribution(config)
+    columns = _columns(config)
+    record = np.empty((config.reps, len(columns)))
+    ok = np.zeros(config.reps, dtype=bool)
+    failures: Counter[str] = Counter()
     if raw_sink is not None:
-        header = ["rep", "seed"]
-        for name in config.estimators:
-            header.extend(f"{name}_{j + 1}" for j in range(truth.shape[0]))
-        for name in config.tests:
-            header.extend([f"{name}_stat", f"{name}_dof", f"{name}_reject"])
-        raw_sink.write(",".join(header) + "\n")
+        raw_sink.write(",".join(["rep", "seed", *columns]) + "\n")
+        cells = ("{:.0f}" if c.endswith(("_dof", "_reject")) else "{!r}" for c in columns)
+        line = ",".join(["{}", "{}", *cells]) + "\n"
     for rep in range(1, config.reps + 1):
         seed = replication_seed(config.master_seed, rep)
-        idx = draw_indices(local_dist, config.n, seed)
-        sample = Dataset(local_dist.support, np.bincount(idx, minlength=local_dist.n_atoms))
+        idx = draw_indices(local, config.n, seed)
+        sample = Dataset(local.support, np.bincount(idx, minlength=local.n_atoms))
         try:
-            rep_ests, rep_tests = _replication(config, sample)
-        except AsymlabError:
-            failed += 1
+            record[rep - 1] = _replication(config, sample)
+        except AsymlabError as exc:
+            failures[type(exc).__name__] += 1
             continue
-        for name in config.estimators:
-            devs[name].append(root_n * (rep_ests[name] - truth))
-        for name in config.tests:
-            flags[name].append(rep_tests[name])
+        ok[rep - 1] = True
         if raw_sink is not None:
-            cells = [str(rep), str(seed)]
-            for name in config.estimators:
-                cells.extend(repr(v) for v in rep_ests[name].tolist())
-            for name in config.tests:
-                value, dof, reject = rep_tests[name]
-                cells.extend([f"{value!r}", str(dof), str(int(reject))])
-            raw_sink.write(",".join(cells) + "\n")
-    summary = _summarize(config, devs, flags, failed)
+            raw_sink.write(line.format(rep, seed, *record[rep - 1].tolist()))
+    summary = _summarize(config, columns, record, ok)
+    failed = sum(failures.values())
     if failed > 0.01 * config.reps:
-        raise TooManyFailures(f"{failed} of {config.reps} replications failed")
+        causes = ", ".join(f"{count} {name}" for name, count in failures.most_common())
+        raise TooManyFailures(f"{failed} of {config.reps} replications failed: {causes}", summary)
     return summary
 
 
-def _summarize(config, devs, flags, failed) -> ExperimentSummary:
+def _summarize(config, columns, record, ok) -> ExperimentSummary | None:
+    """Means and covariances of sqrt(n) (estimate - truth), rejection rates
+    and mean dofs over the record rows that ``ok`` marks; None when fewer
+    than two are marked."""
+    rows = record[ok]
+    used = rows.shape[0]
+    if used < 2:
+        return None
+    at = {name: j for j, name in enumerate(columns)}
+    p = config.instance.truth.shape[0]
+    root_n = math.sqrt(config.n)
     est_summaries = {}
-    for name, rows in devs.items():
-        stack = np.array(rows)
-        used = stack.shape[0]
-        if used < 2:
-            raise TooManyFailures(f"only {used} usable replications for {name}")
-        mean = stack.mean(axis=0)
-        cov = np.atleast_2d(np.cov(stack, rowvar=False, ddof=1))
+    for name in config.estimators:
+        first = at[f"{name}_1"]
+        devs = root_n * (rows[:, first : first + p] - config.instance.truth)
+        cov = np.atleast_2d(np.cov(devs, rowvar=False, ddof=1))
         est_summaries[name] = EstimatorSummary(
-            mean=mean, cov=cov, se=np.sqrt(np.diag(cov) / used), reps_used=used
+            mean=devs.mean(axis=0), cov=cov, se=np.sqrt(np.diag(cov) / used), reps_used=used
         )
     test_summaries = {}
-    for name, records in flags.items():
-        used = len(records)
-        if used == 0:
-            raise TooManyFailures(f"no usable replications for test {name}")
-        rate = sum(1 for _, _, r in records if r) / used
+    for name in config.tests:
+        rate = int(np.count_nonzero(rows[:, at[f"{name}_reject"]])) / used
         test_summaries[name] = TestSummary(
             rate=rate,
             se=math.sqrt(rate * (1.0 - rate) / used),
-            mean_dof=sum(d for _, d, _ in records) / used,
+            mean_dof=float(rows[:, at[f"{name}_dof"]].mean()),
             reps_used=used,
         )
     return ExperimentSummary(
@@ -258,7 +240,7 @@ def _summarize(config, devs, flags, failed) -> ExperimentSummary:
         alpha=config.alpha,
         estimators=est_summaries,
         tests=test_summaries,
-        reps_failed=failed,
+        reps_failed=config.reps - used,
     )
 
 

@@ -26,13 +26,14 @@ class MomentModel:
     derivatives of ``m`` in ``theta``, shape (S, l, p).  Row s of either
     output must depend on row s of ``points`` only.  ``l == p`` is allowed
     (just identified) but then the overidentification test is degenerate.
+    The parameter is unbounded: GMM searches all of R^p, so ``m`` and
+    ``jac`` must accept any finite theta.
     """
 
     m: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray, np.ndarray], np.ndarray]
     p: int
     l: int
-    theta_bounds: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         if self.l < self.p or self.p < 1:
@@ -73,18 +74,6 @@ class MomentModel:
                 raise ShapeMismatch(
                     f"jacobian column {j} disagrees with finite differences by {err:.2e}"
                 )
-
-    def clip_to_bounds(self, theta: np.ndarray) -> np.ndarray:
-        if self.theta_bounds is None:
-            return theta
-        lo, hi = self.theta_bounds
-        return np.clip(theta, lo, hi)
-
-    def within_bounds(self, theta: np.ndarray) -> bool:
-        if self.theta_bounds is None:
-            return True
-        lo, hi = self.theta_bounds
-        return bool(np.all(theta >= lo) and np.all(theta <= hi))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Dataset, DiscreteDistribution, atom_indices, draw_sample, make_distribution
+from .dist import Dataset, DiscreteDistribution, atom_indices, make_distribution
 from .errors import PositivityViolated
 from .scores import ScoreFunction, _require_same_dist
 
@@ -76,13 +76,6 @@ def hellinger_residual(path: LocalPath, t: float) -> float:
     g = path.score.values
     terms = ((np.sqrt(q) - np.sqrt(p)) / t - 0.5 * g * np.sqrt(p)) ** 2
     return math.fsum(terms)
-
-
-def sample_local(path: LocalPath, n: int, seed: int) -> Dataset:
-    """n draws from the path evaluated at the local rate t = 1/sqrt(n)."""
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    return draw_sample(path_distribution(path, 1.0 / math.sqrt(n)), n, seed)
 
 
 def log_likelihood_ratio(path: LocalPath, t: float, data: Dataset) -> float:

@@ -143,19 +143,6 @@ class Prediction:
             doc["decomposition"] = dict(self.decomposition)
         return doc
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Prediction":
-        try:
-            biases = {row["estimator"]: np.asarray(row["values"], float) for row in doc["bias"]}
-            tests = {
-                row["name"]: TestPrediction(int(row["dof"]), float(row["ncp"]), float(row["power"]))
-                for row in doc["tests"]
-            }
-            alpha = float(doc["alpha"])
-        except (KeyError, TypeError) as exc:
-            raise ShapeMismatch(f"malformed prediction document: {exc}") from None
-        return cls(alpha=alpha, biases=biases, tests=tests, decomposition=doc.get("decomposition"))
-
 
 def build_prediction(
     instance: GmmInstance | IvInstance,

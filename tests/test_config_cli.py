@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import asymlab.cli
+import asymlab.mc
 from asymlab.cli import execute
 from asymlab.config import (
     apply_overrides,
@@ -14,10 +15,10 @@ from asymlab.config import (
     load_raw,
     validate_raw,
 )
-from asymlab.errors import ConfigInvalid
-from asymlab.iv import read_csv
-from asymlab.mc import ComparisonEntry, ComparisonReport, ExperimentSummary, compare_to_theory
-from asymlab.predict import Prediction
+from asymlab.errors import AsymlabError, ConfigInvalid
+from asymlab.iv import estimate_ols, read_csv
+from asymlab.mc import ComparisonEntry, ComparisonReport, compare_to_theory, run_experiment
+from asymlab.predict import build_prediction
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -147,12 +148,20 @@ class TestCliCommands:
         )
         assert code == 0
         doc = json.loads(out.read_text())
-        # round trip: re-reading the emitted prediction and summary must
-        # reproduce the comparison z-scores exactly
-        pred = Prediction.from_dict(doc["prediction"])
-        summary = ExperimentSummary.from_dict(doc["summary"])
-        report = compare_to_theory(summary, pred)
-        assert [e.z for e in report.entries] == [e["z"] for e in doc["comparison"]["entries"]]
+        # the emitted document holds exactly the library's prediction,
+        # summary and comparison for the same config
+        raw = validate_raw(load_raw(CONFIG_DIR / "g1_tangent.json"))
+        experiment = build_experiment(apply_overrides(raw, ["reps=200", "seed=99"]))
+        pred = build_prediction(
+            experiment.instance, experiment.score, ["gmm"], ["j"], experiment.alpha
+        )
+        summary = run_experiment(experiment)
+        expected = {
+            "prediction": pred.to_dict(),
+            "summary": summary.to_dict(),
+            "comparison": compare_to_theory(summary, pred).to_dict(),
+        }
+        assert doc == json.loads(json.dumps(expected))
         assert doc["summary"]["reps"] == 200
 
     def test_run_comparison_failure_gives_exit_one(self, monkeypatch, capsys):
@@ -168,6 +177,25 @@ class TestCliCommands:
             ["run", "--config", str(CONFIG_DIR / "g1_tangent.json"), "--reps", "100"]
         )
         assert code == 1
+
+    def test_run_with_too_many_failures_prints_the_partial_summary(self, monkeypatch, capsys):
+        real = asymlab.mc._replication
+        calls = {"k": 0}
+
+        def flaky(config, sample):
+            calls["k"] += 1
+            if calls["k"] % 10 == 0:
+                raise AsymlabError("synthetic failure")
+            return real(config, sample)
+
+        monkeypatch.setattr(asymlab.mc, "_replication", flaky)
+        code = execute(["run", "--config", str(CONFIG_DIR / "g1_tangent.json"), "--reps", "100"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        summary = json.loads(out)["summary"]
+        assert summary["reps_failed"] == 10
+        assert summary["estimators"]["gmm"]["reps_used"] == 90
+        assert "error: 10 of 100 replications failed: 10 AsymlabError" in err
 
     def test_missing_config_is_usage_error(self, capsys):
         code = execute(["run", "--config", "missing.json"])
@@ -256,7 +284,7 @@ class TestCliCommands:
         assert failures == 1
         assert lines[-2].startswith("FAIL moment-contract: linear_iv_moments Jacobians")
 
-    def test_run_dump_sample_and_raw_csv(self, tmp_path, capsys):
+    def test_run_dump_sample_and_raw_csv(self, tmp_path, capsys, iv1):
         sample = tmp_path / "sample.csv"
         raw = tmp_path / "raw.csv"
         code = execute(
@@ -282,3 +310,8 @@ class TestCliCommands:
         lines = raw.read_text().strip().splitlines()
         assert lines[0].startswith("rep,seed,ols_1,ols_2,tsls_1,tsls_2,dwh_stat")
         assert len(lines) == 101
+        # the dumped sample is the one replication 1 estimated from
+        cells = lines[1].split(",")
+        assert cells[0] == "1"
+        beta = estimate_ols(data, iv1.model).beta
+        assert beta == pytest.approx([float(cells[2]), float(cells[3])], rel=1e-12, abs=1e-12)

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -9,17 +10,18 @@ import pytest
 import asymlab.mc
 from asymlab.config import build_experiment, load_raw, validate_raw
 from asymlab.dist import Dataset, draw_indices, replication_seed
-from asymlab.errors import ConfigInvalid, ShapeMismatch, TooManyFailures
+from asymlab.errors import (
+    AsymlabError,
+    ConfigInvalid,
+    NoConvergence,
+    ShapeMismatch,
+    TooManyFailures,
+)
 from asymlab.gmm import estimate_gmm
 from asymlab.instances import GmmInstance
 from asymlab.iv import estimate_2sls, estimate_ols
 from asymlab.paths import LocalPath, path_distribution
-from asymlab.mc import (
-    ExperimentConfig,
-    ExperimentSummary,
-    compare_to_theory,
-    run_experiment,
-)
+from asymlab.mc import ExperimentConfig, compare_to_theory, run_experiment
 from asymlab.predict import build_prediction
 from asymlab.scores import centered_score, zero_score
 
@@ -211,8 +213,6 @@ class TestRunExperiment:
         assert summary.reps_failed == 0
 
     def test_too_many_failures(self, g1, monkeypatch):
-        from asymlab.errors import AsymlabError
-
         real = asymlab.mc._replication
         calls = {"k": 0}
 
@@ -223,12 +223,30 @@ class TestRunExperiment:
             return real(config, rows)
 
         monkeypatch.setattr(asymlab.mc, "_replication", flaky)
-        with pytest.raises(TooManyFailures):
+        with pytest.raises(TooManyFailures) as caught:
             run_experiment(g1_config(g1, n=100, reps=100))
+        assert str(caught.value) == "10 of 100 replications failed: 10 AsymlabError"
+        # the exception keeps the summary of the 90 replications that succeeded
+        summary = caught.value.summary
+        assert summary.reps_failed == 10
+        assert summary.estimators["gmm"].reps_used == summary.tests["j"].reps_used == 90
+
+    def test_unconverged_gmm_fails_with_its_stop_reasons(self, g1, monkeypatch):
+        real = asymlab.mc.estimate_gmm
+
+        def stalled(*args):
+            return replace(real(*args), converged=False, stop_reasons=("line search", "step"))
+
+        monkeypatch.setattr(asymlab.mc, "estimate_gmm", stalled)
+        sample = Dataset(g1.dist.support, np.full(5, 20))
+        with pytest.raises(NoConvergence, match="line search"):
+            asymlab.mc._replication(g1_config(g1), sample)
+        with pytest.raises(TooManyFailures) as caught:
+            run_experiment(g1_config(g1, n=100, reps=100))
+        assert str(caught.value) == "100 of 100 replications failed: 100 NoConvergence"
+        assert caught.value.summary is None
 
     def test_failures_counted_not_dropped(self, g1, monkeypatch):
-        from asymlab.errors import AsymlabError
-
         real = asymlab.mc._replication
 
         def rarely_flaky(config, rows):
@@ -243,6 +261,82 @@ class TestRunExperiment:
         summary = run_experiment(g1_config(g1, n=100, reps=200))
         assert summary.reps_failed == 1
         assert summary.estimators["gmm"].reps_used == 199
+
+
+def summary_from_csv(config, text) -> dict:
+    """The summary document of a run, recomputed from its raw CSV alone,
+    one replication at a time as lists."""
+    header, *lines = text.splitlines()
+    names = header.split(",")
+    table = np.array([[float(cell) for cell in line.split(",")] for line in lines])
+    used = table.shape[0]
+    truth = config.instance.truth
+    doc = {"n": config.n, "reps": config.reps, "alpha": config.alpha}
+    doc["reps_failed"] = config.reps - used
+    doc["estimators"], doc["tests"] = {}, {}
+    for name in config.estimators:
+        cols = [names.index(f"{name}_{j + 1}") for j in range(truth.shape[0])]
+        devs = np.array([math.sqrt(config.n) * (row[cols] - truth) for row in table])
+        cov = np.atleast_2d(np.cov(devs, rowvar=False, ddof=1))
+        doc["estimators"][name] = {
+            "mean": devs.mean(axis=0).tolist(),
+            "cov": cov.tolist(),
+            "se": np.sqrt(np.diag(cov) / used).tolist(),
+            "reps_used": used,
+        }
+    for name in config.tests:
+        rate = int(table[:, names.index(f"{name}_reject")].sum()) / used
+        doc["tests"][name] = {
+            "rate": rate,
+            "se": math.sqrt(rate * (1.0 - rate) / used),
+            "mean_dof": int(table[:, names.index(f"{name}_dof")].sum()) / used,
+            "reps_used": used,
+        }
+    return doc
+
+
+class TestRecord:
+    @pytest.mark.parametrize("kind", ["g1", "iv1"])
+    def test_raw_csv_and_summary_come_from_one_record(self, kind, g1, iv1, monkeypatch):
+        if kind == "g1":
+            x = g1.dist.column(0)
+            config = g1_config(g1, score=centered_score(g1.dist, 1.5 * x / 1.2), n=200, reps=200)
+        else:
+            e = iv1.model.errors_on(iv1.dist.support)
+            config = ExperimentConfig(
+                iv1,
+                centered_score(iv1.dist, iv1.dist.column(3) * e),
+                n=200,
+                reps=200,
+                alpha=0.05,
+                master_seed=3,
+                estimators=("ols", "tsls"),
+                tests=("dwh",),
+            )
+        real = asymlab.mc._replication
+        calls = []
+
+        def failing(config, sample):
+            calls.append(len(calls) + 1)
+            if calls[-1] in (50, 120):
+                raise AsymlabError("synthetic failure")
+            return real(config, sample)
+
+        written = []  # replications run when each line was written
+
+        class Sink(io.StringIO):
+            def write(self, text):
+                written.append(len(calls))
+                return super().write(text)
+
+        monkeypatch.setattr(asymlab.mc, "_replication", failing)
+        sink = Sink()
+        summary = run_experiment(config, raw_sink=sink)
+        kept = [rep for rep in range(1, 201) if rep not in (50, 120)]
+        lines = sink.getvalue().splitlines()[1:]
+        assert [int(line.split(",")[0]) for line in lines] == kept
+        assert written == [0, *kept]  # each row is written as its replication ends
+        assert summary_from_csv(config, sink.getvalue()) == summary.to_dict()
 
 
 class TestCompareToTheory:
@@ -278,6 +372,15 @@ class TestCompareToTheory:
             compare_to_theory(summary, pred)
 
     def test_summary_roundtrip(self, g1):
-        summary = run_experiment(g1_config(g1, n=100, reps=100))
-        back = ExperimentSummary.from_dict(summary.to_dict())
-        assert back.to_dict() == summary.to_dict()
+        # the document holds plain Python numbers only, so JSON keeps it exactly
+        doc = run_experiment(g1_config(g1, n=100, reps=100)).to_dict()
+        assert json.loads(json.dumps(doc)) == doc
+
+        def leaves(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                return [leaf for child in node for leaf in leaves(child)]
+            return [node]
+
+        assert {type(v) for v in leaves(doc)} == {int, float}

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from asymlab.dist import Dataset, draw_indices, expectation, make_distribution
+from asymlab.dist import Dataset, draw_indices, draw_sample, expectation, make_distribution
 from asymlab.errors import PositivityViolated
 from asymlab.paths import (
     LocalPath,
@@ -11,7 +11,6 @@ from asymlab.paths import (
     log_likelihood_ratio,
     numerical_score,
     path_distribution,
-    sample_local,
 )
 from asymlab.scores import centered_score, zero_score
 
@@ -99,20 +98,6 @@ class TestHellingerResidual:
 
 
 class TestSampleLocal:
-    def test_zero_score_matches_base_sampling(self, g1):
-        path = LocalPath(g1.dist, zero_score(g1.dist))
-        from asymlab.dist import draw_sample
-
-        a = sample_local(path, 400, seed=9)
-        b = draw_sample(g1.dist, 400, seed=9)
-        assert np.array_equal(a.rows, b.rows)
-
-    def test_deterministic(self, g1):
-        path = LocalPath(g1.dist, centered_score(g1.dist, g1.dist.column(0)))
-        a = sample_local(path, 300, seed=4)
-        b = sample_local(path, 300, seed=4)
-        assert np.array_equal(a.rows, b.rows)
-
     def test_total_variation_shrinks_at_root_n_rate(self, g1, rng):
         # oracle: exact total variation on the finite support
         g = centered_score(g1.dist, rng.standard_normal(5))
@@ -139,8 +124,8 @@ class TestLogLikelihoodRatio:
     def test_matches_direct_computation(self, g1):
         g = centered_score(g1.dist, g1.dist.column(0))
         path = LocalPath(g1.dist, g)
-        data = sample_local(path, 50, seed=3)
         t = 1.0 / math.sqrt(50)
+        data = draw_sample(path_distribution(path, t), 50, seed=3)
         q = path_distribution(path, t).probs
         direct = 0.0
         for row in data.rows:

@@ -11,7 +11,6 @@ from asymlab.instances import tangent_bases, three_way_bases
 from asymlab.iv import hausman_contrast_basis
 from asymlab.paths import LocalPath, path_distribution
 from asymlab.predict import (
-    Prediction,
     build_prediction,
     hall_split,
     hausman_noncentrality,
@@ -193,9 +192,10 @@ class TestBuildPrediction:
         assert pred.decomposition["var_T"] == pytest.approx(0.0, abs=1e-10)
         assert pred.decomposition["var_TperpM"] == pytest.approx(4.0, abs=1e-10)
         doc = json.loads(json.dumps(pred.to_dict()))
-        back = Prediction.from_dict(doc)
-        assert back.tests["j"].power == pred.tests["j"].power
-        assert np.array_equal(back.biases["gmm"], pred.biases["gmm"])
+        j = pred.tests["j"]
+        assert doc["tests"] == [{"name": "j", "dof": 1, "ncp": j.ncp, "power": j.power}]
+        assert doc["bias"] == [{"estimator": "gmm", "values": pred.biases["gmm"].tolist()}]
+        assert doc["decomposition"] == pred.decomposition
 
     def test_iv_document(self, iv1):
         e = iv1.model.errors_on(iv1.dist.support)
@@ -212,10 +212,6 @@ class TestBuildPrediction:
             build_prediction(g1, g, ["ols"], [], 0.05)
         with pytest.raises(ShapeMismatch):
             build_prediction(g1, g, ["gmm"], ["dwh"], 0.05)
-
-    def test_malformed_document_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            Prediction.from_dict({"bias": [{"estimator": "gmm"}], "tests": []})
 
     def test_invalid_prediction_fields_rejected(self):
         from asymlab.predict import TestPrediction

@@ -45,7 +45,6 @@ from .iv import (
     estimate_ols,
     hausman_contrast_basis,
     iv_influence_functions,
-    iv_predicted_biases,
 )
 from .mc import (
     ComparisonReport,

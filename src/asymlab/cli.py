@@ -216,3 +216,7 @@ def execute(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(execute(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

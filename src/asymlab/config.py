@@ -18,6 +18,7 @@ from .instances import (
     GmmInstance,
     Instance,
     IvInstance,
+    _is_number,
     instance_by_name,
     linear_iv_moment_model,
     overidentified_mean_model,
@@ -39,9 +40,9 @@ _TOP_KEYS = {
     "seed",
     "estimators",
     "tests",
-    "theta_init",
 }
 _RUN_KEYS = ("n", "reps", "alpha", "seed", "estimators", "tests")
+_NUMBER_KEYS = {"n": int, "reps": int, "seed": int, "alpha": (int, float)}
 
 
 def load_raw(path) -> dict:
@@ -102,6 +103,10 @@ def validate_raw(raw: dict) -> dict:
         raise ConfigInvalid(f"unsupported schema {raw.get('schema')!r}; expected {SCHEMA_VERSION}")
     _require(raw, "instance", "config")
     _require(raw, "score", "config")
+    for key, kinds in _NUMBER_KEYS.items():
+        if key in raw and not _is_number(raw[key], kinds):
+            kind = "integer" if kinds is int else "number"
+            raise ConfigInvalid(f"{key} must be a JSON {kind}, got {raw[key]!r}")
     return raw
 
 
@@ -171,18 +176,16 @@ def build_experiment(raw: dict) -> ExperimentConfig:
     tests = raw["tests"]
     if not isinstance(estimators, list) or not isinstance(tests, list):
         raise ConfigInvalid("estimators and tests must be arrays of names")
-    theta_init = raw.get("theta_init")
     try:
         return ExperimentConfig(
             instance=instance,
             score=score,
-            n=int(raw["n"]),
-            reps=int(raw["reps"]),
+            n=raw["n"],
+            reps=raw["reps"],
             alpha=float(raw["alpha"]),
-            master_seed=int(raw["seed"]),
+            master_seed=raw["seed"],
             estimators=tuple(estimators),
             tests=tuple(tests),
-            theta_init=None if theta_init is None else np.asarray(theta_init, dtype=float),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad experiment fields: {exc}") from None

@@ -1,11 +1,10 @@
 """Two-step GMM estimation, the overidentification statistic, and the
 information-projection of a reference distribution onto a moment constraint set.
 
-Estimation works on (distinct point, frequency) pairs: ``_compress`` groups
-a sample's rows and sums their counts, so a sample on a finite support --
-most cheaply passed as the support with its count vector -- reduces to S
-points.  Sample moments are then frequency-weighted sums of one vectorised
-moment evaluation.  Each GMM step minimises its weighted objective by damped
+A sample is a ``Dataset``: rows with integer counts, most cheaply the
+support with its count vector.  Sample moments are count-weighted sums of
+one vectorised moment evaluation over the rows; a row with count zero adds
+exact zeros.  Each GMM step minimises its weighted objective by damped
 Newton (``_newton``), whose Hessian takes the second derivatives of the
 moments from central differences of the vectorised Jacobian.  A Newton step
 costs O(S) array work: 1 + 2p Jacobian evaluations, two p x p Cholesky
@@ -13,6 +12,7 @@ factorisations at most, and moment-only evaluations for the line-search
 trials.  Where the residual is large, Gauss-Newton converges only linearly;
 Newton converges quadratically and stops at the exact minimiser up to
 rounding.  Each step records why it stopped (``GmmEstimate.stop_reasons``).
+Every positive-definite solve here and in ``iv`` goes through ``_cholesky``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .chi2 import TestStatistic
@@ -36,6 +35,7 @@ from .errors import (
 from .models import MomentModel
 from .scores import (
     ScoreFunction,
+    _near_singular,
     _population_moment_objects,
     centered_score,
     gmm_tangent_basis,
@@ -109,34 +109,18 @@ def efficient_influence(
     return nu_scores, info, ell_scores
 
 
-def _compress(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows in sorted order and their sample frequencies.
+def _cholesky(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Solve a x = b by the Cholesky factor of the symmetric ``a``'s upper
+    triangle; None unless ``a`` is positive definite.
 
-    Rows are sorted lexicographically (first column first) by a stable
-    ``np.lexsort``; adjacent equal rows form a group whose integer counts
-    are summed, and groups whose total count is zero are dropped.
+    LAPACK ``dpotrf``/``dpotrs`` are called directly, on the triangle scipy
+    reads by default (X'(c X) is symmetric only up to rounding, so the
+    triangle sets the bits); on these small matrices the ``np.linalg`` and
+    ``scipy.linalg`` wrappers cost several times the work.  NaN input is not
+    detected.
     """
-    rows = data.rows
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    first = np.empty(rows.shape[0], dtype=bool)
-    first[0] = True
-    np.any(rows[1:] != rows[:-1], axis=1, out=first[1:])
-    starts = np.flatnonzero(first)
-    totals = np.add.reduceat(data.counts[order], starts)
-    keep = totals > 0
-    return rows[starts[keep]], totals[keep] / data.n
-
-
-def _cholesky(a: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of a symmetric matrix; None unless it is positive definite.
-
-    LAPACK is called directly: on the p x p and l x l matrices here the
-    ``np.linalg`` and ``scipy.linalg`` wrappers cost several times the
-    factorisation.
-    """
-    factor, info = dpotrf(a, lower=1)
-    return factor if info == 0 else None
+    factor, info = dpotrf(a, lower=0)
+    return dpotrs(factor, b, lower=0)[0] if info == 0 else None
 
 
 def _weighted_jacobian(
@@ -186,9 +170,9 @@ def _direction(
     normal = gbar.T @ weight @ gbar
     hess = normal + _curvature(model, pts, w, theta, wm)
     for matrix in (hess, normal):
-        factor = _cholesky(matrix)
-        if factor is not None:
-            return -dpotrs(factor, rhs, lower=1)[0]
+        step = _cholesky(matrix, rhs)
+        if step is not None:
+            return -step
     return None
 
 
@@ -197,7 +181,7 @@ class _Minimum:
     """Where a weighted minimisation stopped, with the moments there."""
 
     theta: np.ndarray
-    m_vals: np.ndarray  # (S, l): moments at theta on the distinct points
+    m_vals: np.ndarray  # (S, l): moments at theta on the sample rows
     mbar: np.ndarray
     gbar: np.ndarray
     steps: int
@@ -296,30 +280,33 @@ def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
     estimate.  Both steps run ``_newton``, which hands back the moments and
     Jacobian at its minimiser, so neither is evaluated again.  The
     overidentification value n * mbar' SigmaHat^{-1} mbar is computed with
-    the same fixed weight.  A failed line search, a normal matrix that is
-    not positive definite or the iteration cap yields ``converged=False``
-    rather than an exception; ``stop_reasons`` records which.
+    the same fixed weight.  SigmaHat and the sample information are refused
+    (``SingularSigmaHat``, ``RankDeficientJacobian``) by ``_near_singular``,
+    the rule the population Sigma is held to: a matrix that is singular in
+    exact arithmetic may pass a Cholesky factorisation by rounding.  A
+    failed line search, a normal matrix that is not positive definite or the
+    iteration cap yields ``converged=False`` rather than an exception;
+    ``stop_reasons`` records which.
     """
     theta_init = np.asarray(theta_init, dtype=float)
     if data.n <= model.l:
         raise ValueError(f"need n > l, got n={data.n}, l={model.l}")
-    pts, w = _compress(data)
+    pts, w = data.rows, data.counts / data.n
     first = _newton(model, pts, w, theta_init, np.eye(model.l))
     m_vals = first.m_vals
     sigma_hat = (m_vals.T * w) @ m_vals
     sigma_hat = 0.5 * (sigma_hat + sigma_hat.T)
-    factor = _cholesky(sigma_hat)
-    if factor is None:
+    if _near_singular(sigma_hat):
         raise SingularSigmaHat("first-step moment variance is singular")
-    weight = dpotrs(factor, np.eye(model.l), lower=1)[0]
+    weight = _cholesky(sigma_hat, np.eye(model.l))  # not near singular, so not None
     weight = 0.5 * (weight + weight.T)
     second = _newton(model, pts, w, first.theta, weight)
     mbar, gbar = second.mbar, second.gbar
     j_stat = float(data.n * mbar @ weight @ mbar)
     info_hat = gbar.T @ weight @ gbar
     info_hat = 0.5 * (info_hat + info_hat.T)
-    if _cholesky(info_hat) is None:
-        raise RankDeficientJacobian("sample information matrix is not positive definite")
+    if _near_singular(info_hat):
+        raise RankDeficientJacobian("sample information matrix is singular")
     return GmmEstimate(
         theta_hat=second.theta,
         sigma_hat=sigma_hat,
@@ -398,10 +385,9 @@ def kl_projection(
         if np.linalg.norm(grad) / potential < 1e-12:
             break
         hess = (m_vals.T * (w * tilt)) @ m_vals
-        try:
-            step = -scipy.linalg.solve(hess, grad, assume_a="pos")
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-            raise NoConvergence("singular Hessian in the dual Newton solve") from None
+        step = _cholesky(hess, -grad)
+        if step is None:
+            raise NoConvergence("singular Hessian in the dual Newton solve")
         if -(grad @ step) <= 1e-14 * potential:
             # predicted decrease is below the float resolution of the
             # potential; the gradient still has full relative precision, so

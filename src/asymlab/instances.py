@@ -173,13 +173,27 @@ def three_way_bases(instance: Instance) -> tuple[SubspaceBasis, SubspaceBasis, S
     return t_basis, t_perp, empty
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """True for a JSON number parsed as one of ``kinds``; a bool is not one."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _numbers(spec: dict, key: str) -> np.ndarray:
+    """``spec[key]``, which must be a JSON array of numbers, as a float array."""
+    items = spec.get(key)
+    if not isinstance(items, list) or not all(_is_number(v) for v in items):
+        raise ConfigInvalid(f"score field {key!r} must be an array of numbers")
+    return np.array(items, dtype=float)
+
+
 def resolve_score(instance: Instance, spec: dict) -> ScoreFunction:
     """Build the deviation direction from its configuration entry.
 
     Either explicit per-support values ({"kind": "values", "values": [...]})
     or coefficients on one of the instance's orthonormal tangent-split bases
     ({"kind": "basis", "space": "T" | "T_perp" | "T_perp_cap_M" | "M_perp",
-    "coefficients": [...]}).
+    "coefficients": [...]}).  Values and coefficients must be arrays of
+    numbers.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigInvalid("score must be an object with a 'kind' field")
@@ -188,7 +202,7 @@ def resolve_score(instance: Instance, spec: dict) -> ScoreFunction:
         extra = set(spec) - {"kind", "values"}
         if extra:
             raise ConfigInvalid(f"unknown score fields {sorted(extra)}")
-        values = np.asarray(spec.get("values"), dtype=float)
+        values = _numbers(spec, "values")
         try:
             return ScoreFunction(instance.dist, values)
         except Exception as exc:
@@ -198,7 +212,7 @@ def resolve_score(instance: Instance, spec: dict) -> ScoreFunction:
         if extra:
             raise ConfigInvalid(f"unknown score fields {sorted(extra)}")
         space = spec.get("space")
-        coefs = np.asarray(spec.get("coefficients"), dtype=float)
+        coefs = _numbers(spec, "coefficients")
         for basis in three_way_bases(instance):
             if basis.label == space:
                 if coefs.shape != (basis.dim,):

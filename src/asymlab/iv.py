@@ -6,7 +6,8 @@ claims that make the contrast test work (OLS efficient under exogeneity,
 sandwich variances are deliberately out of scope.  A sample is a
 ``Dataset``: rows laid out as (y, x1, x2, z1) with integer counts, and every
 cross-product and residual sum weights a row by its count, so a sample on a
-finite support can be passed as the support and its count vector.
+finite support can be passed as the support and its count vector.  X'X,
+Z'Z and X'P_Z X are solved by ``gmm._cholesky``, as every GMM system is.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .chi2 import TestStatistic
-from .dist import Dataset, DiscreteDistribution, expectation
+from .dist import Dataset, DiscreteDistribution
 from .errors import (
     NegativeSpectrumWarning,
     RankDeficientFirstStage,
@@ -27,6 +27,7 @@ from .errors import (
     SingularDesign,
     SingularInstrumentGram,
 )
+from .gmm import _cholesky
 from .models import IVModel
 from .scores import (
     ScoreFunction,
@@ -85,27 +86,25 @@ class LinearEstimate:
     sigma_sq_hat: float
 
 
-def _cholesky(mat: np.ndarray, error: Exception):
-    try:
-        return scipy.linalg.cho_factor(mat)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-        raise error from None
-
-
 def _design(data: Dataset, model: IVModel):
-    """y, X and Z of a sample; refuses one with no more observations than columns."""
+    """y, X and Z of a sample; refuses one with no more observations than
+    columns, and (``ValueError``) one with a row that is not finite."""
     y, X, Z = model.design_matrices(data.rows)
     if data.n <= model.point_dim - 1:
         raise ShapeMismatch("need more observations than total columns")
+    if not np.isfinite(data.rows).all():
+        raise ValueError("sample rows must be finite")
     return y, X, Z
 
 
-def _fit(data: Dataset, y, X, beta, factor) -> LinearEstimate:
-    """Residual variance and sqrt(n)-scaled variance of the solution ``beta``
-    of the normal equations whose matrix has Cholesky factor ``factor``."""
+def _fit(data: Dataset, y, X, solved) -> LinearEstimate:
+    """The estimate from ``solved``, the solution of the normal equations
+    next to their matrix's inverse, with its residual variance and
+    sqrt(n)-scaled variance."""
+    beta = solved[:, 0]
     resid = y - X @ beta
     sigma_sq = float(data.counts @ resid**2) / data.n
-    vcov = sigma_sq * data.n * scipy.linalg.cho_solve(factor, np.eye(X.shape[1]))
+    vcov = sigma_sq * data.n * solved[:, 1:]
     return LinearEstimate(beta=beta, vcov=0.5 * (vcov + vcov.T), sigma_sq_hat=sigma_sq)
 
 
@@ -113,8 +112,10 @@ def estimate_ols(data: Dataset, model: IVModel) -> LinearEstimate:
     """Least squares of y on X = [x1, x2] with homoskedastic variance."""
     y, X, _ = _design(data, model)
     cX = X * data.counts[:, None]
-    factor = _cholesky(cX.T @ X, SingularDesign("X'X is singular"))
-    return _fit(data, y, X, scipy.linalg.cho_solve(factor, cX.T @ y), factor)
+    solved = _cholesky(cX.T @ X, np.column_stack([cX.T @ y, np.eye(X.shape[1])]))
+    if solved is None:
+        raise SingularDesign("X'X is singular")
+    return _fit(data, y, X, solved)
 
 
 def estimate_2sls(data: Dataset, model: IVModel) -> LinearEstimate:
@@ -123,15 +124,18 @@ def estimate_2sls(data: Dataset, model: IVModel) -> LinearEstimate:
     cZ = Z * data.counts[:, None]
     ztx = cZ.T @ X
     zty = cZ.T @ y
-    factor = _cholesky(cZ.T @ Z, SingularInstrumentGram("Z'Z is singular"))
-    first = scipy.linalg.cho_solve(factor, np.hstack([ztx, zty[:, None]]))
+    first = _cholesky(cZ.T @ Z, np.hstack([ztx, zty[:, None]]))
+    if first is None:
+        raise SingularInstrumentGram("Z'Z is singular")
     xpx = ztx.T @ first[:, :-1]  # X' P_Z X
     xpy = ztx.T @ first[:, -1]
     svals = np.linalg.svd(xpx, compute_uv=False)
     if svals[-1] <= 1e-12 * max(svals[0], 1e-300):
         raise RankDeficientFirstStage("instruments do not span the regressors")
-    factor = _cholesky(xpx, RankDeficientFirstStage("X'P_Z X is singular"))
-    return _fit(data, y, X, scipy.linalg.cho_solve(factor, xpy), factor)
+    solved = _cholesky(xpx, np.column_stack([xpy, np.eye(X.shape[1])]))
+    if solved is None:
+        raise RankDeficientFirstStage("X'P_Z X is singular")
+    return _fit(data, y, X, solved)
 
 
 def dwh_statistic(data: Dataset, ols: LinearEstimate, tsls: LinearEstimate) -> TestStatistic:
@@ -204,20 +208,3 @@ def hausman_contrast_basis(dist: DiscreteDistribution, model: IVModel) -> Subspa
         return SubspaceBasis(dist, np.zeros((0, dist.n_atoms)), label="T_perp_cap_M")
     return orthonormal_basis(dist, keep, label="T_perp_cap_M")
 
-
-def iv_predicted_biases(
-    dist: DiscreteDistribution, model: IVModel, g: ScoreFunction
-) -> dict[str, np.ndarray]:
-    """Asymptotic means of sqrt(n) * (estimator - beta0) in direction ``g``.
-
-    OLS drifts by E[XX']^{-1} E[X e g]; 2SLS by E[XZ'] E[ZZ']^{-1} E[Z e g].
-    """
-    _, X, Z = model.design_matrices(dist.support)
-    e = model.errors_on(dist.support)
-    exx, exz, ezz = iv_population_matrices(dist, model)
-    exeg = expectation(dist, X * (e * g.values)[:, None])
-    ezeg = expectation(dist, Z * (e * g.values)[:, None])
-    bread = exz @ np.linalg.solve(ezz, exz.T)
-    ols_bias = np.linalg.solve(exx, exeg)
-    tsls_bias = np.linalg.solve(bread, exz @ np.linalg.solve(ezz, ezeg))
-    return {"ols": ols_bias, "tsls": tsls_bias}

@@ -46,7 +46,6 @@ class ExperimentConfig:
     master_seed: int
     estimators: tuple[str, ...]
     tests: tuple[str, ...]
-    theta_init: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n < 50:
@@ -149,8 +148,7 @@ def _replication(config: ExperimentConfig, sample: Dataset) -> np.ndarray:
     """
     inst = config.instance
     if isinstance(inst, GmmInstance):
-        start = inst.theta0 if config.theta_init is None else config.theta_init
-        est = estimate_gmm(sample, inst.model, start)
+        est = estimate_gmm(sample, inst.model, inst.theta0)
         if not est.converged:
             raise NoConvergence(f"two-step GMM stopped on {est.stop_reasons}")
         estimates = {"gmm": est.theta_hat}

@@ -20,7 +20,7 @@ from .dist import DiscreteDistribution, expectation
 from .errors import ShapeMismatch, WrongSubspaceLabel
 from .gmm import efficient_influence
 from .instances import GmmInstance, IvInstance, three_way_bases
-from .iv import hausman_contrast_basis, iv_predicted_biases
+from .iv import hausman_contrast_basis, iv_influence_functions
 from .models import MomentModel
 from .scores import (
     ScoreFunction,
@@ -168,11 +168,11 @@ def build_prediction(
             dof = instance.model.l - instance.model.p
             test_preds[name] = TestPrediction(dof, ncp, local_power(dof, ncp, alpha))
     else:
-        iv_biases = iv_predicted_biases(dist, instance.model, g)
+        influence = dict(zip(("ols", "tsls"), iv_influence_functions(dist, instance.model)))
         for name in estimators:
-            if name not in iv_biases:
+            if name not in influence:
                 raise ShapeMismatch(f"estimator {name!r} does not apply to an IV instance")
-            biases[name] = iv_biases[name]
+            biases[name] = predicted_bias(dist, influence[name], g)
         for name in tests:
             if name != "dwh":
                 raise ShapeMismatch(f"test {name!r} does not apply to an IV instance")

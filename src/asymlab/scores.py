@@ -288,6 +288,13 @@ def _tangent_span(
 # --- GMM tangent construction ----------------------------------------------------
 
 
+def _near_singular(a: np.ndarray) -> bool:
+    """True when the smallest eigenvalue of the symmetric ``a`` is at most
+    1e-12 times its largest."""
+    evals = np.linalg.eigvalsh(a)
+    return bool(evals[0] <= 1e-12 * max(evals[-1], 1e-300))
+
+
 def _population_moment_objects(
     dist: DiscreteDistribution, model: MomentModel, theta0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -302,8 +309,8 @@ def _population_moment_objects(
         )
     sigma = (m_vals.T * dist.probs) @ m_vals
     sigma = 0.5 * (sigma + sigma.T)
-    evals = np.linalg.eigvalsh(sigma)
-    if evals[0] <= 1e-12 * max(evals[-1], 1e-300):
+    if _near_singular(sigma):
+        evals = np.linalg.eigvalsh(sigma)
         raise SingularSigma(f"moment second-moment matrix is singular (eigs {evals})")
     gbar = expectation(dist, model.jacobians_at(theta0, dist.support))
     svals = np.linalg.svd(gbar, compute_uv=False)

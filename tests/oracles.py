@@ -96,27 +96,49 @@ def gram_schmidt_fsum(probs, spanning, drop_tol: float, tie: float = 1e-10) -> n
     return np.array(accepted).reshape(len(accepted), len(w))
 
 
-def iv_efficient_scores(probs, rows, model) -> tuple[np.ndarray, np.ndarray]:
-    """Efficient-score columns of the linear IV null model, x e / sigma0^2,
-    and of the maintained model, E[XZ'] E[ZZ']^{-1} z e / sigma0^2, each of
-    shape (S, p), for rows laid out as (y, x1, x2, z1) with x = (x1, x2) and
-    z = (z1, x2); every population moment is a per-atom ``math.fsum``."""
+def fsum_moment(probs, a, b) -> np.ndarray:
+    """E[a b'] for per-atom columns ``a`` (S, i) and ``b`` (S, j), one
+    ``math.fsum`` per entry."""
+    return np.array(
+        [
+            [math.fsum(probs * a[:, i] * b[:, j]) for j in range(b.shape[1])]
+            for i in range(a.shape[1])
+        ]
+    )
+
+
+def iv_blocks(rows, model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x = (x1, x2), z = (z1, x2) and e = y - x'beta0 of rows laid out as
+    (y, x1, x2, z1)."""
     k1, k2, _ = model.dims
     rows = np.asarray(rows, dtype=float)
     x = rows[:, 1 : 1 + k1 + k2]
     z = np.hstack([rows[:, 1 + k1 + k2 :], rows[:, 1 + k1 : 1 + k1 + k2]])
-    e = rows[:, 0] - x @ model.beta0
+    return x, z, rows[:, 0] - x @ model.beta0
 
-    def moment(a, b):
-        return np.array(
-            [
-                [math.fsum(probs * a[:, i] * b[:, j]) for j in range(b.shape[1])]
-                for i in range(a.shape[1])
-            ]
-        )
 
+def iv_efficient_scores(probs, rows, model) -> tuple[np.ndarray, np.ndarray]:
+    """Efficient-score columns of the linear IV null model, x e / sigma0^2,
+    and of the maintained model, E[XZ'] E[ZZ']^{-1} z e / sigma0^2, each of
+    shape (S, p); every population moment is a per-atom ``math.fsum``."""
+    x, z, e = iv_blocks(rows, model)
     scale = (e / model.sigma0_sq)[:, None]
-    return x * scale, (z @ np.linalg.solve(moment(z, z), moment(x, z).T)) * scale
+    ezz, exz = fsum_moment(probs, z, z), fsum_moment(probs, x, z)
+    return x * scale, (z @ np.linalg.solve(ezz, exz.T)) * scale
+
+
+def iv_bias_closed_forms(probs, rows, model, g) -> dict[str, np.ndarray]:
+    """Asymptotic means of sqrt(n) (estimator - beta0) along the direction
+    with per-atom values ``g``: OLS drifts by E[XX']^{-1} E[X e g], 2SLS by
+    (E[XZ'] E[ZZ']^{-1} E[ZX'])^{-1} E[XZ'] E[ZZ']^{-1} E[Z e g].  Every
+    population moment is a per-atom ``math.fsum``."""
+    x, z, e = iv_blocks(rows, model)
+    eg = (e * np.asarray(g, dtype=float))[:, None]
+    exz, ezz = fsum_moment(probs, x, z), fsum_moment(probs, z, z)
+    bread = exz @ np.linalg.solve(ezz, exz.T)
+    ols = np.linalg.solve(fsum_moment(probs, x, x), fsum_moment(probs, x, eg)[:, 0])
+    tsls = np.linalg.solve(bread, exz @ np.linalg.solve(ezz, fsum_moment(probs, z, eg)[:, 0]))
+    return {"ols": ols, "tsls": tsls}
 
 
 # --- per-observation reference definitions of the catalogue moment models --------
@@ -161,17 +183,7 @@ def stack_rows(fn, theta, points) -> np.ndarray:
     return np.array([fn(theta, x) for x in points], dtype=float)
 
 
-# --- sample reduction and two-step GMM ---------------------------------------------
-
-
-def unique_row_groups(rows, counts, n) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows by ``np.unique(axis=0)`` with their count totals over ``n``,
-    rows whose total is zero dropped: the grouping ``gmm._compress`` must
-    reproduce bit for bit."""
-    pts, inverse = np.unique(rows, axis=0, return_inverse=True)
-    totals = np.bincount(inverse.reshape(-1), weights=counts, minlength=pts.shape[0])
-    keep = totals > 0
-    return pts[keep], totals[keep] / n
+# --- two-step GMM -----------------------------------------------------------------
 
 
 def overidentified_mean_two_step(values, counts, v) -> float:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +110,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             apply_overrides(raw, ["no-equals-sign"])
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            'score={"kind": "basis", "space": "T_perp"}',
+            'score={"kind": "basis", "space": "T_perp", "coefficients": ["two"]}',
+            'score={"kind": "values", "values": [0, 0, "x", 0, 0]}',
+            "n=999.9",
+            'reps="200"',
+            'alpha="0.05"',
+            "seed=true",
+        ],
+    )
+    def test_malformed_field_is_a_config_error(self, override, capsys):
+        raw = apply_overrides(validate_raw(load_raw(CONFIG_DIR / "g1_perp.json")), [override])
+        with pytest.raises(ConfigInvalid):
+            build_experiment(raw)
+        code = execute(["run", "--config", str(CONFIG_DIR / "g1_perp.json"), "--set", override])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_override_injecting_unknown_key_is_caught(self):
         raw = minimal_config()
         apply_overrides(raw, ["instants=G1"])
@@ -196,6 +219,19 @@ class TestCliCommands:
         assert summary["reps_failed"] == 10
         assert summary["estimators"]["gmm"]["reps_used"] == 90
         assert "error: 10 of 100 replications failed: 10 AsymlabError" in err
+
+    def test_module_entry_point_prints_the_prediction(self, capsys):
+        config = str(CONFIG_DIR / "g1_perp.json")
+        done = subprocess.run(
+            [sys.executable, "-m", "asymlab.cli", "predict", "--config", config],
+            env=dict(os.environ, PYTHONPATH=str(Path(asymlab.cli.__file__).parents[1])),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert execute(["predict", "--config", config]) == 0
+        assert json.loads(done.stdout) == json.loads(capsys.readouterr().out)
 
     def test_missing_config_is_usage_error(self, capsys):
         code = execute(["run", "--config", "missing.json"])

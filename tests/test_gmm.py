@@ -3,7 +3,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -11,7 +10,6 @@ from oracles import (
     overidentified_mean_per_row,
     overidentified_mean_two_step,
     stack_rows,
-    unique_row_groups,
 )
 
 import asymlab.gmm as gmm
@@ -25,16 +23,16 @@ from asymlab.dist import (
     replication_seed,
 )
 from asymlab.errors import (
-    AsymlabError,
     DegenerateDof,
     Infeasible,
     MomentNotSatisfied,
     RankDeficientJacobian,
     ShapeMismatch,
     SingularSigma,
+    SingularSigmaHat,
 )
 from asymlab.gmm import (
-    _compress,
+    _cholesky,
     _curvature,
     _newton,
     _weighted_jacobian,
@@ -44,7 +42,12 @@ from asymlab.gmm import (
     kl_projection,
     population_dataset,
 )
-from asymlab.instances import linear_iv_moment_model, overidentified_mean_model, tangent_bases
+from asymlab.instances import (
+    GmmInstance,
+    linear_iv_moment_model,
+    overidentified_mean_model,
+    tangent_bases,
+)
 from asymlab.models import MomentModel
 from asymlab.paths import LocalPath, path_distribution
 from asymlab.scores import ScoreFunction, project
@@ -147,12 +150,18 @@ class TestEstimateGmm:
         assert np.linalg.eigvalsh(est.info_hat)[0] > 0
 
     def test_singular_sigma_hat_detected(self, g1):
-        from asymlab.errors import SingularSigmaHat
-
         # a constant sample makes the moment outer product rank one
         data = Dataset(rows=np.zeros((10, 1)))
         with pytest.raises(SingularSigmaHat):
             estimate_gmm(data, g1.model, g1.theta0)
+
+    @pytest.mark.parametrize("x", [0.75, 1.0, 1.5, 2.0, 3.0])
+    def test_one_point_samples_have_singular_sigma_hat(self, g1, x):
+        # n observations at one x give a rank-one SigmaHat whatever rounding
+        # leaves in its smallest eigenvalue, as rows or as one counted row
+        for data in (Dataset(np.full((50, 1), x)), Dataset(np.array([[x]]), np.array([50]))):
+            with pytest.raises(SingularSigmaHat):
+                estimate_gmm(data, g1.model, g1.theta0)
 
     def test_rank_deficient_jacobian_detected(self, g1):
         from asymlab.errors import RankDeficientJacobian
@@ -276,6 +285,14 @@ class TestMomentContract:
         with pytest.raises(ShapeMismatch):
             model.jacobians_at(np.array([0.0]), g1.dist.support)
 
+    def test_jacobian_that_disagrees_with_the_moments_is_refused(self, g1):
+        doubled = MomentModel(
+            m=g1.model.m, jac=lambda t, x: 2.0 * g1.model.jac(t, x), p=g1.model.p, l=g1.model.l
+        )
+        instance = GmmInstance(name="doubled", dist=g1.dist, model=doubled, theta0=g1.theta0)
+        with pytest.raises(ShapeMismatch, match="finite differences"):
+            tangent_bases(instance)
+
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -318,72 +335,15 @@ class TestMomentContract:
         assert np.max(np.abs(got_jac - want_jac)) <= 1e-14 * max(1.0, np.max(np.abs(want_jac)))
 
 
-@st.composite
-def count_samples(draw):
-    """Distinct support points in random order with counts, some of them zero."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_atoms = draw(st.integers(2, 9))
-    support = rng.choice(np.linspace(-3.0, 3.0, 25), n_atoms, replace=False)[:, None]
-    counts = rng.integers(0, 40, n_atoms)
-    counts[rng.random(n_atoms) < 0.3] = 0
-    return support, counts, rng
+def count_sample(dist, n, seed):
+    """The draws of ``draw_sample(dist, n, seed)`` as the support with its counts."""
+    idx = draw_indices(dist, n, seed)
+    return Dataset(dist.support, np.bincount(idx, minlength=dist.n_atoms))
 
 
-def _estimate_or_error(data, model):
-    try:
-        return estimate_gmm(data, model, np.array([0.0]))
-    except (AsymlabError, ValueError) as exc:
-        return type(exc)
-
-
-class TestCountSamples:
-    def test_compress_groups_unsorted_rows_and_drops_zero_counts(self):
-        rows = np.array([[2.0], [-1.0], [2.0], [0.5]])
-        pts, w = _compress(Dataset(rows, np.array([3, 4, 1, 0])))
-        assert np.array_equal(pts, [[-1.0], [2.0]])
-        assert np.array_equal(w, [0.5, 0.5])
-
-    @settings(max_examples=150, deadline=None)
-    @given(case=count_samples())
-    def test_counts_and_expanded_rows_give_identical_estimates(self, g1, case):
-        support, counts, rng = case
-        rows = rng.permutation(np.repeat(support, counts, axis=0))
-        by_counts = _estimate_or_error(Dataset(support, counts), g1.model)
-        by_rows = _estimate_or_error(Dataset(rows), g1.model)
-        if isinstance(by_rows, type):
-            assert by_counts is by_rows
-            return
-        assert not isinstance(by_counts, type)
-        assert np.array_equal(by_counts.theta_hat, by_rows.theta_hat)
-        assert by_counts.j_stat == by_rows.j_stat
-        assert by_counts.iterations == by_rows.iterations
-        assert by_counts.converged == by_rows.converged
-        assert by_counts.n == by_rows.n == int(counts.sum())
-
-
-@st.composite
-def row_samples(draw):
-    """Rows of one to three columns on a coarse grid, so that rows repeat,
-    with integer counts (some zero) that sum to at least one."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_rows = draw(st.integers(1, 30))
-    rows = rng.choice(np.linspace(-2.0, 2.0, 5), (n_rows, draw(st.integers(1, 3))))
-    counts = rng.integers(0, 4, n_rows)
-    counts[rng.integers(n_rows)] += 1
-    return rows, counts
-
-
-class TestCompress:
-    @settings(max_examples=200, deadline=None)
-    @given(case=row_samples())
-    def test_matches_the_unique_row_grouping_bit_for_bit(self, case):
-        rows, counts = case
-        data = Dataset(rows, counts)
-        pts, w = _compress(data)
-        want_pts, want_w = unique_row_groups(rows, counts, data.n)
-        assert pts.dtype == want_pts.dtype and w.dtype == want_w.dtype
-        assert pts.shape == want_pts.shape and pts.tobytes() == want_pts.tobytes()
-        assert w.shape == want_w.shape and w.tobytes() == want_w.tobytes()
+def rows_and_weights(data):
+    """The (points, weights) pair ``estimate_gmm`` hands to ``_newton``."""
+    return data.rows, data.counts / data.n
 
 
 def _flat_direction_model():
@@ -432,7 +392,7 @@ class TestStopReasons:
         # J is 7.6e-6 on this sample: W mbar is so small that rounding keeps
         # the first-order test from passing, and the search ends after its
         # FINAL_STEPS unsearched Newton steps
-        est = estimate_gmm(draw_sample(g1.dist, 100, seed=71), g1.model, g1.theta0)
+        est = estimate_gmm(count_sample(g1.dist, 100, seed=71), g1.model, g1.theta0)
         assert est.j_stat < 1e-5
         assert est.stop_reasons == (gmm.DECREMENT, gmm.DECREMENT)
         assert est.converged
@@ -453,7 +413,7 @@ class TestStopReasons:
         # a rank-one Jacobian leaves both the Hessian and the normal matrix
         # singular; estimate_gmm then refuses the sample information
         model = _flat_direction_model()
-        pts, w = _compress(draw_sample(g1.dist, 100, seed=0))
+        pts, w = rows_and_weights(count_sample(g1.dist, 100, seed=0))
         found = _newton(model, pts, w, np.zeros(2), np.eye(2))
         assert found.reason == gmm.NOT_POSITIVE_DEFINITE and found.steps == 0
         assert np.array_equal(found.theta, np.zeros(2))
@@ -461,7 +421,7 @@ class TestStopReasons:
             estimate_gmm(draw_sample(g1.dist, 100, seed=0), model, np.zeros(2))
 
     def test_newton_hands_back_the_moments_at_its_minimiser(self, g1):
-        pts, w = _compress(draw_sample(g1.dist, 100, seed=0))
+        pts, w = rows_and_weights(count_sample(g1.dist, 100, seed=0))
         found = _newton(g1.model, pts, w, g1.theta0, np.eye(2))
         assert np.array_equal(found.m_vals, g1.model.moments_at(found.theta, pts))
         assert np.array_equal(found.mbar, w @ found.m_vals)
@@ -480,7 +440,7 @@ class TestCurvature:
             return base.jac(theta, x)
 
         model = MomentModel(m=base.m, jac=jac, p=1, l=2)
-        pts, w = _compress(draw_sample(g1.dist, 100, seed=0))
+        pts, w = rows_and_weights(count_sample(g1.dist, 100, seed=0))
         wm = np.array([0.3, -0.7])
         got = _curvature(model, pts, w, np.array([theta]), wm)
         assert got == pytest.approx(np.array([[2.0 * wm[1]]]), rel=1e-8)
@@ -552,15 +512,13 @@ def _first_order_residual(model, v, data, est):
     """G'W mbar at theta-hat (p = 1), its scale ||G|| ||W mbar||, and the
     rounding floor of its evaluation for the overidentified-mean model.
 
-    The weight is the solver's, bit for bit: ``cho_solve`` on a lower factor
-    of SigmaHat is the same LAPACK potrf/potrs pair.  mbar sums terms of
-    size |x| + |theta| and (x - theta)^2 + v, each rounded; the floor is 64
-    ulps of their weighted sum, carried through ||G|| ||W||.
+    The weight is the solver's, bit for bit: the same factorisation and
+    solve of SigmaHat.  mbar sums terms of size |x| + |theta| and
+    (x - theta)^2 + v, each rounded; the floor is 64 ulps of their weighted
+    sum, carried through ||G|| ||W||.
     """
-    pts, w = _compress(data)
-    weight = scipy.linalg.cho_solve(
-        scipy.linalg.cho_factor(est.sigma_hat, lower=True), np.eye(model.l)
-    )
+    pts, w = rows_and_weights(data)
+    weight = _cholesky(est.sigma_hat, np.eye(model.l))
     weight = 0.5 * (weight + weight.T)
     theta = est.theta_hat
     wm = weight @ (w @ model.moments_at(theta, pts))

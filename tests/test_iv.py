@@ -1,12 +1,15 @@
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import iv_efficient_scores
+from oracles import iv_bias_closed_forms, iv_efficient_scores
 
+from asymlab.config import build_experiment, build_instance, load_raw, validate_raw
 from asymlab.dist import Dataset, draw_sample, make_distribution
 from asymlab.errors import (
     AsymlabError,
@@ -15,6 +18,7 @@ from asymlab.errors import (
     RankDeficientFirstStage,
     ShapeMismatch,
     SingularDesign,
+    SingularInstrumentGram,
 )
 from asymlab.gmm import population_dataset
 from asymlab.instances import iv1_instance, tangent_bases
@@ -25,11 +29,11 @@ from asymlab.iv import (
     estimate_ols,
     hausman_contrast_basis,
     iv_influence_functions,
-    iv_predicted_biases,
     read_csv,
     write_csv,
 )
 from asymlab.models import IVModel
+from asymlab.predict import build_prediction
 from asymlab.scores import (
     ScoreFunction,
     centered_score,
@@ -37,6 +41,10 @@ from asymlab.scores import (
     iv_tangent_bases,
     project,
 )
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def iv1_sample(iv1, n=400, seed=8):
@@ -66,6 +74,13 @@ class TestIVDataset:
         for estimator in (estimate_ols, estimate_2sls):
             with pytest.raises(ShapeMismatch):
                 estimator(narrow, model)
+
+    def test_non_finite_row_refused(self, iv1):
+        rows = iv1.dist.support.copy()
+        rows[3, 0] = np.nan
+        for estimator in (estimate_ols, estimate_2sls):
+            with pytest.raises(ValueError):
+                estimator(Dataset(rows, np.full(8, 10)), iv1.model)
 
     def test_order_condition_enforced(self):
         with pytest.raises(ShapeMismatch):
@@ -143,6 +158,15 @@ class TestTsls:
         data, model = synthetic(X @ beta, x1, x2, z)
         est = estimate_2sls(data, model)
         assert np.max(np.abs(est.beta - beta)) < 1e-12
+
+    @pytest.mark.parametrize("c", range(1, 11))
+    def test_constant_instrument_refused(self, iv1, c):
+        # counts only on the four z1 = +1 atoms: z1 equals the intercept, so
+        # Z'Z is singular; rounding decides which of the two checks fires
+        counts = np.where(iv1.dist.column(3) > 0, c, 0)
+        data = Dataset(iv1.dist.support, counts)
+        with pytest.raises((SingularInstrumentGram, RankDeficientFirstStage)):
+            estimate_2sls(data, iv1.model)
 
     def test_rank_deficient_first_stage(self, rng):
         # instrument orthogonal to the regressor in-sample
@@ -387,6 +411,20 @@ def efficient_scores(instance):
     )
 
 
+def predicted_biases(instance, g):
+    """OLS and 2SLS drifts along ``g`` as ``build_prediction`` reports them."""
+    return build_prediction(instance, g, ["ols", "tsls"], [], 0.05).biases
+
+
+@pytest.fixture(scope="module")
+def iv_wide_design():
+    """``iv_wide_design(seed)`` of the benchmark's workload definitions."""
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.iv_wide_design
+
+
 class TestBiasChannels:
     def test_tangent_scores_bias_both_estimators_equally(self, iv1, rng):
         # a direction inside the null tangent space drifts both estimators by
@@ -401,7 +439,7 @@ class TestBiasChannels:
             raw = ScoreFunction(iv1.dist, rng.standard_normal(t_basis.dim) @ t_basis.matrix())
             nuisance = raw - project(iv1.dist, raw, score_span)
             g = h[0] * ell_p[0] + h[1] * ell_p[1] + nuisance
-            biases = iv_predicted_biases(iv1.dist, iv1.model, g)
+            biases = predicted_biases(iv1, g)
             assert np.max(np.abs(biases["ols"] - h)) < 1e-10
             assert np.max(np.abs(biases["tsls"] - h)) < 1e-10
 
@@ -418,13 +456,30 @@ class TestBiasChannels:
             g = ScoreFunction(iv1.dist, coefs @ t_perp_m.matrix())
             cross = np.array([inner_product(iv1.dist, a, g) for a in ell_m])
             h = np.linalg.solve(gram, cross)
-            biases = iv_predicted_biases(iv1.dist, iv1.model, g)
+            biases = predicted_biases(iv1, g)
             assert np.max(np.abs(biases["ols"])) < 1e-10
             assert np.max(np.abs(biases["tsls"] - h)) < 1e-10
 
     def test_contrast_direction_moves_tsls_only(self, iv1):
         basis = hausman_contrast_basis(iv1.dist, iv1.model)
         g = ScoreFunction(basis.dist, basis.matrix()[0])
-        biases = iv_predicted_biases(iv1.dist, iv1.model, g)
+        biases = predicted_biases(iv1, g)
         assert np.max(np.abs(biases["ols"])) < 1e-10
         assert np.linalg.norm(biases["tsls"]) > 0.1
+
+    def test_influence_route_matches_the_closed_forms(self, iv_wide_design):
+        cases = []
+        for name in ("iv1_power", "iv1_bias_equal"):
+            experiment = build_experiment(validate_raw(load_raw(CONFIG_DIR / f"{name}.json")))
+            cases.append((experiment.instance, experiment.score))
+        for seed in (1, 2, 3):
+            design = iv_wide_design(seed)
+            instance = build_instance(design["instance"])
+            cases.append((instance, ScoreFunction(instance.dist, np.array(design["g"]))))
+        for instance, g in cases:
+            dist = instance.dist
+            want = iv_bias_closed_forms(dist.probs, dist.support, instance.model, g.values)
+            got = predicted_biases(instance, g)
+            for name in ("ols", "tsls"):
+                scale = max(1.0, np.max(np.abs(want[name])))
+                assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale

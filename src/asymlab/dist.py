@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,15 @@ class DiscreteDistribution:
         """Values of coordinate ``j`` on the support, shape (S,)."""
         return self.support[:, j]
 
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative probabilities in support order, the last exactly one
+        (a guard against accumulated rounding at the top); read-only."""
+        cum = np.cumsum(self.probs)
+        cum[-1] = 1.0
+        cum.setflags(write=False)
+        return cum
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -68,7 +78,7 @@ class Dataset:
             counts = np.asarray(self.counts)
             if counts.shape != (m,):
                 raise LengthMismatch(f"counts have shape {counts.shape} for {m} rows")
-            if not np.issubdtype(counts.dtype, np.integer):
+            if counts.dtype.kind not in "iu":
                 raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
             if m and counts.min() < 0:
                 raise ValueError(f"counts must be non-negative, got {counts.min()}")
@@ -157,9 +167,7 @@ def draw_indices(dist: DiscreteDistribution, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _SEED_MASK))
-    cum = np.cumsum(dist.probs)
-    cum[-1] = 1.0  # guard against accumulated rounding at the top
-    return np.searchsorted(cum, rng.random(n), side="right")
+    return np.searchsorted(dist.cdf, rng.random(n), side="right")
 
 
 def draw_sample(dist: DiscreteDistribution, n: int, seed: int) -> Dataset:

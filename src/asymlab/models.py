@@ -9,7 +9,7 @@ one Python call per point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -89,6 +89,7 @@ class IVModel:
     beta0: np.ndarray
     sigma0_sq: float
     dims: tuple[int, int, int]
+    _z_columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k1, k2, q = self.dims
@@ -102,6 +103,10 @@ class IVModel:
         if not self.sigma0_sq > 0:
             raise ValueError(f"sigma0_sq must be positive, got {self.sigma0_sq}")
         object.__setattr__(self, "beta0", beta)
+        # Z = (z1, x2) in the row layout (y, x1, x2, z1)
+        object.__setattr__(
+            self, "_z_columns", np.r_[1 + k1 + k2 : 1 + k1 + k2 + q, 1 + k1 : 1 + k1 + k2]
+        )
 
     @property
     def k1(self) -> int:
@@ -124,13 +129,17 @@ class IVModel:
         """Width of a support point / data row laid out as (y, x1, x2, z1)."""
         return 1 + self.k1 + self.k2 + self.q
 
-    def split_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Split (n, point_dim) rows into (y, x1, x2, z1) blocks."""
+    def _checked(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.point_dim:
             raise ShapeMismatch(
                 f"rows have shape {rows.shape}, expected (*, {self.point_dim}) = (y, x1, x2, z1)"
             )
+        return rows
+
+    def split_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Split (n, point_dim) rows into (y, x1, x2, z1) blocks."""
+        rows = self._checked(rows)
         k1, k2, q = self.dims
         y = rows[:, 0]
         x1 = rows[:, 1 : 1 + k1]
@@ -139,9 +148,11 @@ class IVModel:
         return y, x1, x2, z1
 
     def design_matrices(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (y, X, Z) with X = [x1, x2] and Z = [z1, x2]."""
-        y, x1, x2, z1 = self.split_rows(rows)
-        return y, np.hstack([x1, x2]), np.hstack([z1, x2])
+        """Return (y, X, Z) with X = [x1, x2] and Z = [z1, x2]: y and X are
+        views of ``rows`` (x1 and x2 are adjacent), Z one gather of its
+        columns."""
+        rows = self._checked(rows)
+        return rows[:, 0], rows[:, 1 : 1 + self.k1 + self.k2], rows.take(self._z_columns, axis=1)
 
     def errors_on(self, rows: np.ndarray) -> np.ndarray:
         """Structural errors e = y - X'beta0 on the given rows."""

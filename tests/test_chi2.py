@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from oracles import noncentral_chisq_cdf_by_gammainc as cdf_by_gammainc
 from oracles import noncentral_chisq_cdf_by_quadrature as cdf_by_quadrature
 
 from asymlab.chi2 import TestStatistic, chisq_quantile, local_power, noncentral_chisq_cdf
 from asymlab.errors import DegenerateDof, DomainError
+
+GRID_X = (1e-8, 1e-3, 0.5, 2.0, 5.0, 12.0, 30.0, 80.0, 200.0, 450.0, 700.0, 1000.0, 1500.0, 3000.0)
 
 
 class TestNoncentralCdf:
@@ -17,9 +20,11 @@ class TestNoncentralCdf:
         assert noncentral_chisq_cdf(3.841458820694124, 1, 0.0) == pytest.approx(0.95, abs=1e-6)
 
     def test_zero_argument(self):
-        for k in (1, 3):
-            for lam in (0.0, 2.5):
-                assert noncentral_chisq_cdf(0.0, k, lam) == 0.0
+        # x/2 of the smallest subnormal rounds to 0 too; its CDF is below 1e-161
+        for x in (0.0, 5e-324):
+            for k in (1, 2, 3):
+                for lam in (0.0, 2.5):
+                    assert noncentral_chisq_cdf(x, k, lam) == 0.0
 
     def test_decreasing_in_noncentrality(self):
         # stochastic ordering on a grid
@@ -46,6 +51,16 @@ class TestNoncentralCdf:
                     assert noncentral_chisq_cdf(x, k, lam) == pytest.approx(
                         cdf_by_quadrature(x, k, lam), abs=1e-9
                     )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 13, 30, 59, 60])
+    def test_against_gammainc_grid(self, k):
+        # odd k climbs from erfc, even k from exp; from x = 1500 on, exp(-x/2)
+        # and erfc(sqrt(x/2)) underflow to zero and only the ladder's terms,
+        # taken in logs, carry the upper tail
+        for lam in (0.0, 1e-3, 0.5, 3.0, 10.0, 40.0, 150.0, 600.0):
+            for x in GRID_X:
+                got = noncentral_chisq_cdf(x, k, lam)
+                assert abs(got - cdf_by_gammainc(x, k, lam)) <= 1e-14, (x, k, lam)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -420,6 +420,19 @@ class TestStopReasons:
         with pytest.raises(RankDeficientJacobian):
             estimate_gmm(draw_sample(g1.dist, 100, seed=0), model, np.zeros(2))
 
+    def test_not_positive_definite_in_step_two(self, g1):
+        # the efficient weight leaves G'WG rank one, as the identity did; its
+        # second pivot is rounding noise, so step two stops where step one
+        # did instead of stepping along the unidentified direction t1 - t2
+        model = _flat_direction_model()
+        pts, w = rows_and_weights(draw_sample(g1.dist, 100, seed=0))
+        first = _newton(model, pts, w, np.zeros(2), np.eye(2))
+        sigma_hat = (first.m_vals.T * w) @ first.m_vals
+        weight = _cholesky(0.5 * (sigma_hat + sigma_hat.T), np.eye(2))
+        second = _newton(model, pts, w, first.theta, 0.5 * (weight + weight.T))
+        assert second.reason == gmm.NOT_POSITIVE_DEFINITE and second.steps == 0
+        assert np.array_equal(second.theta, np.zeros(2))
+
     def test_newton_hands_back_the_moments_at_its_minimiser(self, g1):
         pts, w = rows_and_weights(count_sample(g1.dist, 100, seed=0))
         found = _newton(g1.model, pts, w, g1.theta0, np.eye(2))
@@ -547,12 +560,74 @@ class TestNewtonOnRandomSupports:
         assert abs(a.theta_hat[0] - exact) <= 1e-12
 
 
-def test_the_run_path_does_not_import_scipy_optimize(run_python):
-    # linprog is imported inside _hull_interior_margin: only kl_projection and
-    # the selftest use it, and scipy.optimize takes about 0.2 s to import
-    out = run_python(
-        "import sys\n"
-        "import asymlab.config, asymlab.predict, asymlab.mc\n"
-        "print('scipy.optimize' in sys.modules)\n"
+class TestCholesky:
+    """``_cholesky`` against LAPACK ``dpotrf``/``dpotrs`` on the upper triangle."""
+
+    @staticmethod
+    def lapack(a, b):
+        from scipy.linalg.lapack import dpotrf, dpotrs
+
+        factor, info = dpotrf(a, lower=0)
+        return dpotrs(factor, b, lower=0)[0] if info == 0 else None
+
+    @staticmethod
+    def spd(rng, n):
+        """A random symmetric positive definite n x n matrix with condition
+        number at most 1e3 and scale between e^-5 and e^5.  Its lower
+        triangle is perturbed by 1e-9 relative, which neither solve reads."""
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (q * np.exp(rng.uniform(0.0, math.log(1e3), n))) @ q.T
+        a = np.triu(a) + np.tril(a, -1) * (1.0 + 1e-9 * rng.standard_normal((n, n)))
+        return a * math.exp(rng.uniform(-5.0, 5.0))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_lapack(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(200):
+            a = self.spd(rng, n)
+            for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+                got, want = _cholesky(a, b), self.lapack(a, b)
+                assert got.shape == want.shape == b.shape
+                if n == 1:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[-1.0]],
+            [[0.0]],
+            [[1.0, 2.0], [2.0, 1.0]],  # indefinite
+            [[1.0, 1.0], [1.0, 1.0]],  # singular: its second pivot is exactly 0
+            [[3.0, 1.0], [1.0, 1.0 / 3.0]],  # singular: its second pivot is rounding noise
+            [[1.0, 0.0, 0.0], [0.0, 2.0, 2.0], [0.0, 2.0, 2.0]],
+        ],
     )
-    assert out.strip() == "False"
+    def test_refuses_a_matrix_that_is_not_positive_definite(self, a):
+        a = np.array(a)
+        assert _cholesky(a, np.ones(len(a))) is None
+        assert _cholesky(a, np.eye(len(a))) is None
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 1)])
+    def test_refuses_nan(self, where):
+        a = np.array([[2.0, 0.5], [0.5, 1.0]])
+        a[where] = math.nan
+        assert _cholesky(a, np.ones(2)) is None
+
+
+def test_the_run_path_imports_no_scipy(run_python, tmp_path):
+    # SciPy is needed only by kl_projection's linprog (the selftest) and by
+    # the test oracles; importing it costs 0.15-0.35 s of every cold start
+    out = run_python(
+        "import json, sys\n"
+        "import asymlab.cli, asymlab.config, asymlab.predict, asymlab.mc\n"
+        "for name in ('g1_perp', 'iv1_power'):\n"
+        f"    path = {str(tmp_path)!r} + '/' + name\n"
+        f"    argv = ['run', '--config', {str(CONFIG_DIR)!r} + '/' + name + '.json',\n"
+        "            '--reps', '100', '--out', path + '.json', '--raw-csv', path + '.csv']\n"
+        "    assert asymlab.cli.execute(argv) in (0, 1), name\n"
+        "    assert json.load(open(path + '.json'))['summary']['reps_failed'] == 0, name\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert out.strip() == "[]"

@@ -29,6 +29,7 @@ from .gmm import (
 from .instances import (
     GmmInstance,
     IvInstance,
+    decompose_score,
     g1_instance,
     instance_by_name,
     iv1_instance,
@@ -75,7 +76,6 @@ from .scores import (
     ScoreFunction,
     SubspaceBasis,
     centered_score,
-    decompose_score,
     gmm_tangent_basis,
     inner_product,
     iv_tangent_bases,

@@ -21,12 +21,11 @@ import numpy as np
 from . import config as cfg
 from .dist import Dataset, draw_indices, replication_seed
 from .errors import AsymlabError, ConfigInvalid, TooManyFailures
-from .instances import three_way_bases
+from .instances import decompose_score
 from .iv import write_csv
 from .mc import compare_to_theory, local_distribution, run_experiment
 from .paths import LocalPath, hellinger_residual
 from .predict import build_prediction
-from .scores import decompose_score
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -148,7 +147,7 @@ def _dump_first_sample(experiment, path) -> None:
 def _cmd_decompose(args) -> int:
     raw = _load(args)
     instance, score = cfg.build_instance_and_score(raw)
-    report = decompose_score(instance.dist, score, three_way_bases(instance))
+    report = decompose_score(instance, score)
     doc = {
         "support": instance.dist.support.tolist(),
         "score": score.values.tolist(),

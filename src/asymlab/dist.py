@@ -113,7 +113,9 @@ def make_distribution(support, probs) -> DiscreteDistribution:
         raise ValueError("support and probs must be finite")
     if np.any(w <= 0.0):
         raise ZeroOrNegativeProb(f"minimum prob {w.min()} is not strictly positive")
-    if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
+    # sorted rows put equal points next to each other; == counts -0.0 as 0.0
+    ordered = pts[np.lexsort(pts.T)]
+    if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
         raise DuplicateSupportPoint("support points must be pairwise distinct")
     total = math.fsum(w)
     w = w / total

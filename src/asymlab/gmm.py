@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chi2 import TestStatistic
-from .dist import Dataset, DiscreteDistribution, make_distribution
+from .dist import Dataset, DiscreteDistribution, expectation, make_distribution
 from .errors import (
     DegenerateDof,
     Infeasible,
@@ -37,11 +37,10 @@ from .errors import (
 from .models import MomentModel
 from .scores import (
     ScoreFunction,
+    _moment_tperp_part,
     _near_singular,
     _population_moment_objects,
     centered_score,
-    gmm_tangent_basis,
-    project,
 )
 
 FIRST_ORDER_TOL = 1e-13
@@ -91,7 +90,8 @@ def efficient_influence(
     The efficient score is -E[grad m]' Sigma^{-1} m evaluated on the support;
     the information is E[grad m]' Sigma^{-1} E[grad m]; the influence is the
     information inverse applied to the score.  Each influence coordinate is
-    verified to lie in the model tangent space (projection residual < 1e-8).
+    verified to lie in the model tangent space: its part in the
+    orthocomplement T_perp must have norm below 1e-8.
     """
     theta0 = np.asarray(theta0, dtype=float)
     m_vals, sigma, gbar = _population_moment_objects(dist, model, theta0)
@@ -101,9 +101,9 @@ def efficient_influence(
     nu = ell @ np.linalg.inv(info)
     ell_scores = [centered_score(dist, ell[:, j]) for j in range(model.p)]
     nu_scores = [centered_score(dist, nu[:, j]) for j in range(model.p)]
-    t_basis, _ = gmm_tangent_basis(dist, model, theta0)
-    for j, f in enumerate(nu_scores):
-        resid = (f - project(dist, f, t_basis)).norm()
+    escape = _moment_tperp_part(dist, m_vals, ell, nu)
+    for j in range(model.p):
+        resid = math.sqrt(expectation(dist, escape[:, j] ** 2))
         if resid > 1e-8:
             raise RankDeficientJacobian(
                 f"influence coordinate {j} escapes the tangent space by {resid:.2e}"

@@ -1,4 +1,5 @@
-"""Catalog of ready-made problem instances and score-direction resolution.
+"""Catalog of ready-made problem instances, score-direction resolution, and
+the three-way split of a score.
 
 Two built-ins cover the full verification surface:
 
@@ -21,9 +22,14 @@ from .dist import DiscreteDistribution, make_distribution
 from .errors import ConfigInvalid
 from .models import IVModel, MomentModel
 from .scores import (
+    DecompositionReport,
     ScoreFunction,
     SubspaceBasis,
+    _require_same_dist,
+    gmm_orthocomplement_part,
     gmm_tangent_basis,
+    inner_product,
+    iv_orthocomplement_parts,
     iv_tangent_bases,
 )
 
@@ -147,7 +153,8 @@ def tangent_bases(instance: Instance) -> tuple[SubspaceBasis, ...]:
 
     Built on the first call and held on the instance itself, so the bases
     live exactly as long as the instance and always belong to its
-    distribution.
+    distribution.  Only a score given by basis coefficients needs them;
+    ``decompose_score`` does not.
     """
     if instance._bases is None:
         if isinstance(instance, GmmInstance):
@@ -171,6 +178,27 @@ def three_way_bases(instance: Instance) -> tuple[SubspaceBasis, SubspaceBasis, S
     t_basis, t_perp = bases
     empty = SubspaceBasis(instance.dist, np.zeros((0, instance.dist.n_atoms)), label="M_perp")
     return t_basis, t_perp, empty
+
+
+def decompose_score(instance: Instance, g: ScoreFunction) -> DecompositionReport:
+    """Split ``g`` into its parts in T, in T_perp_cap_M and in M_perp.
+
+    The parts are read from the small side of each split, with no basis:
+    p = P_{T_perp} g and pi_Mperp = P_{M_perp} g come from the explicit
+    spanning sets of the orthocomplements, pi_TperpM = p - pi_Mperp and
+    pi_T = g - p.  For a moment instance the maintained model is everything,
+    so pi_Mperp is zero.  Each variance is taken from its own part, so an
+    empty part reads at rounding level, not as a difference of norms.
+    """
+    dist = instance.dist
+    _require_same_dist(dist, g)
+    if isinstance(instance, GmmInstance):
+        t_perp = gmm_orthocomplement_part(dist, instance.model, instance.theta0, g.values)
+        m_perp = np.zeros(dist.n_atoms)
+    else:
+        t_perp, m_perp = iv_orthocomplement_parts(dist, instance.model, g.values)
+    parts = [ScoreFunction(dist, v) for v in (g.values - t_perp, t_perp - m_perp, m_perp)]
+    return DecompositionReport(*parts, tuple(inner_product(dist, f, f) for f in parts))
 
 
 def _is_number(value, kinds=(int, float)) -> bool:

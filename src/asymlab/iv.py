@@ -32,9 +32,8 @@ from .models import IVModel
 from .scores import (
     ScoreFunction,
     SubspaceBasis,
+    _iv_null_design,
     centered_score,
-    check_iv_null_model,
-    iv_population_matrices,
     orthonormal_basis,
 )
 
@@ -182,10 +181,7 @@ def iv_influence_functions(
     dist: DiscreteDistribution, model: IVModel
 ) -> tuple[list[ScoreFunction], list[ScoreFunction]]:
     """Population influence functions of OLS and 2SLS for the coefficient vector."""
-    check_iv_null_model(dist, model)
-    _, X, Z = model.design_matrices(dist.support)
-    e = model.errors_on(dist.support)
-    exx, exz, ezz = iv_population_matrices(dist, model)
+    X, Z, e, exx, exz, ezz = _iv_null_design(dist, model)
     nu_vals = (X @ np.linalg.inv(exx)) * e[:, None]
     bread = exz @ np.linalg.solve(ezz, exz.T)
     tau_vals = (Z @ np.linalg.solve(ezz, exz.T) @ np.linalg.inv(bread)) * e[:, None]

@@ -19,7 +19,7 @@ from .chi2 import local_power
 from .dist import DiscreteDistribution, expectation
 from .errors import ShapeMismatch, WrongSubspaceLabel
 from .gmm import efficient_influence
-from .instances import GmmInstance, IvInstance, three_way_bases
+from .instances import GmmInstance, IvInstance, decompose_score
 from .iv import hausman_contrast_basis, iv_influence_functions
 from .models import MomentModel
 from .scores import (
@@ -27,7 +27,6 @@ from .scores import (
     SubspaceBasis,
     _population_moment_objects,
     coordinates,
-    decompose_score,
     inner_product,
 )
 
@@ -179,7 +178,7 @@ def build_prediction(
             basis = hausman_contrast_basis(dist, instance.model)
             ncp, dof = hausman_noncentrality(dist, basis, g)
             test_preds[name] = TestPrediction(dof, ncp, local_power(dof, ncp, alpha))
-    report = decompose_score(dist, g, three_way_bases(instance))
+    report = decompose_score(instance, g)
     decomposition = {
         "var_T": report.var_T,
         "var_TperpM": report.var_TperpM,

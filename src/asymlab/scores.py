@@ -15,7 +15,13 @@ The tangent-space constructors at the bottom build, for a moment-restriction
 model, the directions along which the model can be deformed (span of the
 efficient score plus the nuisance scores) and, for the linear IV design, the
 three-way split between the null model, the maintained model, and everything
-else.
+else.  Those bases are large (the tangent space T has nearly S dimensions)
+and are built only on demand, for a score given by basis coefficients.  A
+score's three-way split is read from the small side instead: every
+orthocomplement is spanned by a few explicit functions (the moment functions
+of a moment model; the cell-wise errors and the instrument errors of the IV
+design), so ``gmm_orthocomplement_part`` and ``iv_orthocomplement_parts``
+project on those spans by least-squares fits with a handful of columns.
 """
 
 from __future__ import annotations
@@ -275,6 +281,18 @@ def complement_basis(
     return _basis(dist, _pivoted_cgs2(np.diag(sqp), against=span), label)
 
 
+def _span_part(dist: DiscreteDistribution, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Projection of per-atom ``values`` (S,) or (S, j) on the span of the
+    columns of ``cols`` (S, k), centered exactly, which must have full
+    column rank.  The whitened columns are orthonormalized by a Householder
+    QR, so the error grows with their condition number, not with its square
+    as a Gram-matrix solve's would."""
+    sqp = np.sqrt(dist.probs)[:, None]
+    q, _ = np.linalg.qr((cols - expectation(dist, cols)) * sqp)
+    v = values.reshape(dist.n_atoms, -1) * sqp
+    return ((q @ (q.T @ v)) / sqp).reshape(values.shape)
+
+
 def _tangent_span(
     dist: DiscreteDistribution, ell: np.ndarray, nuisance: SubspaceBasis, label: str
 ) -> SubspaceBasis:
@@ -337,6 +355,31 @@ def gmm_tangent_basis(
     return t_basis, t_perp
 
 
+def _moment_tperp_part(
+    dist: DiscreteDistribution, m_vals: np.ndarray, ell: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """Part of ``values`` in T_perp = span(m) minus span(ell) of a moment model
+    with moment values ``m_vals`` (S, l) and efficient-score columns ``ell``
+    (S, p); ell lies in span(m), so the part is a difference of two fits."""
+    return _span_part(dist, m_vals, values) - _span_part(dist, ell, values)
+
+
+def gmm_orthocomplement_part(
+    dist: DiscreteDistribution, model: MomentModel, theta0, values: np.ndarray
+) -> np.ndarray:
+    """Projection of per-atom ``values`` on the orthocomplement T_perp of the
+    moment model's tangent space, without a basis of T.
+
+    The nuisance scores are the mean-zero functions orthogonal to every
+    moment function, so T_perp is the span of the centered moment functions
+    minus the span of the efficient score: an l-dimensional and a
+    p-dimensional fit.  Runs the checks of ``gmm_tangent_basis``.
+    """
+    m_vals, sigma, gbar = _population_moment_objects(dist, model, theta0)
+    ell = -m_vals @ np.linalg.solve(sigma, gbar)
+    return _moment_tperp_part(dist, m_vals, ell, values)
+
+
 # --- linear IV tangent construction -----------------------------------------------
 
 
@@ -378,6 +421,20 @@ def iv_population_matrices(
     return exx, exz, ezz
 
 
+def _iv_null_design(
+    dist: DiscreteDistribution, model: IVModel
+) -> tuple[np.ndarray, ...]:
+    """(X, Z, e, E[XX'], E[XZ'], E[ZZ']) on the support, once the conditional
+    null holds and E[ZX'] has full column rank."""
+    check_iv_null_model(dist, model)
+    _, X, Z = model.design_matrices(dist.support)
+    e = model.errors_on(dist.support)
+    exx, exz, ezz = iv_population_matrices(dist, model)
+    if np.linalg.matrix_rank(exz, tol=1e-10 * max(np.linalg.norm(exz), 1e-300)) < model.n_params:
+        raise RankDeficientFirstStage("E[ZX'] does not have full rank")
+    return X, Z, e, exx, exz, ezz
+
+
 def iv_tangent_bases(
     dist: DiscreteDistribution, model: IVModel
 ) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis]:
@@ -388,15 +445,14 @@ def iv_tangent_bases(
     and of the orthocomplement of the maintained space.  The conditional
     mean-zero constraint defining the nuisance directions of the null model
     is encoded as one linear constraint per distinct (x1, z) support value,
-    which is exact on a finite support.
+    which is exact on a finite support.  T has S - 1 - (cells - k)
+    dimensions, so these bases cost hundreds of Gram-Schmidt pivots on a
+    wide support; they are built only for a score given by basis
+    coefficients.  A score's three-way split comes from
+    ``iv_orthocomplement_parts``, which needs no basis.
     """
-    check_iv_null_model(dist, model)
-    _, X, Z = model.design_matrices(dist.support)
+    X, Z, e, _, exz, ezz = _iv_null_design(dist, model)
     y, x1, x2, z1 = model.split_rows(dist.support)
-    e = model.errors_on(dist.support)
-    exx, exz, ezz = iv_population_matrices(dist, model)
-    if np.linalg.matrix_rank(exz, tol=1e-10 * max(np.linalg.norm(exz), 1e-300)) < model.n_params:
-        raise RankDeficientFirstStage("E[ZX'] does not have full rank")
 
     # Null model: efficient score x e / sigma0^2; nuisance scores are the
     # mean-zero directions orthogonal to every (indicator of (x1, z)) * e.
@@ -427,6 +483,48 @@ def iv_tangent_bases(
     return t_basis, t_perp_cap_m, m_perp
 
 
+def iv_orthocomplement_parts(
+    dist: DiscreteDistribution, model: IVModel, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Projections of per-atom ``values`` on T_perp and on M_perp of the IV
+    design, from the small side of each split.
+
+    T_perp is the span of the cell-wise errors 1_c e over the distinct
+    (x1, z) cells c, minus the span of x e.  The cells are disjoint, so the
+    projection on their span is one ratio per cell,
+    E[g e 1_c] / E[e^2 1_c] times e; only span(x e) needs a k-column fit.
+    M_perp is the span of the instrument errors z e minus the span of the
+    maintained efficient score; it has q - k1 dimensions and is exactly
+    empty when q = k1.  Runs every check of ``iv_tangent_bases``: the
+    conditional null, the rank of E[ZX'], and nesting (no column of x e has
+    a part in M_perp).
+    """
+    X, Z, e, _, exz, ezz = _iv_null_design(dist, model)
+    _, x1, x2, z1 = model.split_rows(dist.support)
+    cell = np.empty(dist.n_atoms, dtype=np.intp)
+    for c, idx in enumerate(_conditioning_groups(x1, x2, z1).values()):
+        cell[idx] = c
+    we = dist.probs * e
+    on_cells = e * (np.bincount(cell, we * values) / np.bincount(cell, we * e))[cell]
+    xe = X * e[:, None]
+    t_perp = on_cells - expectation(dist, on_cells) - _span_part(dist, xe, values)
+    k1, _, q = model.dims
+    if q == k1:
+        return t_perp, np.zeros(dist.n_atoms)
+    ze = Z * e[:, None]
+    ell_m = ze @ np.linalg.solve(ezz, exz.T)  # spans the maintained efficient score
+
+    def m_perp_part(v):
+        return _span_part(dist, ze, v) - _span_part(dist, ell_m, v)
+
+    # each column of x e's part outside M, relative to the column's norm
+    xe_c = xe - expectation(dist, xe)
+    leak = np.sqrt(expectation(dist, m_perp_part(xe) ** 2) / expectation(dist, xe_c**2))
+    if np.max(leak) > 1e-10:
+        raise NestingViolated(f"a null tangent direction leaks {np.max(leak):.2e} outside M")
+    return t_perp, m_perp_part(values)
+
+
 # --- three-way decomposition -------------------------------------------------------
 
 
@@ -450,26 +548,3 @@ class DecompositionReport:
     @property
     def var_Mperp(self) -> float:
         return self.variances[2]
-
-
-def decompose_score(
-    dist: DiscreteDistribution,
-    g: ScoreFunction,
-    bases: tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis],
-) -> DecompositionReport:
-    """Project ``g`` on each of the three orthogonal subspaces.
-
-    The bases must jointly span the mean-zero space (as produced by
-    ``iv_tangent_bases``, or by ``gmm_tangent_basis`` plus an empty third
-    basis), so the three parts add back to ``g``.
-    """
-    _require_same_dist(dist, g)
-    parts = [project(dist, g, b) for b in bases]
-    total = parts[0] + parts[1] + parts[2]
-    gap = float(np.max(np.abs(total.values - g.values)))
-    if gap > 1e-8 * max(1.0, float(np.max(np.abs(g.values)))):
-        raise ValueError(
-            f"projections miss g by {gap:.2e}; the three bases do not span the score space"
-        )
-    variances = tuple(inner_product(dist, p, p) for p in parts)
-    return DecompositionReport(parts[0], parts[1], parts[2], variances)

@@ -15,12 +15,18 @@ import numpy as np
 from .chi2 import local_power, noncentral_chisq_cdf
 from .dist import expectation, make_distribution
 from .gmm import estimate_gmm, j_statistic, kl_projection, population_dataset
-from .instances import g1_instance, iv1_instance, linear_iv_moment_model, tangent_bases
+from .instances import (
+    decompose_score,
+    g1_instance,
+    iv1_instance,
+    linear_iv_moment_model,
+    tangent_bases,
+)
 from .iv import dwh_statistic, estimate_2sls, estimate_ols
 from .paths import LocalPath, hellinger_residual, numerical_score, path_distribution
 from .predict import hall_split, j_noncentrality, predicted_bias
 from .gmm import efficient_influence
-from .scores import ScoreFunction, centered_score, decompose_score, inner_product, project
+from .scores import ScoreFunction, centered_score, inner_product, project
 
 
 def _require(ok: bool, message: str) -> None:
@@ -108,11 +114,20 @@ def _check_iv1_structure():
         project(iv1.dist, g_det, t_basis).norm() < 1e-10,
         "the detectable direction is not orthogonal to T",
     )
-    report = decompose_score(iv1.dist, g_det, (t_basis, t_perp_m, m_perp))
+    report = decompose_score(iv1, g_det)
     _require(
         abs(report.var_TperpM - inner_product(iv1.dist, g_det, g_det)) < 1e-10,
         "the detectable direction is not all in T_perp_cap_M",
     )
+    # the split read from the small side against projections on the explicit bases
+    for g in (g_det, _random_score(iv1.dist, np.random.default_rng(17))):
+        report = decompose_score(iv1, g)
+        parts = (report.pi_T, report.pi_TperpM, report.pi_Mperp)
+        for part, basis in zip(parts, (t_basis, t_perp_m, m_perp)):
+            _require(
+                (part - project(iv1.dist, g, basis)).norm() < 1e-10,
+                f"the {basis.label} part is not the projection on its basis",
+            )
 
 
 def _check_paths():

@@ -6,7 +6,9 @@ adaptive quadrature, with no Poisson mixture and no incomplete gamma, and
 its second oracle keeps the mixture but takes the incomplete gamma from
 SciPy; the
 score-space oracles sum one support point at a time with ``math.fsum``
-instead of forming whole-array products; the moment-model oracles evaluate
+instead of forming whole-array products, and split a score by projecting it
+on explicit tangent bases instead of on the small spanning sets the library
+uses; the moment-model oracles evaluate
 one observation at a time.
 """
 
@@ -112,6 +114,23 @@ def gram_schmidt_fsum(probs, spanning, drop_tol: float, tie: float = 1e-10) -> n
         accepted.append(v if lead > 0 else -v)
         del remaining[i]
     return np.array(accepted).reshape(len(accepted), len(w))
+
+
+def decompose_by_bases(probs, g, bases) -> tuple[list[np.ndarray], list[float]]:
+    """The three-way split of ``g`` by explicit orthonormal bases: its
+    projection on each (k, S) basis under the weights ``probs``, and each
+    projection's variance, every inner product one ``math.fsum``.  The bases
+    must jointly span the mean-zero space, as the tangent bases (T,
+    T_perp_cap_M, M_perp) do, so the parts add back to ``g``."""
+    w = np.asarray(probs, dtype=float)
+    g = np.asarray(g, dtype=float)
+    parts = []
+    for basis in bases:
+        part = np.zeros_like(g)
+        for row in basis:
+            part += math.fsum(w * row * g) * row
+        parts.append(part)
+    return parts, [math.fsum(w * part * part) for part in parts]
 
 
 def fsum_moment(probs, a, b) -> np.ndarray:

@@ -351,3 +351,72 @@ class TestCliCommands:
         assert cells[0] == "1"
         beta = estimate_ols(data, iv1.model).beta
         assert beta == pytest.approx([float(cells[2]), float(cells[3])], rel=1e-12, abs=1e-12)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+# A fresh interpreter runs `asymlab run` on one config with every basis
+# constructor counted, and reports whether the instance holds bases after.
+_RUN_AND_COUNT_BASES = """
+import json, sys
+import asymlab.config as cfg
+import asymlab.instances as instances
+from asymlab.cli import execute
+
+built = []
+for name in ("gmm_tangent_basis", "iv_tangent_bases"):
+    def counted(*args, real=getattr(instances, name), name=name):
+        built.append(name)
+        return real(*args)
+    setattr(instances, name, counted)
+seen = []
+real_build = cfg.build_experiment
+def capture(raw):
+    experiment = real_build(raw)
+    seen.append(experiment.instance)
+    return experiment
+cfg.build_experiment = capture
+code = execute(["run", "--config", sys.argv[1], "--reps", "100", "--out", sys.argv[2]])
+print(json.dumps({
+    "code": code,
+    "built": built,
+    "held": [instance._bases is not None for instance in seen],
+    "numpy_ma": "numpy.ma" in sys.modules,
+}))
+"""
+
+
+class TestBasesStayOffTheRunPath:
+    @pytest.mark.parametrize(
+        "name, built",
+        [
+            ("iv1_power", []),
+            ("g1_tangent", []),
+            ("iv_wide", []),
+            ("g1_perp", ["gmm_tangent_basis"]),  # a "basis" score needs T_perp's basis
+        ],
+    )
+    def test_only_a_basis_score_builds_bases(self, tmp_path, name, built):
+        if name == "iv_wide":
+            sys.path.insert(0, str(BENCH))
+            try:
+                from workloads import make_config
+            finally:
+                sys.path.remove(str(BENCH))
+            config = write_config(tmp_path, make_config(str(CONFIG_DIR.parent), name, 7))
+        else:
+            config = CONFIG_DIR / f"{name}.json"
+        script = tmp_path / "count_bases.py"
+        script.write_text(_RUN_AND_COUNT_BASES)
+        proc = subprocess.run(
+            [sys.executable, str(script), str(config), str(tmp_path / "run.json")],
+            env=dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src")),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["code"] == 0, proc.stderr
+        assert report["built"] == built
+        assert report["held"] == [bool(built)]
+        assert not report["numpy_ma"]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -42,6 +43,30 @@ class TestMakeDistribution:
     def test_duplicate_points_rejected(self):
         with pytest.raises(DuplicateSupportPoint):
             make_distribution([1.0, 1.0, 2.0], [0.3, 0.3, 0.4])
+
+    def test_signed_zeros_are_duplicates(self):
+        with pytest.raises(DuplicateSupportPoint):
+            make_distribution([[0.0, 1.0], [-0.0, 1.0]], [0.5, 0.5])
+        with pytest.raises(DuplicateSupportPoint):
+            make_distribution([[0.0, 1.0], [0.5, 1.0], [-0.0, 1.0]], [0.3, 0.3, 0.4])
+
+    def test_duplicates_found_in_any_row_order(self, rng):
+        grid = np.array(list(itertools.product([0.0, 1.0, 2.0], repeat=3)))  # 27 points
+        make_distribution(rng.permutation(grid), np.ones(27))
+        for _ in range(5):
+            doubled = rng.permutation(np.vstack([grid, grid[rng.integers(27)]]))
+            with pytest.raises(DuplicateSupportPoint):
+                make_distribution(doubled, np.ones(28))
+
+    def test_duplicate_check_leaves_numpy_ma_unloaded(self, run_python):
+        # np.unique(..., axis=0) imports numpy.ma, about 10 ms of a cold start
+        out = run_python(
+            "import sys\n"
+            "from asymlab.dist import make_distribution\n"
+            "make_distribution([[0.0, 1.0], [1.0, 1.0], [1.0, 2.0]], [1, 1, 1])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        assert out.strip() == "False"
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

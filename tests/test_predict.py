@@ -4,11 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from asymlab.dist import expectation
-from asymlab.errors import ShapeMismatch, WrongSubspaceLabel
+from asymlab.dist import expectation, make_distribution
+from asymlab.errors import (
+    MomentNotSatisfied,
+    NullModelViolated,
+    RankDeficientFirstStage,
+    ShapeMismatch,
+    WrongSubspaceLabel,
+)
 from asymlab.gmm import efficient_influence
-from asymlab.instances import tangent_bases, three_way_bases
+from asymlab.instances import GmmInstance, IvInstance, decompose_score, tangent_bases
 from asymlab.iv import hausman_contrast_basis
+from asymlab.models import IVModel
 from asymlab.paths import LocalPath, path_distribution
 from asymlab.predict import (
     build_prediction,
@@ -21,7 +28,6 @@ from asymlab.predict import (
 from asymlab.scores import (
     ScoreFunction,
     centered_score,
-    decompose_score,
     project,
     zero_score,
 )
@@ -95,14 +101,14 @@ class TestHausmanNoncentrality:
         assert ncp == pytest.approx(1.0, abs=1e-12)
 
     def test_detectable_direction_matches_decomposition(self, iv1):
-        # oracle: exact projection on the support via decompose_score
+        # oracle: the exact three-way split on the support
         e = iv1.model.errors_on(iv1.dist.support)
         x1, z1 = iv1.dist.column(1), iv1.dist.column(3)
         c = 2.0
         g = centered_score(iv1.dist, c * (z1 - 0.5 * x1) * e)
         basis = hausman_contrast_basis(iv1.dist, iv1.model)
         ncp, _ = hausman_noncentrality(iv1.dist, basis, g)
-        report = decompose_score(iv1.dist, g, three_way_bases(iv1))
+        report = decompose_score(iv1, g)
         assert ncp == pytest.approx(report.var_TperpM, abs=1e-10)
         assert ncp == pytest.approx(2.0, abs=1e-10)
 
@@ -148,11 +154,9 @@ class TestOrthogonalityProposition:
         # noncentrality needs orthocomplement variance; and the cross checks
         # vanish exactly
         nu, _, _ = efficient_influence(g1.dist, g1.model, g1.theta0)
-        bases = three_way_bases(g1)
-        t_basis, t_perp = bases[0], bases[1]
         for _ in range(100):
             g = centered_score(g1.dist, rng.standard_normal(5))
-            report = decompose_score(g1.dist, g, bases)
+            report = decompose_score(g1, g)
             bias = predicted_bias(g1.dist, nu, g)
             ncp = j_noncentrality(g1.dist, g1.model, g1.theta0, g)
             if np.linalg.norm(bias) > 1e-12:
@@ -220,3 +224,46 @@ class TestBuildPrediction:
             TestPrediction(dof=1, ncp=-1.0, power=0.5)
         with pytest.raises(ShapeMismatch):
             TestPrediction(dof=1, ncp=1.0, power=1.5)
+
+
+class TestBuildPredictionChecks:
+    """build_prediction builds no tangent basis, yet every check that ran
+    with the bases still runs: once through the estimators' influence
+    functions, and once through the decomposition alone."""
+
+    LISTS = pytest.mark.parametrize("with_lists", [True, False])
+
+    @staticmethod
+    def predict(instance, with_lists):
+        lists = {"iv": (["ols", "tsls"], ["dwh"]), "gmm": (["gmm"], ["j"])}[instance.kind]
+        estimators, tests = lists if with_lists else ([], [])
+        return build_prediction(instance, zero_score(instance.dist), estimators, tests, 0.05)
+
+    @LISTS
+    def test_null_model_violation(self, iv1, with_lists):
+        skewed = make_distribution(iv1.dist.support, np.arange(1.0, 9.0))
+        with pytest.raises(NullModelViolated):
+            self.predict(IvInstance(name="skewed", dist=skewed, model=iv1.model), with_lists)
+
+    @LISTS
+    def test_wrong_sigma(self, iv1, with_lists):
+        model = IVModel(beta0=iv1.model.beta0, sigma0_sq=2.0, dims=iv1.model.dims)
+        with pytest.raises(NullModelViolated):
+            self.predict(IvInstance(name="sigma", dist=iv1.dist, model=model), with_lists)
+
+    @LISTS
+    def test_rank_deficient_first_stage(self, with_lists):
+        # z1 is independent of x1 and mean zero: E[ZX'] = [[0, 0], [0, 1]]
+        rows = [
+            [x1 + e, x1, 1.0, z1] for x1 in (-1.0, 1.0) for z1 in (-1.0, 1.0) for e in (-1.0, 1.0)
+        ]
+        dist = make_distribution(rows, np.full(8, 0.125))
+        model = IVModel(beta0=np.array([1.0, 0.0]), sigma0_sq=1.0, dims=(1, 1, 1))
+        with pytest.raises(RankDeficientFirstStage):
+            self.predict(IvInstance(name="weak", dist=dist, model=model), with_lists)
+
+    @LISTS
+    def test_moment_not_satisfied(self, g1, with_lists):
+        instance = GmmInstance(name="off", dist=g1.dist, model=g1.model, theta0=np.array([0.5]))
+        with pytest.raises(MomentNotSatisfied):
+            self.predict(instance, with_lists)

@@ -1,13 +1,15 @@
 import itertools
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import gram_schmidt_fsum
+from oracles import decompose_by_bases, gram_schmidt_fsum
 
+from asymlab.config import build_instance, build_instance_and_score, load_raw
 from asymlab.dist import expectation, make_distribution, same_distribution
 from asymlab.errors import (
     DistributionMismatch,
@@ -18,16 +20,18 @@ from asymlab.errors import (
 )
 from asymlab.instances import (
     GmmInstance,
+    IvInstance,
+    decompose_score,
     linear_iv_moment_model,
     overidentified_mean_model,
     tangent_bases,
+    three_way_bases,
 )
 from asymlab.models import IVModel, MomentModel
 from asymlab.scores import (
     DROP_TOL,
     ScoreFunction,
     centered_score,
-    decompose_score,
     gmm_tangent_basis,
     inner_product,
     iv_tangent_bases,
@@ -194,16 +198,17 @@ class TestBasesDoNotDependOnThreads:
 
 
 @st.composite
-def perturbed_instances(draw):
-    """A builder of a random instance's bases from its probabilities, and two
-    probability vectors: as drawn, and with every probability moved by a
-    relative 1e-14 in a way that keeps the model exactly true.
+def random_instances(draw):
+    """A builder of a random instance from its probabilities, the
+    probabilities as drawn, and a direction (one factor per atom) in which
+    they can be moved while the model stays exactly true.
 
     Half are overidentified-mean instances on a random support, with theta0
     and the variance restriction recomputed for each probability vector.
-    Half are IV designs on a grid of instrument values z, shocks w and errors
-    e = -1, +1 with x1 = z'a + w: each (x1, z) cell gives its two errors one
-    mass, so the conditional null holds whatever the cell masses.
+    Half are IV designs on a grid of q = 1 or 2 instrument values z, shocks w
+    and errors e = -1, +1 with x1 = z'a + w: each (x1, z) cell gives its two
+    errors one mass, so the conditional null holds whatever the cell masses.
+    With q = 2 the maintained model is overidentified and M_perp is a line.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -212,13 +217,12 @@ def perturbed_instances(draw):
         weights = rng.uniform(0.05, 1.0, n_atoms)
         bump = rng.uniform(-1.0, 1.0, n_atoms)
 
-        def build(w):
+        def make(w):
             dist = make_distribution(support, w)
             theta0 = expectation(dist, dist.column(0))
             v = expectation(dist, (dist.column(0) - theta0) ** 2)
             model, theta0 = overidentified_mean_model(v), np.array([theta0])
-            instance = GmmInstance(name="random", dist=dist, model=model, theta0=theta0)
-            return tangent_bases(instance), dist
+            return GmmInstance(name="random", dist=dist, model=model, theta0=theta0)
 
     else:
         q = draw(st.integers(1, 2))
@@ -237,9 +241,23 @@ def perturbed_instances(draw):
         bump = np.repeat(rng.uniform(-1.0, 1.0, cells.shape[0]), 2)
         model = IVModel(beta0=beta, sigma0_sq=1.0, dims=(1, 1, q))
 
-        def build(w):
-            dist = make_distribution(rows, w)
-            return iv_tangent_bases(dist, model), dist
+        def make(w):
+            return IvInstance(name="random", dist=make_distribution(rows, w), model=model)
+
+    return make, weights, bump
+
+
+@st.composite
+def perturbed_instances(draw):
+    """A builder of a random instance's bases from its probabilities, and two
+    probability vectors: as drawn, and with every probability moved by a
+    relative 1e-14 in a way that keeps the model exactly true (see
+    ``random_instances``)."""
+    make, weights, bump = draw(random_instances())
+
+    def build(w):
+        instance = make(w)
+        return tangent_bases(instance), instance.dist
 
     return build, weights, weights * (1.0 + 1e-14 * bump)
 
@@ -445,7 +463,7 @@ class TestDecomposeScore:
         bases = tangent_bases(iv1)
         coefs = rng.standard_normal(bases[0].dim)
         g = ScoreFunction(iv1.dist, coefs @ bases[0].matrix())
-        report = decompose_score(iv1.dist, g, bases)
+        report = decompose_score(iv1, g)
         assert report.pi_TperpM.norm() < 1e-10
         assert report.pi_Mperp.norm() < 1e-10
 
@@ -454,17 +472,14 @@ class TestDecomposeScore:
         g = ScoreFunction(bases[0].dist, bases[0].matrix()[0]) + ScoreFunction(
             bases[1].dist, bases[1].matrix()[0]
         )
-        report = decompose_score(iv1.dist, g, bases)
+        report = decompose_score(iv1, g)
         assert np.allclose(report.variances, [1.0, 1.0, 0.0], atol=1e-10)
 
     def test_pythagoras_for_random_scores(self, g1, iv1, rng):
-        from asymlab.instances import three_way_bases
-
         for inst in (g1, iv1):
-            bases = three_way_bases(inst)
             for _ in range(10):
                 g = centered_score(inst.dist, rng.standard_normal(inst.dist.n_atoms))
-                report = decompose_score(inst.dist, g, bases)
+                report = decompose_score(inst, g)
                 total = report.pi_T + report.pi_TperpM + report.pi_Mperp
                 assert np.max(np.abs(total.values - g.values)) < 1e-10
                 assert abs(
@@ -473,6 +488,55 @@ class TestDecomposeScore:
                 assert abs(inner_product(inst.dist, report.pi_T, report.pi_TperpM)) < 1e-10
                 assert abs(inner_product(inst.dist, report.pi_T, report.pi_Mperp)) < 1e-10
                 assert abs(inner_product(inst.dist, report.pi_TperpM, report.pi_Mperp)) < 1e-10
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestDecomposeAgainstBases:
+    """The split read from the small side of each orthocomplement against
+    the basis route: projections on the explicit tangent bases."""
+
+    @staticmethod
+    def check(instance, g):
+        report = decompose_score(instance, g)
+        bases = three_way_bases(instance)
+        parts, variances = decompose_by_bases(
+            instance.dist.probs, g.values, [b.matrix() for b in bases]
+        )
+        got = (report.pi_T, report.pi_TperpM, report.pi_Mperp)
+        for part, ref, basis in zip(got, parts, bases):
+            assert np.max(np.abs(part.values - ref)) <= 1e-12, basis.label
+        assert np.max(np.abs(np.subtract(report.variances, variances))) <= 1e-12
+        assert np.max(np.abs(sum(part.values for part in got) - g.values)) <= 1e-12
+        for a, b in itertools.combinations(got, 2):
+            assert abs(inner_product(instance.dist, a, b)) <= 1e-12
+        return report, bases
+
+    @pytest.mark.parametrize("name", ["g1_perp", "g1_tangent", "iv1_power", "iv1_bias_equal"])
+    def test_shipped_configs(self, name):
+        self.check(*build_instance_and_score(load_raw(CONFIG_DIR / f"{name}.json")))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_iv_wide_designs(self, seed):
+        sys.path.insert(0, str(BENCH))
+        try:
+            from workloads import iv_wide_design
+        finally:
+            sys.path.remove(str(BENCH))
+        design = iv_wide_design(seed)
+        instance = build_instance(design["instance"])
+        self.check(instance, ScoreFunction(instance.dist, design["g"]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=random_instances(), seed=st.integers(0, 2**32 - 1))
+    def test_random_instances(self, case, seed):
+        make, weights, _ = case
+        instance = make(weights)
+        values = np.random.default_rng(seed).standard_normal(instance.dist.n_atoms)
+        report, bases = self.check(instance, centered_score(instance.dist, values))
+        if bases[2].dim == 0:  # M_perp is empty exactly, not at rounding level
+            assert not np.any(report.pi_Mperp.values) and report.var_Mperp == 0.0
 
 
 def test_singular_sigma_detected(g1):

@@ -5,7 +5,8 @@ finite weighted sums (evaluated with compensated summation, ``math.fsum``)
 and mean-zero functions form a finite-dimensional vector space.  Sampling is
 inverse-CDF over the fixed support ordering driven by the counter-based
 Philox generator, so draws are reproducible for a given 64-bit seed and
-independent of any scheduling.
+independent of any scheduling.  Support points, sample rows and the IV
+null model's (x1, z) cells are matched by one rule, ``_row_groups``.
 """
 
 from __future__ import annotations
@@ -113,9 +114,7 @@ def make_distribution(support, probs) -> DiscreteDistribution:
         raise ValueError("support and probs must be finite")
     if np.any(w <= 0.0):
         raise ZeroOrNegativeProb(f"minimum prob {w.min()} is not strictly positive")
-    # sorted rows put equal points next to each other; == counts -0.0 as 0.0
-    ordered = pts[np.lexsort(pts.T)]
-    if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
+    if _row_groups(pts)[1] < pts.shape[0]:
         raise DuplicateSupportPoint("support points must be pairwise distinct")
     total = math.fsum(w)
     w = w / total
@@ -189,10 +188,25 @@ def replication_seed(master_seed: int, rep: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """(group id of each of the m ``rows``, number of groups).  Rows equal
+    under ``==`` (-0.0 is 0.0; NaN equals nothing) share an id, and ids
+    follow first occurrence, so distinct rows get ids 0..m-1 in order."""
+    order = np.lexsort(rows.T)  # stable: equal rows end up adjacent, in order
+    ordered = rows[order]
+    starts = np.concatenate([[True], np.any(ordered[1:] != ordered[:-1], axis=1)])
+    first = order[starts]  # each group's first row
+    ids = np.empty_like(order)
+    ids[order] = np.argsort(np.argsort(first))[np.cumsum(starts) - 1]
+    return ids, first.shape[0]
+
+
 def atom_indices(dist: DiscreteDistribution, rows: np.ndarray) -> np.ndarray:
-    """Map sample rows back to support indices (rows must be support points)."""
-    lookup = {dist.support[s].tobytes(): s for s in range(dist.n_atoms)}
-    try:
-        return np.array([lookup[row.tobytes()] for row in np.asarray(rows, dtype=float)])
-    except KeyError:
-        raise LengthMismatch("a row does not match any support point") from None
+    """Map (m, d) sample rows back to support indices (rows must be support points)."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != dist.dim:
+        raise LengthMismatch(f"rows of shape {rows.shape} for points of dimension {dist.dim}")
+    ids = _row_groups(np.vstack([dist.support, rows]))[0][dist.n_atoms :]
+    if np.any(ids >= dist.n_atoms):
+        raise LengthMismatch("a row does not match any support point")
+    return ids

@@ -93,11 +93,7 @@ def efficient_influence(
     verified to lie in the model tangent space: its part in the
     orthocomplement T_perp must have norm below 1e-8.
     """
-    theta0 = np.asarray(theta0, dtype=float)
-    m_vals, sigma, gbar = _population_moment_objects(dist, model, theta0)
-    ell = -m_vals @ np.linalg.solve(sigma, gbar)  # (S, p)
-    info = gbar.T @ np.linalg.solve(sigma, gbar)
-    info = 0.5 * (info + info.T)
+    m_vals, _, _, ell, info = _population_moment_objects(dist, model, theta0)
     nu = ell @ np.linalg.inv(info)
     ell_scores = [centered_score(dist, ell[:, j]) for j in range(model.p)]
     nu_scores = [centered_score(dist, nu[:, j]) for j in range(model.p)]
@@ -237,10 +233,12 @@ def _newton(
     model: MomentModel,
     pts: np.ndarray,
     w: np.ndarray,
-    theta_init: np.ndarray,
     weight: np.ndarray,
+    theta: np.ndarray,
+    m_vals: np.ndarray,
+    gbar: np.ndarray,
 ) -> _Minimum:
-    """Minimise mbar(theta)' W mbar(theta) by damped Newton.
+    """Minimise mbar(theta)' W mbar(theta) by damped Newton from ``theta``.
 
     The Hessian is 2 (G'WG + sum_k (W mbar)_k d^2 mbar_k), its second-order
     term from ``_curvature``.  Where it is not positive definite the
@@ -263,16 +261,14 @@ def _newton(
     search, as does a line-searched step that moves theta by less than
     STEP_TOL (STEP).  An iterate reached after MAX_ITER steps ends it too
     (ITERATION_CAP).  FIRST_ORDER, DECREMENT and STEP count as converged.
-    The moments and the Jacobian at the returned theta come back with it.
+    It takes the moments and the Jacobian at ``theta`` (``m_vals``,
+    ``gbar``) and hands back those at the returned theta.
     """
-    theta = np.asarray(theta_init, dtype=float).copy()
-    m_vals = model.moments_at(theta, pts)
     steps = 0
     unsearched = 0  # steps applied without a line search
     reason = None
     while True:
         mbar = w @ m_vals
-        gbar = _weighted_jacobian(model, theta, pts, w)
         wm = weight @ mbar
         rhs = gbar.T @ wm  # half the gradient
         if reason is None:
@@ -299,21 +295,22 @@ def _newton(
         if unsearched or reason is not None:
             theta = theta + step
             m_vals = model.moments_at(theta, pts)
-            continue
-        alpha = 1.0
-        for _ in range(MAX_HALVINGS):
-            cand = theta + alpha * step
-            m_c = model.moments_at(cand, pts)
-            mbar_c = w @ m_c
-            if mbar_c @ weight @ mbar_c <= obj + 0.25 * alpha * slope:
-                break
-            alpha *= 0.5
         else:
-            return _Minimum(theta, m_vals, mbar, gbar, steps, LINE_SEARCH)
-        moved = cand - theta
-        if moved @ moved < STEP_TOL**2:
-            reason = STEP
-        theta, m_vals = cand, m_c
+            alpha = 1.0
+            for _ in range(MAX_HALVINGS):
+                cand = theta + alpha * step
+                m_c = model.moments_at(cand, pts)
+                mbar_c = w @ m_c
+                if mbar_c @ weight @ mbar_c <= obj + 0.25 * alpha * slope:
+                    break
+                alpha *= 0.5
+            else:
+                return _Minimum(theta, m_vals, mbar, gbar, steps, LINE_SEARCH)
+            moved = cand - theta
+            if moved @ moved < STEP_TOL**2:
+                reason = STEP
+            theta, m_vals = cand, m_c
+        gbar = _weighted_jacobian(model, theta, pts, w)
 
 
 def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
@@ -323,21 +320,23 @@ def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
     the moment variance is estimated there and held fixed while step two
     minimizes the efficiently weighted objective from the step-one
     estimate.  Both steps run ``_newton``, which hands back the moments and
-    Jacobian at its minimiser, so neither is evaluated again.  The
-    overidentification value n * mbar' SigmaHat^{-1} mbar is computed with
-    the same fixed weight.  SigmaHat and the sample information are refused
-    (``SingularSigmaHat``, ``RankDeficientJacobian``) by ``_near_singular``,
-    the rule the population Sigma is held to: a matrix that is singular in
-    exact arithmetic may pass a Cholesky factorisation by rounding.  A
-    failed line search, a normal matrix that is not positive definite or the
-    iteration cap yields ``converged=False`` rather than an exception;
-    ``stop_reasons`` records which.
+    Jacobian at its minimiser: step two starts from them, and neither is
+    evaluated again.  The overidentification value n * mbar' SigmaHat^{-1}
+    mbar is computed with the same fixed weight.  SigmaHat and the sample
+    information are refused (``SingularSigmaHat``, ``RankDeficientJacobian``)
+    by ``_near_singular``, the rule the population Sigma is held to: a matrix
+    that is singular in exact arithmetic may pass a Cholesky factorisation by
+    rounding.  A failed line search, a normal matrix that is not positive
+    definite or the iteration cap yields ``converged=False`` rather than an
+    exception; ``stop_reasons`` records which.
     """
-    theta_init = np.asarray(theta_init, dtype=float)
+    theta_init = np.array(theta_init, dtype=float)
     if data.n <= model.l:
         raise ValueError(f"need n > l, got n={data.n}, l={model.l}")
     pts, w = data.rows, data.counts / data.n
-    first = _newton(model, pts, w, theta_init, np.eye(model.l))
+    m_init = model.moments_at(theta_init, pts)
+    gbar_init = _weighted_jacobian(model, theta_init, pts, w)
+    first = _newton(model, pts, w, np.eye(model.l), theta_init, m_init, gbar_init)
     m_vals = first.m_vals
     sigma_hat = (m_vals.T * w) @ m_vals
     sigma_hat = 0.5 * (sigma_hat + sigma_hat.T)
@@ -345,7 +344,7 @@ def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
         raise SingularSigmaHat("first-step moment variance is singular")
     weight = _cholesky(sigma_hat, np.eye(model.l))  # not near singular, so not None
     weight = 0.5 * (weight + weight.T)
-    second = _newton(model, pts, w, first.theta, weight)
+    second = _newton(model, pts, w, weight, first.theta, first.m_vals, first.gbar)
     mbar, gbar = second.mbar, second.gbar
     j_stat = float(data.n * mbar @ weight @ mbar)
     info_hat = gbar.T @ weight @ gbar

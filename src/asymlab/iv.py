@@ -181,7 +181,7 @@ def iv_influence_functions(
     dist: DiscreteDistribution, model: IVModel
 ) -> tuple[list[ScoreFunction], list[ScoreFunction]]:
     """Population influence functions of OLS and 2SLS for the coefficient vector."""
-    X, Z, e, exx, exz, ezz = _iv_null_design(dist, model)
+    X, Z, e, exx, exz, ezz, _, _ = _iv_null_design(dist, model)
     nu_vals = (X @ np.linalg.inv(exx)) * e[:, None]
     bread = exz @ np.linalg.solve(ezz, exz.T)
     tau_vals = (Z @ np.linalg.solve(ezz, exz.T) @ np.linalg.inv(bread)) * e[:, None]

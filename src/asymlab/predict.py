@@ -45,7 +45,7 @@ def _hall_projector(
     dist: DiscreteDistribution, model: MomentModel, theta0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Sigma^{-1/2}, projection matrix onto the identifying directions, m values)."""
-    m_vals, sigma, gbar = _population_moment_objects(dist, model, theta0)
+    m_vals, sigma, gbar, _, _ = _population_moment_objects(dist, model, theta0)
     evals, evecs = np.linalg.eigh(sigma)
     inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.T
     whitened = inv_sqrt @ gbar

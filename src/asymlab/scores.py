@@ -22,6 +22,9 @@ orthocomplement is spanned by a few explicit functions (the moment functions
 of a moment model; the cell-wise errors and the instrument errors of the IV
 design), so ``gmm_orthocomplement_part`` and ``iv_orthocomplement_parts``
 project on those spans by least-squares fits with a handful of columns.
+Each model kind's population objects are derived once, with their checks,
+by ``_population_moment_objects`` or ``_iv_null_design``; the IV design's
+(x1, z) cells are ``dist._row_groups`` of the support rows less y.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DiscreteDistribution, expectation, same_distribution
+from .dist import DiscreteDistribution, _row_groups, expectation, same_distribution
 from .errors import (
     DistributionMismatch,
     EmptySpan,
@@ -315,8 +318,9 @@ def _near_singular(a: np.ndarray) -> bool:
 
 def _population_moment_objects(
     dist: DiscreteDistribution, model: MomentModel, theta0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m values (S, l), Sigma (l, l), mean Jacobian (l, p)) with rank checks."""
+) -> tuple[np.ndarray, ...]:
+    """(m values (S, l), Sigma (l, l), mean Jacobian gbar (l, p), efficient score
+    -m Sigma^{-1} gbar (S, p), information gbar' Sigma^{-1} gbar) with rank checks."""
     theta0 = np.asarray(theta0, dtype=float)
     model.check_jacobian(theta0, dist.support)
     m_vals = model.moments_at(theta0, dist.support)
@@ -334,7 +338,9 @@ def _population_moment_objects(
     svals = np.linalg.svd(gbar, compute_uv=False)
     if svals[-1] <= 1e-10 * svals[0]:
         raise RankDeficientJacobian(f"mean Jacobian singular values {svals}")
-    return m_vals, sigma, gbar
+    weighted = np.linalg.solve(sigma, gbar)
+    info = gbar.T @ weighted
+    return m_vals, sigma, gbar, -m_vals @ weighted, 0.5 * (info + info.T)
 
 
 def gmm_tangent_basis(
@@ -347,9 +353,7 @@ def gmm_tangent_basis(
     nuisance scores).  Its orthocomplement has dimension l - p when the
     support is rich enough.
     """
-    theta0 = np.asarray(theta0, dtype=float)
-    m_vals, sigma, gbar = _population_moment_objects(dist, model, theta0)
-    ell = -m_vals @ np.linalg.solve(sigma, gbar)  # (S, p), efficient score columns
+    m_vals, _, _, ell, _ = _population_moment_objects(dist, model, theta0)
     t_basis = _tangent_span(dist, ell, complement_basis(dist, m_vals.T), "T")
     t_perp = complement_basis(dist, t_basis.matrix(), label="T_perp")
     return t_basis, t_perp
@@ -375,8 +379,7 @@ def gmm_orthocomplement_part(
     minus the span of the efficient score: an l-dimensional and a
     p-dimensional fit.  Runs the checks of ``gmm_tangent_basis``.
     """
-    m_vals, sigma, gbar = _population_moment_objects(dist, model, theta0)
-    ell = -m_vals @ np.linalg.solve(sigma, gbar)
+    m_vals, _, _, ell, _ = _population_moment_objects(dist, model, theta0)
     return _moment_tperp_part(dist, m_vals, ell, values)
 
 
@@ -385,29 +388,25 @@ def gmm_orthocomplement_part(
 
 def check_iv_null_model(dist: DiscreteDistribution, model: IVModel, tol: float = 1e-10) -> None:
     """Verify the conditional null on the support: E[e | x1, z] = 0, E[e^2 | x1, z] = sigma0^2."""
-    y, x1, x2, z1 = model.split_rows(dist.support)
+    _null_cells(dist, model, tol)
+
+
+def _null_cells(dist: DiscreteDistribution, model: IVModel, tol: float) -> tuple[np.ndarray, ...]:
+    """(cell of each atom, errors e) once ``check_iv_null_model`` passes.  The
+    cells are the ``_row_groups`` of (x1, z) = (x1, x2, z1), the rows less y,
+    numbered in support order; a bincount sums p, p e and p e^2 per cell."""
     e = model.errors_on(dist.support)
-    groups = _conditioning_groups(x1, x2, z1)
-    for key, idx in groups.items():
-        w = dist.probs[idx]
-        mass = math.fsum(w)
-        m1 = math.fsum(w * e[idx]) / mass
-        m2 = math.fsum(w * e[idx] ** 2) / mass
-        if abs(m1) > tol:
-            raise NullModelViolated(f"E[e | group {key}] = {m1:.3e} != 0")
-        if abs(m2 - model.sigma0_sq) > tol * max(1.0, model.sigma0_sq):
-            raise NullModelViolated(
-                f"E[e^2 | group {key}] = {m2:.6g} != sigma0^2 = {model.sigma0_sq}"
-            )
-
-
-def _conditioning_groups(x1: np.ndarray, x2: np.ndarray, z1: np.ndarray) -> dict:
-    """Support indices grouped by the distinct values of (x1, z) = (x1, z1, x2)."""
-    cond = np.hstack([x1, z1, x2])
-    groups: dict[bytes, list[int]] = {}
-    for s in range(cond.shape[0]):
-        groups.setdefault(cond[s].tobytes(), []).append(s)
-    return {k: np.array(v) for k, v in groups.items()}
+    cell, count = _row_groups(dist.support[:, 1:])
+    mass, m1, m2 = (np.bincount(cell, dist.probs * v, count) for v in (1.0, e, e * e))
+    m1, m2 = m1 / mass, m2 / mass
+    bad = (np.abs(m1) > tol) | (np.abs(m2 - model.sigma0_sq) > tol * max(1.0, model.sigma0_sq))
+    if bad.any():
+        c = int(np.argmax(bad))
+        at = f"(x1, x2, z1) = {tuple(dist.support[cell == c][0, 1:].tolist())}"
+        if abs(m1[c]) > tol:
+            raise NullModelViolated(f"E[e | {at}] = {m1[c]:.3e} != 0")
+        raise NullModelViolated(f"E[e^2 | {at}] = {m2[c]:.6g} != sigma0^2 = {model.sigma0_sq}")
+    return cell, e
 
 
 def iv_population_matrices(
@@ -424,15 +423,17 @@ def iv_population_matrices(
 def _iv_null_design(
     dist: DiscreteDistribution, model: IVModel
 ) -> tuple[np.ndarray, ...]:
-    """(X, Z, e, E[XX'], E[XZ'], E[ZZ']) on the support, once the conditional
-    null holds and E[ZX'] has full column rank."""
-    check_iv_null_model(dist, model)
+    """(X, Z, e, E[XX'], E[XZ'], E[ZZ'], the (x1, z) cell of each atom, the
+    maintained efficient score E[XZ'] E[ZZ']^{-1} z e / sigma0^2) on the
+    support, once the conditional null holds and E[ZX'] has full column
+    rank: every consumer reads these from here."""
+    cell, e = _null_cells(dist, model, 1e-10)
     _, X, Z = model.design_matrices(dist.support)
-    e = model.errors_on(dist.support)
     exx, exz, ezz = iv_population_matrices(dist, model)
     if np.linalg.matrix_rank(exz, tol=1e-10 * max(np.linalg.norm(exz), 1e-300)) < model.n_params:
         raise RankDeficientFirstStage("E[ZX'] does not have full rank")
-    return X, Z, e, exx, exz, ezz
+    ell_m = (Z @ (exz @ np.linalg.inv(ezz)).T) * (e / model.sigma0_sq)[:, None]
+    return X, Z, e, exx, exz, ezz, cell, ell_m
 
 
 def iv_tangent_bases(
@@ -451,22 +452,15 @@ def iv_tangent_bases(
     coefficients.  A score's three-way split comes from
     ``iv_orthocomplement_parts``, which needs no basis.
     """
-    X, Z, e, _, exz, ezz = _iv_null_design(dist, model)
-    y, x1, x2, z1 = model.split_rows(dist.support)
+    X, Z, e, _, _, _, cell, ell_m = _iv_null_design(dist, model)
 
     # Null model: efficient score x e / sigma0^2; nuisance scores are the
     # mean-zero directions orthogonal to every (indicator of (x1, z)) * e.
-    groups = _conditioning_groups(x1, x2, z1)
-    constraints_p = np.zeros((len(groups), dist.n_atoms))
-    for r, idx in enumerate(groups.values()):
-        constraints_p[r, idx] = e[idx]
+    constraints_p = np.where(cell == np.arange(cell.max() + 1)[:, None], e, 0.0)
     ell_p = X * (e / model.sigma0_sq)[:, None]
     t_basis = _tangent_span(dist, ell_p, complement_basis(dist, constraints_p), "T")
 
-    # Maintained model: efficient score E[XZ'] E[ZZ']^{-1} z e / sigma0^2;
-    # nuisance scores are orthogonal to every coordinate of z e.
-    coef = exz @ np.linalg.inv(ezz)
-    ell_m = (Z @ coef.T) * (e / model.sigma0_sq)[:, None]
+    # Maintained model: nuisance scores are orthogonal to every coordinate of z e.
     m_basis = _tangent_span(dist, ell_m, complement_basis(dist, (Z * e[:, None]).T), "M")
 
     # T_perp intersected with M: what the M basis adds beyond T.
@@ -499,11 +493,7 @@ def iv_orthocomplement_parts(
     conditional null, the rank of E[ZX'], and nesting (no column of x e has
     a part in M_perp).
     """
-    X, Z, e, _, exz, ezz = _iv_null_design(dist, model)
-    _, x1, x2, z1 = model.split_rows(dist.support)
-    cell = np.empty(dist.n_atoms, dtype=np.intp)
-    for c, idx in enumerate(_conditioning_groups(x1, x2, z1).values()):
-        cell[idx] = c
+    X, Z, e, _, _, _, cell, ell_m = _iv_null_design(dist, model)
     we = dist.probs * e
     on_cells = e * (np.bincount(cell, we * values) / np.bincount(cell, we * e))[cell]
     xe = X * e[:, None]
@@ -512,7 +502,6 @@ def iv_orthocomplement_parts(
     if q == k1:
         return t_perp, np.zeros(dist.n_atoms)
     ze = Z * e[:, None]
-    ell_m = ze @ np.linalg.solve(ezz, exz.T)  # spans the maintained efficient score
 
     def m_perp_part(v):
         return _span_part(dist, ze, v) - _span_part(dist, ell_m, v)

@@ -19,6 +19,7 @@ from asymlab.config import (
     validate_raw,
 )
 from asymlab.errors import AsymlabError, ConfigInvalid
+from asymlab.instances import iv1_instance
 from asymlab.iv import estimate_ols, read_csv
 from asymlab.mc import ComparisonEntry, ComparisonReport, compare_to_theory, run_experiment
 from asymlab.predict import build_prediction
@@ -153,6 +154,30 @@ class TestCliCommands:
         assert doc["tests"][0]["dof"] == 1
         assert doc["tests"][0]["ncp"] == pytest.approx(4.0, abs=1e-9)
         assert np.allclose(doc["bias"][0]["values"], [0.0], atol=1e-9)
+
+    def test_predict_reads_negative_zero_as_zero(self, tmp_path, capsys):
+        # IV1 written inline, once as is and once with x1 = -0.0 on two of
+        # the four atoms of its x1 = 0 cells: the same distribution and cells
+        iv1 = iv1_instance()
+        support = iv1.dist.support.tolist()
+        signed = [list(row) for row in support]
+        for s in np.flatnonzero(iv1.dist.column(1) == 0.0)[::2]:
+            signed[s][1] = -0.0
+        outputs = []
+        for rows in (support, signed):
+            instance = {
+                "kind": "iv",
+                "distribution": {"support": rows, "probs": iv1.dist.probs.tolist()},
+                "model": {"beta0": [1.0, 0.0], "sigma0_sq": 1.0, "dims": [1, 1, 1]},
+            }
+            doc = json.loads((CONFIG_DIR / "iv1_power.json").read_text())
+            doc["instance"] = instance
+            path = write_config(tmp_path, doc)
+            assert ("-0.0" in path.read_text()) == (rows is signed)
+            code = execute(["predict", "--config", str(path)])
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
 
     def test_run_roundtrip_and_exit_code(self, tmp_path, capsys):
         out = tmp_path / "result.json"

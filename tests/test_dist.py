@@ -195,8 +195,15 @@ class TestDrawSample:
 
     def test_atom_indices_rejects_foreign_rows(self):
         dist = make_distribution(SUPPORT5, PROBS5)
-        with pytest.raises(LengthMismatch):
-            atom_indices(dist, np.array([[0.5]]))
+        for rows in ([[0.5]], [[np.nan]], [[0.0, 0.0]], [0.0]):
+            with pytest.raises(LengthMismatch):
+                atom_indices(dist, np.array(rows))
+
+    def test_atom_indices_match_rows_by_equality(self):
+        # -0.0 is the support point 0.0, as make_distribution counts it
+        dist = make_distribution([[0.0, 1.0], [1.0, -1.0], [2.0, 0.0]], [1, 1, 1])
+        rows = np.array([[-0.0, 1.0], [2.0, -0.0], [0.0, 1.0], [1.0, -1.0]])
+        assert atom_indices(dist, rows).tolist() == [0, 2, 0, 1]
 
 
 class TestReplicationSeeds:

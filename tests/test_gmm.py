@@ -235,6 +235,18 @@ class TestKlProjection:
         with pytest.raises(Infeasible):
             kl_projection(g1.dist, model, np.array([0.0]))
 
+    def test_zero_on_an_edge_of_the_hull(self):
+        # 0 is the midpoint of the hull's edge from (-1, 0) to (1, 0), so the
+        # LP margin is 0.  Without that certificate the dual Newton reports
+        # convergence at |lambda| about 40, with a tilted mass of 1e-35.
+        points = [[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [-1.5, 0.7]]
+        eta = make_distribution(points, np.full(5, 0.2))
+        model = MomentModel(
+            m=lambda t, x: x.copy(), jac=lambda t, x: np.zeros((x.shape[0], 2, 1)), p=1, l=2
+        )
+        with pytest.raises(Infeasible):
+            kl_projection(eta, model, np.array([0.0]))
+
     def test_random_feasible_pairs(self, g1, rng):
         for _ in range(10):
             eta = make_distribution(g1.dist.support, rng.dirichlet(np.full(5, 4.0)))
@@ -346,6 +358,13 @@ def rows_and_weights(data):
     return data.rows, data.counts / data.n
 
 
+def newton_from(model, pts, w, theta, weight):
+    """``_newton`` from ``theta``, with the moments and Jacobian there, as
+    ``estimate_gmm`` starts step one."""
+    m_vals, gbar = model.moments_at(theta, pts), _weighted_jacobian(model, theta, pts, w)
+    return _newton(model, pts, w, weight, theta, m_vals, gbar)
+
+
 def _flat_direction_model():
     """m = (x - t1 - t2, x^2 - 1.2): the Jacobian has rank one everywhere."""
 
@@ -414,7 +433,7 @@ class TestStopReasons:
         # singular; estimate_gmm then refuses the sample information
         model = _flat_direction_model()
         pts, w = rows_and_weights(count_sample(g1.dist, 100, seed=0))
-        found = _newton(model, pts, w, np.zeros(2), np.eye(2))
+        found = newton_from(model, pts, w, np.zeros(2), np.eye(2))
         assert found.reason == gmm.NOT_POSITIVE_DEFINITE and found.steps == 0
         assert np.array_equal(found.theta, np.zeros(2))
         with pytest.raises(RankDeficientJacobian):
@@ -426,19 +445,79 @@ class TestStopReasons:
         # did instead of stepping along the unidentified direction t1 - t2
         model = _flat_direction_model()
         pts, w = rows_and_weights(draw_sample(g1.dist, 100, seed=0))
-        first = _newton(model, pts, w, np.zeros(2), np.eye(2))
+        first = newton_from(model, pts, w, np.zeros(2), np.eye(2))
         sigma_hat = (first.m_vals.T * w) @ first.m_vals
         weight = _cholesky(0.5 * (sigma_hat + sigma_hat.T), np.eye(2))
-        second = _newton(model, pts, w, first.theta, 0.5 * (weight + weight.T))
+        weight = 0.5 * (weight + weight.T)
+        second = _newton(model, pts, w, weight, first.theta, first.m_vals, first.gbar)
         assert second.reason == gmm.NOT_POSITIVE_DEFINITE and second.steps == 0
         assert np.array_equal(second.theta, np.zeros(2))
 
     def test_newton_hands_back_the_moments_at_its_minimiser(self, g1):
         pts, w = rows_and_weights(count_sample(g1.dist, 100, seed=0))
-        found = _newton(g1.model, pts, w, g1.theta0, np.eye(2))
+        found = newton_from(g1.model, pts, w, g1.theta0, np.eye(2))
         assert np.array_equal(found.m_vals, g1.model.moments_at(found.theta, pts))
         assert np.array_equal(found.mbar, w @ found.m_vals)
         assert np.array_equal(found.gbar, _weighted_jacobian(g1.model, found.theta, pts, w))
+
+    def test_gauss_newton_step_where_the_hessian_is_refused(self, g1, monkeypatch):
+        # with the variance restriction at 3.0 instead of 1.2 the curvature
+        # term leaves the Hessian at 0.3 not positive definite; the
+        # Gauss-Newton step moves on, and Newton ends at a first-order point
+        model = overidentified_mean_model(3.0)
+        pts, w = rows_and_weights(draw_sample(g1.dist, 200, seed=1))
+        refused = []  # per _direction call: whether each Cholesky factorisation failed
+        direction, cholesky = gmm._direction, gmm._cholesky
+
+        def recorded_direction(*args):
+            refused.append([])
+            return direction(*args)
+
+        def recorded_cholesky(a, b):
+            x = cholesky(a, b)
+            refused[-1].append(x is None)
+            return x
+
+        monkeypatch.setattr(gmm, "_direction", recorded_direction)
+        monkeypatch.setattr(gmm, "_cholesky", recorded_cholesky)
+        found = newton_from(model, pts, w, np.array([0.3]), np.eye(2))
+        assert refused[0] == [True, False]  # the Hessian refused, G'WG accepted
+        assert all(calls == [False] for calls in refused[1:])
+        assert found.reason == gmm.FIRST_ORDER and found.steps == 6
+        gbar = _weighted_jacobian(model, found.theta, pts, w)
+        mbar = w @ model.moments_at(found.theta, pts)
+        gradient = np.linalg.norm(gbar.T @ mbar)
+        assert gradient <= gmm.FIRST_ORDER_TOL * np.linalg.norm(gbar) * np.linalg.norm(mbar)
+
+    def test_step_two_starts_from_what_step_one_evaluated(self, g1, monkeypatch):
+        evaluated = []  # ("m" or "jac", theta) of every evaluation, in order
+
+        def m(theta, x):
+            evaluated.append(("m", theta.copy()))
+            return g1.model.m(theta, x)
+
+        def jac(theta, x):
+            evaluated.append(("jac", theta.copy()))
+            return g1.model.jac(theta, x)
+
+        minima = []
+        newton = gmm._newton
+
+        def recorded_newton(*args):
+            found = newton(*args)
+            minima.append(found.theta)
+            return found
+
+        monkeypatch.setattr(gmm, "_newton", recorded_newton)
+        data = draw_sample(g1.dist, 1000, seed=3)
+        est = estimate_gmm(data, MomentModel(m=m, jac=jac, p=1, l=2), g1.theta0)
+        theta1 = minima[0]
+        assert not np.array_equal(est.theta_hat, theta1)  # step two moved
+        at_theta1 = [kind for kind, theta in evaluated if np.array_equal(theta, theta1)]
+        assert at_theta1 == ["m", "jac"]  # once each, by step one
+        plain = estimate_gmm(data, g1.model, g1.theta0)
+        assert np.array_equal(est.theta_hat, plain.theta_hat)
+        assert est.iterations == plain.iterations and est.stop_reasons == plain.stop_reasons
 
 
 class TestCurvature:

@@ -133,6 +133,13 @@ class TestLogLikelihoodRatio:
             direct += math.log(q[s] / g1.dist.probs[s])
         assert log_likelihood_ratio(path, t, data) == pytest.approx(direct, abs=1e-12)
 
+    def test_negative_zero_rows_are_the_zero_atom(self, g1):
+        g = centered_score(g1.dist, g1.dist.column(0))
+        path = LocalPath(g1.dist, g)
+        signed = Dataset(np.array([[-0.0], [1.0], [-0.0]]))
+        plain = Dataset(np.array([[0.0], [1.0], [0.0]]))
+        assert log_likelihood_ratio(path, 0.1, signed) == log_likelihood_ratio(path, 0.1, plain)
+
     def test_rows_are_weighted_by_their_counts(self, g1):
         g = centered_score(g1.dist, g1.dist.column(0))
         path = LocalPath(g1.dist, g)

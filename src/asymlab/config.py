@@ -172,17 +172,14 @@ def build_experiment(raw: dict) -> ExperimentConfig:
     instance, score = build_instance_and_score(raw)
     for key in _RUN_KEYS:
         _require(raw, key, "config")
-    estimators = raw["estimators"]
-    tests = raw["tests"]
-    if not isinstance(estimators, list) or not isinstance(tests, list):
-        raise ConfigInvalid("estimators and tests must be arrays of names")
+    estimators, tests, alpha = prediction_fields(raw)
     try:
         return ExperimentConfig(
             instance=instance,
             score=score,
             n=raw["n"],
             reps=raw["reps"],
-            alpha=float(raw["alpha"]),
+            alpha=alpha,
             master_seed=raw["seed"],
             estimators=tuple(estimators),
             tests=tuple(tests),
@@ -192,7 +189,16 @@ def build_experiment(raw: dict) -> ExperimentConfig:
 
 
 def prediction_fields(raw: dict) -> tuple[list[str], list[str], float]:
-    """(estimators, tests, alpha) for the prediction command."""
+    """(estimators, tests, alpha) for the prediction and run commands: arrays
+    of distinct names, and 0 < alpha < 1."""
     for key in ("alpha", "estimators", "tests"):
         _require(raw, key, "config")
-    return list(raw["estimators"]), list(raw["tests"]), float(raw["alpha"])
+    for key in ("estimators", "tests"):
+        names = raw[key]
+        strings = isinstance(names, list) and all(isinstance(name, str) for name in names)
+        if not strings or len(set(names)) < len(names):
+            raise ConfigInvalid(f"{key} must be an array of distinct names, got {names!r}")
+    alpha = float(raw["alpha"])
+    if not 0.0 < alpha < 1.0:
+        raise ConfigInvalid(f"need 0 < alpha < 1, got {alpha}")
+    return list(raw["estimators"]), list(raw["tests"]), alpha

@@ -15,7 +15,8 @@ rounding.  Each step records why it stopped (``GmmEstimate.stop_reasons``).
 Every positive-definite solve here and in ``iv`` goes through ``_cholesky``,
 a Cholesky factorisation in Python floats: every system the shipped
 configs solve is 1 x 1 or 2 x 2, where it costs a few microseconds, and the
-run path does not import SciPy.
+run path does not import SciPy.  The population objects (efficient score,
+information, influence) are read from ``scores.moment_design``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chi2 import TestStatistic
-from .dist import Dataset, DiscreteDistribution, expectation, make_distribution
+from .dist import Dataset, DiscreteDistribution, make_distribution
 from .errors import (
     DegenerateDof,
     Infeasible,
@@ -35,13 +36,7 @@ from .errors import (
     SingularSigmaHat,
 )
 from .models import MomentModel
-from .scores import (
-    ScoreFunction,
-    _moment_tperp_part,
-    _near_singular,
-    _population_moment_objects,
-    centered_score,
-)
+from .scores import ScoreFunction, _near_singular, as_scores, centered_score, moment_design
 
 FIRST_ORDER_TOL = 1e-13
 DECREMENT_TOL = 1e-12
@@ -85,26 +80,16 @@ class GmmEstimate:
 def efficient_influence(
     dist: DiscreteDistribution, model: MomentModel, theta0
 ) -> tuple[list[ScoreFunction], np.ndarray, list[ScoreFunction]]:
-    """Efficient influence function, information matrix, and efficient score.
+    """Efficient influence function, information matrix, and efficient score,
+    read from the moment design (``scores.moment_design``).
 
     The efficient score is -E[grad m]' Sigma^{-1} m evaluated on the support;
     the information is E[grad m]' Sigma^{-1} E[grad m]; the influence is the
-    information inverse applied to the score.  Each influence coordinate is
-    verified to lie in the model tangent space: its part in the
-    orthocomplement T_perp must have norm below 1e-8.
+    information inverse applied to the score.
     """
-    m_vals, _, _, ell, info = _population_moment_objects(dist, model, theta0)
-    nu = ell @ np.linalg.inv(info)
-    ell_scores = [centered_score(dist, ell[:, j]) for j in range(model.p)]
-    nu_scores = [centered_score(dist, nu[:, j]) for j in range(model.p)]
-    escape = _moment_tperp_part(dist, m_vals, ell, nu)
-    for j in range(model.p):
-        resid = math.sqrt(expectation(dist, escape[:, j] ** 2))
-        if resid > 1e-8:
-            raise RankDeficientJacobian(
-                f"influence coordinate {j} escapes the tangent space by {resid:.2e}"
-            )
-    return nu_scores, info, ell_scores
+    design = moment_design(dist, model, theta0)
+    ell = [centered_score(dist, v) for v in design.ell.T]
+    return as_scores(dist, design.influence["gmm"]), design.info, ell
 
 
 def _cholesky(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:

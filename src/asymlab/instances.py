@@ -1,6 +1,9 @@
 """Catalog of ready-made problem instances, score-direction resolution, and
 the three-way split of a score.
 
+Each instance holds one population design (``design``), derived with all of
+its checks on first use; predictions, score splits and tangent bases read it.
+
 Two built-ins cover the full verification surface:
 
 * ``G1`` — the five-point symmetric distribution on {-2,...,2} with the
@@ -13,8 +16,8 @@ Two built-ins cover the full verification surface:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -23,14 +26,14 @@ from .errors import ConfigInvalid
 from .models import IVModel, MomentModel
 from .scores import (
     DecompositionReport,
+    IvDesign,
+    MomentDesign,
     ScoreFunction,
     SubspaceBasis,
     _require_same_dist,
-    gmm_orthocomplement_part,
-    gmm_tangent_basis,
     inner_product,
-    iv_orthocomplement_parts,
-    iv_tangent_bases,
+    iv_design,
+    moment_design,
 )
 
 
@@ -42,15 +45,19 @@ class GmmInstance:
     dist: DiscreteDistribution
     model: MomentModel
     theta0: np.ndarray
-    _bases: tuple[SubspaceBasis, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     kind = "gmm"
+    estimators = MomentDesign.estimators
+    tests = MomentDesign.tests
 
     @property
     def truth(self) -> np.ndarray:
         return self.theta0
+
+    @cached_property
+    def design(self) -> MomentDesign:
+        """The population design, derived with its checks on first use."""
+        return moment_design(self.dist, self.model, self.theta0)
 
 
 @dataclass(frozen=True)
@@ -60,15 +67,19 @@ class IvInstance:
     name: str
     dist: DiscreteDistribution
     model: IVModel
-    _bases: tuple[SubspaceBasis, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     kind = "iv"
+    estimators = IvDesign.estimators
+    tests = IvDesign.tests
 
     @property
     def truth(self) -> np.ndarray:
         return self.model.beta0
+
+    @cached_property
+    def design(self) -> IvDesign:
+        """The population design, derived with its checks on first use."""
+        return iv_design(self.dist, self.model)
 
 
 Instance = GmmInstance | IvInstance
@@ -149,20 +160,10 @@ def instance_by_name(name: str) -> Instance:
 
 
 def tangent_bases(instance: Instance) -> tuple[SubspaceBasis, ...]:
-    """(T, T_perp) for a moment instance; (T, T_perp_cap_M, M_perp) for an IV one.
-
-    Built on the first call and held on the instance itself, so the bases
-    live exactly as long as the instance and always belong to its
-    distribution.  Only a score given by basis coefficients needs them;
-    ``decompose_score`` does not.
-    """
-    if instance._bases is None:
-        if isinstance(instance, GmmInstance):
-            bases = gmm_tangent_basis(instance.dist, instance.model, instance.theta0)
-        else:
-            bases = iv_tangent_bases(instance.dist, instance.model)
-        object.__setattr__(instance, "_bases", bases)  # the instance is frozen
-    return instance._bases
+    """(T, T_perp) for a moment instance; (T, T_perp_cap_M, M_perp) for an IV
+    one: built on the first call and held on the instance's design.  Only a
+    score given by basis coefficients needs them."""
+    return instance.design.bases
 
 
 def three_way_bases(instance: Instance) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis]:
@@ -183,20 +184,14 @@ def three_way_bases(instance: Instance) -> tuple[SubspaceBasis, SubspaceBasis, S
 def decompose_score(instance: Instance, g: ScoreFunction) -> DecompositionReport:
     """Split ``g`` into its parts in T, in T_perp_cap_M and in M_perp.
 
-    The parts are read from the small side of each split, with no basis:
-    p = P_{T_perp} g and pi_Mperp = P_{M_perp} g come from the explicit
-    spanning sets of the orthocomplements, pi_TperpM = p - pi_Mperp and
-    pi_T = g - p.  For a moment instance the maintained model is everything,
-    so pi_Mperp is zero.  Each variance is taken from its own part, so an
-    empty part reads at rounding level, not as a difference of norms.
+    p = P_{T_perp} g and pi_Mperp = P_{M_perp} g are read from the small side
+    of each split (``orthocomplement_parts`` of the instance's design);
+    pi_TperpM = p - pi_Mperp and pi_T = g - p.  Each variance is taken from
+    its own part, so an empty part reads at rounding level.
     """
     dist = instance.dist
     _require_same_dist(dist, g)
-    if isinstance(instance, GmmInstance):
-        t_perp = gmm_orthocomplement_part(dist, instance.model, instance.theta0, g.values)
-        m_perp = np.zeros(dist.n_atoms)
-    else:
-        t_perp, m_perp = iv_orthocomplement_parts(dist, instance.model, g.values)
+    t_perp, m_perp = instance.design.orthocomplement_parts(g.values)
     parts = [ScoreFunction(dist, v) for v in (g.values - t_perp, t_perp - m_perp, m_perp)]
     return DecompositionReport(*parts, tuple(inner_product(dist, f, f) for f in parts))
 

@@ -29,13 +29,7 @@ from .errors import (
 )
 from .gmm import _cholesky
 from .models import IVModel
-from .scores import (
-    ScoreFunction,
-    SubspaceBasis,
-    _iv_null_design,
-    centered_score,
-    orthonormal_basis,
-)
+from .scores import ScoreFunction, SubspaceBasis, as_scores, iv_design
 
 RANK_TOL = 1e-8  # relative spectral cutoff for the generalized inverse
 
@@ -180,27 +174,14 @@ def dwh_statistic(data: Dataset, ols: LinearEstimate, tsls: LinearEstimate) -> T
 def iv_influence_functions(
     dist: DiscreteDistribution, model: IVModel
 ) -> tuple[list[ScoreFunction], list[ScoreFunction]]:
-    """Population influence functions of OLS and 2SLS for the coefficient vector."""
-    X, Z, e, exx, exz, ezz, _, _ = _iv_null_design(dist, model)
-    nu_vals = (X @ np.linalg.inv(exx)) * e[:, None]
-    bread = exz @ np.linalg.solve(ezz, exz.T)
-    tau_vals = (Z @ np.linalg.solve(ezz, exz.T) @ np.linalg.inv(bread)) * e[:, None]
-    make = lambda vals: [centered_score(dist, vals[:, j]) for j in range(vals.shape[1])]
-    return make(nu_vals), make(tau_vals)
+    """Population influence functions of OLS and 2SLS for the coefficient
+    vector, read from the IV design (``scores.iv_design``)."""
+    influence = iv_design(dist, model).influence
+    return as_scores(dist, influence["ols"]), as_scores(dist, influence["tsls"])
 
 
 def hausman_contrast_basis(dist: DiscreteDistribution, model: IVModel) -> SubspaceBasis:
-    """Orthonormal basis of the span of the OLS/2SLS influence differences.
-
-    These are the functions whose squared sums compose the contrast statistic
-    asymptotically; they live in the detectable subspace (maintained tangent
-    space minus the null tangent space) and their count is the population
-    degrees of freedom of the test.
-    """
-    nu, tau = iv_influence_functions(dist, model)
-    diffs = [t - v for t, v in zip(tau, nu)]
-    keep = [d for d in diffs if d.norm() > 1e-12]
-    if not keep:
-        return SubspaceBasis(dist, np.zeros((0, dist.n_atoms)), label="T_perp_cap_M")
-    return orthonormal_basis(dist, keep, label="T_perp_cap_M")
-
+    """The DWH statistic basis: an orthonormal basis of the OLS/2SLS
+    influence differences, in the detectable subspace (maintained tangent
+    space minus the null one); its dimension is the test's dof."""
+    return iv_design(dist, model).statistic["dwh"]

@@ -29,8 +29,6 @@ from .paths import LocalPath, path_distribution
 from .predict import Prediction
 from .scores import ScoreFunction, _require_same_dist
 
-_ESTIMATORS = {"gmm": ("gmm",), "iv": ("ols", "tsls")}
-_TESTS = {"gmm": ("j",), "iv": ("dwh",)}
 Z_PASS_BOUND = 4.0  # family-wise slack for dozens of simultaneous checks
 
 
@@ -54,16 +52,16 @@ class ExperimentConfig:
             raise ConfigInvalid(f"need reps >= 100, got {self.reps}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigInvalid(f"need 0 < alpha < 1, got {self.alpha}")
-        kind = self.instance.kind
+        inst, kind = self.instance, self.instance.kind
         if not self.estimators and not self.tests:
             raise ConfigInvalid("configure at least one estimator or test")
-        bad = set(self.estimators) - set(_ESTIMATORS[kind])
+        bad = set(self.estimators) - set(inst.estimators)
         if bad:
             raise ConfigInvalid(f"estimators {sorted(bad)} unavailable for a {kind} instance")
-        bad = set(self.tests) - set(_TESTS[kind])
+        bad = set(self.tests) - set(inst.tests)
         if bad:
             raise ConfigInvalid(f"tests {sorted(bad)} unavailable for a {kind} instance")
-        if kind == "gmm" and "j" in self.tests and self.instance.model.l == self.instance.model.p:
+        if kind == "gmm" and "j" in self.tests and inst.model.l == inst.model.p:
             raise ConfigInvalid("the overidentification test is degenerate when l == p")
         try:
             _require_same_dist(self.instance.dist, self.score)

@@ -2,10 +2,13 @@
 
 Everything here is computed at the population level from the base
 distribution, never plugged in from samples: the outputs are the ground
-truth that the Monte Carlo lab checks its empirical results against.  An
+truth that the Monte Carlo lab checks its empirical results against.  Every
+number is read from the instance's population design (``scores``): an
 estimator's drift along a deviation direction g is the inner product of its
-influence function with g; a chi-square test's noncentrality is the squared
-drift of the mean-zero functions composing the statistic.
+influence function with g; a chi-square test's statistic basis is an
+orthonormal set of mean-zero functions whose coordinates of g are the
+test's limit drift mu, so its noncentrality is |mu|^2 and its dof the
+basis's dimension.
 """
 
 from __future__ import annotations
@@ -16,18 +19,17 @@ from typing import Sequence
 import numpy as np
 
 from .chi2 import local_power
-from .dist import DiscreteDistribution, expectation
+from .dist import DiscreteDistribution
 from .errors import ShapeMismatch, WrongSubspaceLabel
-from .gmm import efficient_influence
 from .instances import GmmInstance, IvInstance, decompose_score
-from .iv import hausman_contrast_basis, iv_influence_functions
 from .models import MomentModel
 from .scores import (
     ScoreFunction,
     SubspaceBasis,
-    _population_moment_objects,
+    as_scores,
     coordinates,
     inner_product,
+    moment_design,
 )
 
 
@@ -41,46 +43,29 @@ def predicted_bias(
     return np.array([inner_product(dist, f, g) for f in influence])
 
 
-def _hall_projector(
-    dist: DiscreteDistribution, model: MomentModel, theta0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Sigma^{-1/2}, projection matrix onto the identifying directions, m values)."""
-    m_vals, sigma, gbar, _, _ = _population_moment_objects(dist, model, theta0)
-    evals, evecs = np.linalg.eigh(sigma)
-    inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.T
-    whitened = inv_sqrt @ gbar
-    proj = whitened @ np.linalg.solve(whitened.T @ whitened, whitened.T)
-    proj = 0.5 * (proj + proj.T)
-    return inv_sqrt, proj, m_vals
-
-
 def hall_split(
     dist: DiscreteDistribution, model: MomentModel, theta0, g: ScoreFunction
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split the scaled moment drift into identifying and overidentifying parts.
 
-    The drift is delta = Sigma^{-1/2} E[m g]; the identifying part is its
-    projection onto the span of the whitened mean Jacobian (what moves the
-    estimator), the overidentifying part is the orthogonal remainder (what
-    moves the overidentification statistic).
+    The drift is g's coordinates in the moment design's frame (Sigma^{-1/2}
+    E[m g] up to a rotation).  The identifying part keeps the first p, along
+    the efficient score (what moves the estimator); the overidentifying part
+    the last l - p, on the J statistic basis (what moves the J statistic).
     """
-    theta0 = np.asarray(theta0, dtype=float)
-    inv_sqrt, proj, m_vals = _hall_projector(dist, model, theta0)
-    drift = inv_sqrt @ expectation(dist, m_vals * g.values[:, None])
-    identifying = proj @ drift
+    drift = coordinates(dist, g, moment_design(dist, model, theta0).frame)
+    identifying = np.where(np.arange(drift.size) < model.p, drift, 0.0)
     return identifying, drift - identifying
 
 
 def j_noncentrality(
     dist: DiscreteDistribution, model: MomentModel, theta0, g: ScoreFunction
 ) -> float:
-    """Noncentrality of the overidentification statistic along direction ``g``.
-
-    Equals the squared norm of the overidentifying part of the moment drift;
-    only the component of g orthogonal to the model tangent space contributes.
-    """
-    _, overidentifying = hall_split(dist, model, theta0, g)
-    return float(max(overidentifying @ overidentifying, 0.0))
+    """Noncentrality of the overidentification statistic along direction
+    ``g``: |mu|^2 for g's coordinates mu on the J statistic basis, which
+    spans the orthocomplement of the model tangent space."""
+    mu = coordinates(dist, g, moment_design(dist, model, theta0).statistic["j"])
+    return float(mu @ mu)
 
 
 def hausman_noncentrality(
@@ -150,34 +135,21 @@ def build_prediction(
     tests: Sequence[str],
     alpha: float,
 ) -> Prediction:
-    """Analytic bias, noncentrality, and local power for a configured experiment."""
-    dist = instance.dist
+    """Analytic bias, noncentrality, and local power for a configured
+    experiment, read from the instance's population design."""
+    dist, design = instance.dist, instance.design
     biases: dict[str, np.ndarray] = {}
     test_preds: dict[str, TestPrediction] = {}
-    if isinstance(instance, GmmInstance):
-        for name in estimators:
-            if name != "gmm":
-                raise ShapeMismatch(f"estimator {name!r} does not apply to a moment instance")
-            nu, _, _ = efficient_influence(dist, instance.model, instance.theta0)
-            biases[name] = predicted_bias(dist, nu, g)
-        for name in tests:
-            if name != "j":
-                raise ShapeMismatch(f"test {name!r} does not apply to a moment instance")
-            ncp = j_noncentrality(dist, instance.model, instance.theta0, g)
-            dof = instance.model.l - instance.model.p
-            test_preds[name] = TestPrediction(dof, ncp, local_power(dof, ncp, alpha))
-    else:
-        influence = dict(zip(("ols", "tsls"), iv_influence_functions(dist, instance.model)))
-        for name in estimators:
-            if name not in influence:
-                raise ShapeMismatch(f"estimator {name!r} does not apply to an IV instance")
-            biases[name] = predicted_bias(dist, influence[name], g)
-        for name in tests:
-            if name != "dwh":
-                raise ShapeMismatch(f"test {name!r} does not apply to an IV instance")
-            basis = hausman_contrast_basis(dist, instance.model)
-            ncp, dof = hausman_noncentrality(dist, basis, g)
-            test_preds[name] = TestPrediction(dof, ncp, local_power(dof, ncp, alpha))
+    for name in estimators:
+        if name not in design.influence:
+            raise ShapeMismatch(f"estimator {name!r} does not apply to a {instance.kind} instance")
+        biases[name] = predicted_bias(dist, as_scores(dist, design.influence[name]), g)
+    for name in tests:
+        if name not in design.statistic:
+            raise ShapeMismatch(f"test {name!r} does not apply to a {instance.kind} instance")
+        mu = coordinates(dist, g, design.statistic[name])
+        ncp, dof = float(mu @ mu), design.statistic[name].dim
+        test_preds[name] = TestPrediction(dof, ncp, local_power(dof, ncp, alpha))
     report = decompose_score(instance, g)
     decomposition = {
         "var_T": report.var_T,

@@ -1,36 +1,30 @@
-"""The Hilbert space of mean-zero scores on a finite support.
+"""The Hilbert space of mean-zero scores on a finite support, and the
+population design of each model kind.
 
 A score is one real value per support point with zero mean under the carrying
 distribution; the inner product is <f, g> = E[f g].  Subspaces are held as
 explicit orthonormal bases, one (k, S) array each, so projections are matrix
-products.  Every basis comes from one routine, pivoted classical Gram-Schmidt
-applied twice in whitened coordinates (f -> sqrt(p) f): spans orthonormalize
-their spanning functions, and the null space of linear constraints is what
-the routine keeps of the atom indicators against the span of the constraints
-and the constant.  The pivot order depends on the inputs, not on rounding,
-and every basis vector's first non-negligible coordinate is made positive,
-so a basis vector is the same on every machine.
+products.  Every tangent basis comes from one routine, pivoted classical
+Gram-Schmidt applied twice in whitened coordinates (f -> sqrt(p) f), whose
+pivot order and signs depend on the inputs, not on rounding.
 
-The tangent-space constructors at the bottom build, for a moment-restriction
-model, the directions along which the model can be deformed (span of the
-efficient score plus the nuisance scores) and, for the linear IV design, the
-three-way split between the null model, the maintained model, and everything
-else.  Those bases are large (the tangent space T has nearly S dimensions)
-and are built only on demand, for a score given by basis coefficients.  A
-score's three-way split is read from the small side instead: every
-orthocomplement is spanned by a few explicit functions (the moment functions
-of a moment model; the cell-wise errors and the instrument errors of the IV
-design), so ``gmm_orthocomplement_part`` and ``iv_orthocomplement_parts``
-project on those spans by least-squares fits with a handful of columns.
-Each model kind's population objects are derived once, with their checks,
-by ``_population_moment_objects`` or ``_iv_null_design``; the IV design's
-(x1, z) cells are ``dist._row_groups`` of the support rows less y.
+Each instance has one population design (``moment_design`` or
+``iv_design``), derived once with all of its checks: each estimator's
+influence function and each test's statistic basis, whose coordinates of a
+score are the test's limit drift (J: the moment functions orthogonal to the
+efficient score; DWH: the OLS/2SLS influence differences).  The tangent
+bases (T has nearly S dimensions) are built only for a score given by basis
+coefficients.  A score's three-way split is read from the small side: every
+orthocomplement is spanned by a few explicit functions (the J basis; the
+IV design's cell-wise errors, over the (x1, z) cells that
+``dist._row_groups`` finds, and instrument errors).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,6 +99,11 @@ def centered_score(dist: DiscreteDistribution, values) -> ScoreFunction:
 
 def zero_score(dist: DiscreteDistribution) -> ScoreFunction:
     return ScoreFunction(dist, np.zeros(dist.n_atoms))
+
+
+def as_scores(dist: DiscreteDistribution, columns: np.ndarray) -> list[ScoreFunction]:
+    """The columns of the mean-zero per-atom values ``columns`` (S, k) as scores."""
+    return [ScoreFunction(dist, v) for v in columns.T]
 
 
 @dataclass(frozen=True)
@@ -306,7 +305,7 @@ def _tangent_span(
     return _basis(dist, _pivoted_cgs2(white), label)
 
 
-# --- GMM tangent construction ----------------------------------------------------
+# --- population designs ----------------------------------------------------------
 
 
 def _near_singular(a: np.ndarray) -> bool:
@@ -316,11 +315,69 @@ def _near_singular(a: np.ndarray) -> bool:
     return bool(evals[0] <= 1e-12 * max(evals[-1], 1e-300))
 
 
-def _population_moment_objects(
-    dist: DiscreteDistribution, model: MomentModel, theta0: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """(m values (S, l), Sigma (l, l), mean Jacobian gbar (l, p), efficient score
-    -m Sigma^{-1} gbar (S, p), information gbar' Sigma^{-1} gbar) with rank checks."""
+@dataclass(frozen=True)
+class PopulationDesign:
+    """What every prediction and score split of one instance reads:
+    ``influence`` maps each estimator to its centered influence values
+    (S, p), whose inner products with g are its bias along g; ``statistic``
+    maps each test to its statistic basis, orthonormal rows (k, S) whose
+    coordinates of g are the test's limit drift mu (dof k, ncp |mu|^2)."""
+
+    dist: DiscreteDistribution
+    influence: dict[str, np.ndarray]
+    statistic: dict[str, SubspaceBasis]
+
+    def __post_init__(self):
+        # every reader of an instance shares its design, so its arrays are read-only
+        for value in (*vars(self).values(), *self.influence.values()):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    def covariance(self, estimator: str, test: str) -> np.ndarray:
+        """C = E[b nu'] (k, p), the limit covariance of the test's vector with
+        the estimator's; zero for an estimator efficient under the test's
+        null (Hausman 1978)."""
+        nu = self.influence[estimator]
+        return self.statistic[test].matrix() @ (self.dist.probs[:, None] * nu)
+
+
+@dataclass(frozen=True)
+class MomentDesign(PopulationDesign):
+    """A moment model at theta0: moments ``m_vals`` (S, l), efficient score
+    ``ell`` = -m Sigma^{-1} gbar (S, p), information, and ``frame``, orthonormal
+    moment functions whose first p rows span ell and last l - p (the J
+    statistic basis) span T_perp."""
+
+    m_vals: np.ndarray
+    ell: np.ndarray
+    info: np.ndarray
+    frame: SubspaceBasis
+
+    estimators = ("gmm",)
+    tests = ("j",)
+
+    @cached_property
+    def bases(self) -> tuple[SubspaceBasis, SubspaceBasis]:
+        """(T, T_perp): the span of the efficient score plus the nuisance
+        scores (every direction uncorrelated with m), and its orthocomplement."""
+        nuisance = complement_basis(self.dist, self.m_vals.T)
+        t_basis = _tangent_span(self.dist, self.ell, nuisance, "T")
+        return t_basis, complement_basis(self.dist, t_basis.matrix(), label="T_perp")
+
+    def orthocomplement_parts(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(part of per-atom ``values`` (S,) in T_perp, on the J basis; part in
+        M_perp, zero because the maintained model is everything)."""
+        b = self.statistic["j"].matrix()
+        return (b @ (self.dist.probs * values)) @ b, np.zeros(self.dist.n_atoms)
+
+
+def moment_design(dist: DiscreteDistribution, model: MomentModel, theta0) -> MomentDesign:
+    """The design of ``model`` at ``theta0`` once the Jacobian agrees with
+    finite differences, E[m] = 0, Sigma and gbar have full rank, and the
+    efficient influence lies in the tangent space (|C(gmm, j)| <= 1e-8).
+    The frame is a Householder QR of the centered, whitened moments rotated
+    by a complete QR of ell's coordinates in it; with l = p, J has no rows.
+    """
     theta0 = np.asarray(theta0, dtype=float)
     model.check_jacobian(theta0, dist.support)
     m_vals = model.moments_at(theta0, dist.support)
@@ -340,50 +397,37 @@ def _population_moment_objects(
         raise RankDeficientJacobian(f"mean Jacobian singular values {svals}")
     weighted = np.linalg.solve(sigma, gbar)
     info = gbar.T @ weighted
-    return m_vals, sigma, gbar, -m_vals @ weighted, 0.5 * (info + info.T)
+    info = 0.5 * (info + info.T)
+    ell = -m_vals @ weighted
+    nu = ell @ np.linalg.inv(info)
+    sqp = np.sqrt(dist.probs)[:, None]
+    q, _ = np.linalg.qr((m_vals - mbar) * sqp)
+    rot, _ = np.linalg.qr(q.T @ ((ell - expectation(dist, ell)) * sqp), mode="complete")
+    frame = SubspaceBasis(dist, ((q @ rot) / sqp).T)
+    j_basis = SubspaceBasis(dist, frame.values[model.p :], "T_perp")
+    influence = dict(zip(MomentDesign.estimators, [nu - expectation(dist, nu)]))
+    statistic = dict(zip(MomentDesign.tests, [j_basis]))
+    design = MomentDesign(dist, influence, statistic, m_vals, ell, info, frame)
+    escape = np.linalg.norm(design.covariance("gmm", "j"), axis=0).max()
+    if escape > 1e-8:
+        raise RankDeficientJacobian(f"the influence escapes the tangent space by {escape:.2e}")
+    return design
 
 
 def gmm_tangent_basis(
     dist: DiscreteDistribution, model: MomentModel, theta0
 ) -> tuple[SubspaceBasis, SubspaceBasis]:
-    """Tangent space of the moment model at ``dist`` and its orthocomplement.
-
-    The tangent space is the span of the efficient score for the parameter
-    plus every mean-zero direction uncorrelated with the moment function (the
-    nuisance scores).  Its orthocomplement has dimension l - p when the
-    support is rich enough.
-    """
-    m_vals, _, _, ell, _ = _population_moment_objects(dist, model, theta0)
-    t_basis = _tangent_span(dist, ell, complement_basis(dist, m_vals.T), "T")
-    t_perp = complement_basis(dist, t_basis.matrix(), label="T_perp")
-    return t_basis, t_perp
-
-
-def _moment_tperp_part(
-    dist: DiscreteDistribution, m_vals: np.ndarray, ell: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """Part of ``values`` in T_perp = span(m) minus span(ell) of a moment model
-    with moment values ``m_vals`` (S, l) and efficient-score columns ``ell``
-    (S, p); ell lies in span(m), so the part is a difference of two fits."""
-    return _span_part(dist, m_vals, values) - _span_part(dist, ell, values)
+    """Tangent space of the moment model and its orthocomplement, of
+    dimension l - p on a rich enough support (``MomentDesign.bases``)."""
+    return moment_design(dist, model, theta0).bases
 
 
 def gmm_orthocomplement_part(
     dist: DiscreteDistribution, model: MomentModel, theta0, values: np.ndarray
 ) -> np.ndarray:
-    """Projection of per-atom ``values`` on the orthocomplement T_perp of the
-    moment model's tangent space, without a basis of T.
-
-    The nuisance scores are the mean-zero functions orthogonal to every
-    moment function, so T_perp is the span of the centered moment functions
-    minus the span of the efficient score: an l-dimensional and a
-    p-dimensional fit.  Runs the checks of ``gmm_tangent_basis``.
-    """
-    m_vals, _, _, ell, _ = _population_moment_objects(dist, model, theta0)
-    return _moment_tperp_part(dist, m_vals, ell, values)
-
-
-# --- linear IV tangent construction -----------------------------------------------
+    """Projection of per-atom ``values`` (S,) on the orthocomplement T_perp of
+    the moment model's tangent space, spanned by the J statistic basis."""
+    return moment_design(dist, model, theta0).orthocomplement_parts(values)[0]
 
 
 def check_iv_null_model(dist: DiscreteDistribution, model: IVModel, tol: float = 1e-10) -> None:
@@ -420,98 +464,108 @@ def iv_population_matrices(
     return exx, exz, ezz
 
 
-def _iv_null_design(
-    dist: DiscreteDistribution, model: IVModel
-) -> tuple[np.ndarray, ...]:
-    """(X, Z, e, E[XX'], E[XZ'], E[ZZ'], the (x1, z) cell of each atom, the
-    maintained efficient score E[XZ'] E[ZZ']^{-1} z e / sigma0^2) on the
-    support, once the conditional null holds and E[ZX'] has full column
-    rank: every consumer reads these from here."""
+@dataclass(frozen=True)
+class IvDesign(PopulationDesign):
+    """The linear IV null model: X, Z, errors e and (x1, z) cell of each atom,
+    and the maintained efficient score ``ell_m`` = E[XZ'] E[ZZ']^{-1} z e /
+    sigma0^2.  The DWH basis spans the OLS/2SLS influence differences."""
+
+    model: IVModel
+    X: np.ndarray
+    Z: np.ndarray
+    e: np.ndarray
+    cell: np.ndarray
+    ell_m: np.ndarray
+
+    estimators = ("ols", "tsls")
+    tests = ("dwh",)
+
+    @cached_property
+    def bases(self) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis]:
+        """(T, T_perp_cap_M, M_perp): the null-model tangent space, the part of
+        the maintained (instrument-validity) one orthogonal to it, and the
+        orthocomplement of the maintained one.  The null model's nuisance
+        directions are orthogonal to 1_c e for every (x1, z) cell c, which is
+        exact on a finite support.  T has S - 1 - (cells - k) dimensions, so
+        these bases cost hundreds of Gram-Schmidt pivots on a wide support.
+        """
+        dist, e, cell = self.dist, self.e, self.cell
+        # Null model: efficient score x e / sigma0^2.
+        constraints_p = np.where(cell == np.arange(cell.max() + 1)[:, None], e, 0.0)
+        ell_p = self.X * (e / self.model.sigma0_sq)[:, None]
+        t_basis = _tangent_span(dist, ell_p, complement_basis(dist, constraints_p), "T")
+        # Maintained model: nuisance scores are orthogonal to every coordinate of z e.
+        m_nuisance = complement_basis(dist, (self.Z * e[:, None]).T)
+        m_basis = _tangent_span(dist, self.ell_m, m_nuisance, "M")
+        # T_perp intersected with M: what the M basis adds beyond T.
+        sqp = np.sqrt(dist.probs)
+        white = _pivoted_cgs2(m_basis.matrix() * sqp, against=t_basis.matrix() * sqp)
+        m_perp = complement_basis(dist, m_basis.matrix(), label="M_perp")
+        return t_basis, _basis(dist, white, "T_perp_cap_M"), m_perp
+
+    def _m_perp_part(self, values: np.ndarray) -> np.ndarray:
+        """Part of ``values`` in M_perp: span(z e) minus span(ell_m)."""
+        ze = self.Z * self.e[:, None]
+        return _span_part(self.dist, ze, values) - _span_part(self.dist, self.ell_m, values)
+
+    def orthocomplement_parts(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(part of per-atom ``values`` in T_perp, part in M_perp).  T_perp is
+        the span of the cell-wise errors 1_c e, one ratio per disjoint cell
+        (E[g e 1_c] / E[e^2 1_c] times e), minus the span of x e.  M_perp has
+        q - k1 dimensions and is exactly empty when q = k1."""
+        dist, e, cell = self.dist, self.e, self.cell
+        we = dist.probs * e
+        on_cells = e * (np.bincount(cell, we * values) / np.bincount(cell, we * e))[cell]
+        xe = self.X * e[:, None]
+        t_perp = on_cells - expectation(dist, on_cells) - _span_part(dist, xe, values)
+        k1, _, q = self.model.dims
+        if q == k1:
+            return t_perp, np.zeros(dist.n_atoms)
+        return t_perp, self._m_perp_part(values)
+
+
+def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
+    """The design of the IV null model once the conditional null holds, E[ZX']
+    has full rank, and the null tangent space nests in the maintained one
+    (no column of x e has a part in M_perp)."""
     cell, e = _null_cells(dist, model, 1e-10)
     _, X, Z = model.design_matrices(dist.support)
     exx, exz, ezz = iv_population_matrices(dist, model)
     if np.linalg.matrix_rank(exz, tol=1e-10 * max(np.linalg.norm(exz), 1e-300)) < model.n_params:
         raise RankDeficientFirstStage("E[ZX'] does not have full rank")
     ell_m = (Z @ (exz @ np.linalg.inv(ezz)).T) * (e / model.sigma0_sq)[:, None]
-    return X, Z, e, exx, exz, ezz, cell, ell_m
+    first = np.linalg.solve(ezz, exz.T)
+    ols = (X @ np.linalg.inv(exx)) * e[:, None]
+    tsls = (Z @ first @ np.linalg.inv(exz @ first)) * e[:, None]
+    ols, tsls = (v - expectation(dist, v) for v in (ols, tsls))
+    diffs = tsls - ols
+    keep = np.sqrt(np.maximum(expectation(dist, diffs * diffs), 0.0)) > 1e-12
+    dwh = _basis(dist, _pivoted_cgs2(diffs.T[keep] * np.sqrt(dist.probs)), "T_perp_cap_M")
+    influence = dict(zip(IvDesign.estimators, [ols, tsls]))
+    statistic = dict(zip(IvDesign.tests, [dwh]))
+    design = IvDesign(dist, influence, statistic, model, X, Z, e, cell, ell_m)
+    k1, _, q = model.dims
+    if q > k1:  # each column of x e's part outside M, relative to the column's norm
+        xe = X * e[:, None]
+        xe_c = xe - expectation(dist, xe)
+        leak = np.sqrt(expectation(dist, design._m_perp_part(xe) ** 2) / expectation(dist, xe_c**2))
+        if np.max(leak) > 1e-10:
+            raise NestingViolated(f"a null tangent direction leaks {np.max(leak):.2e} outside M")
+    return design
 
 
 def iv_tangent_bases(
     dist: DiscreteDistribution, model: IVModel
 ) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis]:
-    """Three-way tangent split for the exogeneity testing problem.
-
-    Returns orthonormal bases of the null-model tangent space T, of the part
-    of the maintained (instrument-validity) tangent space orthogonal to it,
-    and of the orthocomplement of the maintained space.  The conditional
-    mean-zero constraint defining the nuisance directions of the null model
-    is encoded as one linear constraint per distinct (x1, z) support value,
-    which is exact on a finite support.  T has S - 1 - (cells - k)
-    dimensions, so these bases cost hundreds of Gram-Schmidt pivots on a
-    wide support; they are built only for a score given by basis
-    coefficients.  A score's three-way split comes from
-    ``iv_orthocomplement_parts``, which needs no basis.
-    """
-    X, Z, e, _, _, _, cell, ell_m = _iv_null_design(dist, model)
-
-    # Null model: efficient score x e / sigma0^2; nuisance scores are the
-    # mean-zero directions orthogonal to every (indicator of (x1, z)) * e.
-    constraints_p = np.where(cell == np.arange(cell.max() + 1)[:, None], e, 0.0)
-    ell_p = X * (e / model.sigma0_sq)[:, None]
-    t_basis = _tangent_span(dist, ell_p, complement_basis(dist, constraints_p), "T")
-
-    # Maintained model: nuisance scores are orthogonal to every coordinate of z e.
-    m_basis = _tangent_span(dist, ell_m, complement_basis(dist, (Z * e[:, None]).T), "M")
-
-    # T_perp intersected with M: what the M basis adds beyond T.
-    sqp = np.sqrt(dist.probs)
-    t_perp_cap_m = _basis(
-        dist, _pivoted_cgs2(m_basis.matrix() * sqp, against=t_basis.matrix() * sqp), "T_perp_cap_M"
-    )
-    m_perp = complement_basis(dist, m_basis.matrix(), label="M_perp")
-
-    # norm of each null tangent direction's part outside M
-    leak = np.linalg.norm((t_basis.matrix() * dist.probs) @ m_perp.matrix().T, axis=1)
-    if np.max(leak, initial=0.0) > 1e-10:
-        raise NestingViolated(f"a null tangent direction leaks {np.max(leak):.2e} outside M")
-    return t_basis, t_perp_cap_m, m_perp
+    """Three-way tangent split of the exogeneity testing problem (``IvDesign.bases``)."""
+    return iv_design(dist, model).bases
 
 
 def iv_orthocomplement_parts(
     dist: DiscreteDistribution, model: IVModel, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Projections of per-atom ``values`` on T_perp and on M_perp of the IV
-    design, from the small side of each split.
-
-    T_perp is the span of the cell-wise errors 1_c e over the distinct
-    (x1, z) cells c, minus the span of x e.  The cells are disjoint, so the
-    projection on their span is one ratio per cell,
-    E[g e 1_c] / E[e^2 1_c] times e; only span(x e) needs a k-column fit.
-    M_perp is the span of the instrument errors z e minus the span of the
-    maintained efficient score; it has q - k1 dimensions and is exactly
-    empty when q = k1.  Runs every check of ``iv_tangent_bases``: the
-    conditional null, the rank of E[ZX'], and nesting (no column of x e has
-    a part in M_perp).
-    """
-    X, Z, e, _, _, _, cell, ell_m = _iv_null_design(dist, model)
-    we = dist.probs * e
-    on_cells = e * (np.bincount(cell, we * values) / np.bincount(cell, we * e))[cell]
-    xe = X * e[:, None]
-    t_perp = on_cells - expectation(dist, on_cells) - _span_part(dist, xe, values)
-    k1, _, q = model.dims
-    if q == k1:
-        return t_perp, np.zeros(dist.n_atoms)
-    ze = Z * e[:, None]
-
-    def m_perp_part(v):
-        return _span_part(dist, ze, v) - _span_part(dist, ell_m, v)
-
-    # each column of x e's part outside M, relative to the column's norm
-    xe_c = xe - expectation(dist, xe)
-    leak = np.sqrt(expectation(dist, m_perp_part(xe) ** 2) / expectation(dist, xe_c**2))
-    if np.max(leak) > 1e-10:
-        raise NestingViolated(f"a null tangent direction leaks {np.max(leak):.2e} outside M")
-    return t_perp, m_perp_part(values)
+    """Parts of per-atom ``values`` in T_perp and M_perp (``IvDesign.orthocomplement_parts``)."""
+    return iv_design(dist, model).orthocomplement_parts(values)
 
 
 # --- three-way decomposition -------------------------------------------------------

@@ -224,6 +224,14 @@ def _check_hall():
         g = _random_score(g1.dist, rng)
         ident, over = hall_split(g1.dist, g1.model, g1.theta0, g)
         _require(abs(ident @ over) < 1e-12, "split is not orthogonal")
+    for instance, efficient in ((g1, "gmm"), (iv1_instance(), "ols")):
+        design = instance.design
+        for name, basis in design.statistic.items():
+            gram = (basis.matrix() * instance.dist.probs) @ basis.matrix().T
+            gap = np.max(np.abs(gram - np.eye(basis.dim)), initial=0.0)
+            _require(gap < 1e-12, f"the {name} statistic basis is not orthonormal")
+            cross = np.max(np.abs(design.covariance(efficient, name)), initial=0.0)
+            _require(cross < 1e-12, f"C({efficient}, {name}) = {cross:.2e} is not zero")
 
 
 _CHECKS = [

@@ -16,6 +16,7 @@ from asymlab.config import (
     build_experiment,
     build_instance_and_score,
     load_raw,
+    prediction_fields,
     validate_raw,
 )
 from asymlab.errors import AsymlabError, ConfigInvalid
@@ -129,6 +130,31 @@ class TestConfigValidation:
             build_experiment(raw)
         code = execute(["run", "--config", str(CONFIG_DIR / "g1_perp.json"), "--set", override])
         assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["predict", "run"])
+    @pytest.mark.parametrize(
+        "config, override",
+        [
+            ("iv1_power", 'tests=["dwh","dwh"]'),
+            ("iv1_power", 'estimators=["ols","ols"]'),
+            ("g1_perp", 'estimators="gmm"'),
+            ("g1_perp", 'tests="j"'),
+            ("g1_perp", "tests=[1]"),
+            ("g1_perp", "alpha=0"),
+            ("g1_perp", "alpha=1.5"),
+        ],
+    )
+    def test_names_and_alpha_share_one_check(self, command, config, override, capsys):
+        # names must be arrays of distinct strings and 0 < alpha < 1, for
+        # predict as for run
+        path = str(CONFIG_DIR / f"{config}.json")
+        raw = apply_overrides(validate_raw(load_raw(path)), [override])
+        with pytest.raises(ConfigInvalid):
+            prediction_fields(raw)
+        with pytest.raises(ConfigInvalid):
+            build_experiment(raw)
+        assert execute([command, "--config", path, "--set", override, "--out", os.devnull]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_override_injecting_unknown_key_is_caught(self):
@@ -329,6 +355,17 @@ class TestCliCommands:
         assert failures >= 1
         assert any(line.startswith("FAIL expectation-exactness") for line in lines)
 
+    def test_moment_drift_check_catches_a_nonzero_covariance(self, run_python):
+        # an efficient estimator correlated with its pretest breaks Hausman's lemma
+        failures, lines = self._selftest_under_optimized_mode(
+            run_python,
+            "import numpy as np\n"
+            "from asymlab.scores import IvDesign\n"
+            "IvDesign.covariance = lambda self, est, test: np.ones((1, 2))\n",
+        )
+        assert failures == 1
+        assert any(line.startswith("FAIL moment-drift-split: C(ols, dwh)") for line in lines)
+
     def test_moment_contract_check_catches_a_wrong_jacobian_shape(self, run_python):
         # the IV catalogue model is swapped for one whose Jacobian drops its
         # parameter axis; only the moment-contract check may notice
@@ -380,19 +417,22 @@ class TestCliCommands:
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 # A fresh interpreter runs `asymlab run` on one config with every basis
-# constructor counted, and reports whether the instance holds bases after.
+# construction counted, and reports whether the instance's design holds
+# bases after.
 _RUN_AND_COUNT_BASES = """
 import json, sys
+from functools import cached_property
 import asymlab.config as cfg
-import asymlab.instances as instances
+import asymlab.scores as scores
 from asymlab.cli import execute
 
 built = []
-for name in ("gmm_tangent_basis", "iv_tangent_bases"):
-    def counted(*args, real=getattr(instances, name), name=name):
+for cls in (scores.MomentDesign, scores.IvDesign):
+    def counted(design, real=cls.__dict__["bases"].func, name=cls.__name__):
         built.append(name)
-        return real(*args)
-    setattr(instances, name, counted)
+        return real(design)
+    cls.bases = cached_property(counted)
+    cls.bases.__set_name__(cls, "bases")
 seen = []
 real_build = cfg.build_experiment
 def capture(raw):
@@ -404,7 +444,7 @@ code = execute(["run", "--config", sys.argv[1], "--reps", "100", "--out", sys.ar
 print(json.dumps({
     "code": code,
     "built": built,
-    "held": [instance._bases is not None for instance in seen],
+    "held": ["bases" in vars(instance.design) for instance in seen],
     "numpy_ma": "numpy.ma" in sys.modules,
 }))
 """
@@ -417,7 +457,7 @@ class TestBasesStayOffTheRunPath:
             ("iv1_power", []),
             ("g1_tangent", []),
             ("iv_wide", []),
-            ("g1_perp", ["gmm_tangent_basis"]),  # a "basis" score needs T_perp's basis
+            ("g1_perp", ["MomentDesign"]),  # a "basis" score needs T_perp's basis
         ],
     )
     def test_only_a_basis_score_builds_bases(self, tmp_path, name, built):

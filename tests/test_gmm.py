@@ -262,11 +262,21 @@ class TestKlProjection:
 
 class TestProjectionMatrixIdentity:
     def test_projector_idempotent_symmetric(self, g1):
-        from asymlab.predict import _hall_projector
-
-        _, proj, _ = _hall_projector(g1.dist, g1.model, g1.theta0)
-        assert np.max(np.abs(proj - proj.T)) < 1e-10
-        assert np.max(np.abs(proj @ proj - proj)) < 1e-10
+        # the J statistic basis: orthonormal rows, orthogonal to the efficient
+        # score, spanning T_perp; its whitened projector is symmetric and
+        # idempotent and equals T_perp's
+        basis = g1.design.statistic["j"]
+        assert basis.dim == g1.model.l - g1.model.p
+        rows = basis.matrix()
+        assert np.max(np.abs((rows * g1.dist.probs) @ rows.T - np.eye(basis.dim))) < 1e-12
+        _, _, ell = efficient_influence(g1.dist, g1.model, g1.theta0)
+        assert np.max(np.abs(rows @ (g1.dist.probs * ell[0].values))) < 1e-12
+        root_p = np.sqrt(g1.dist.probs)
+        proj = (rows * root_p).T @ (rows * root_p)
+        assert np.max(np.abs(proj - proj.T)) < 1e-12
+        assert np.max(np.abs(proj @ proj - proj)) < 1e-12
+        t_perp = tangent_bases(g1)[1].matrix() * root_p
+        assert np.max(np.abs(proj - t_perp.T @ t_perp)) < 1e-12
 
     def test_tangent_scores_have_no_overidentifying_drift(self, g1, rng):
         # for scores inside the tangent space the whitened moment drift lies

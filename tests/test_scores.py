@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import decompose_by_bases, gram_schmidt_fsum
 
-from asymlab.config import build_instance, build_instance_and_score, load_raw
+import asymlab.instances as instances
+from asymlab.config import build_experiment, build_instance, build_instance_and_score, load_raw
 from asymlab.dist import expectation, make_distribution, same_distribution
 from asymlab.errors import (
     DistributionMismatch,
@@ -34,6 +36,8 @@ from asymlab.models import IVModel, MomentModel
 from asymlab.predict import build_prediction
 from asymlab.scores import (
     DROP_TOL,
+    IvDesign,
+    MomentDesign,
     ScoreFunction,
     centered_score,
     check_iv_null_model,
@@ -366,6 +370,65 @@ class TestTangentBasesCache:
             del instance
 
 
+class TestOneDesignPerInstance:
+    """Every consumer reads the instance's one population design."""
+
+    @pytest.mark.parametrize(
+        "name", ["g1_perp", "g1_tangent", "iv1_power", "iv1_bias_equal", 1, 2, 3]
+    )
+    def test_one_derivation_per_instance(self, name, monkeypatch):
+        if isinstance(name, int):  # an iv_wide design
+            sys.path.insert(0, str(BENCH))
+            try:
+                from workloads import make_config
+            finally:
+                sys.path.remove(str(BENCH))
+            raw = make_config(str(CONFIG_DIR.parent), "iv_wide", name)
+        else:
+            raw = load_raw(CONFIG_DIR / f"{name}.json")
+        # the built-ins are cached across tests; build them afresh here
+        for key, make in list(instances._BUILTINS.items()):
+            monkeypatch.setitem(instances._BUILTINS, key, make.__wrapped__)
+        counts = Counter()
+        for cls in (MomentDesign, IvDesign):
+
+            def counted(design, *args, real=cls.__init__, **kwargs):
+                counts["design"] += 1
+                real(design, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        real_check = MomentModel.check_jacobian
+
+        def check_jacobian(model, *args):
+            counts["jacobian"] += 1
+            real_check(model, *args)
+
+        monkeypatch.setattr(MomentModel, "check_jacobian", check_jacobian)
+        experiment = build_experiment(raw)
+        instance, g = experiment.instance, experiment.score
+        build_prediction(instance, g, experiment.estimators, experiment.tests, experiment.alpha)
+        decompose_score(instance, g)
+        tangent_bases(instance)
+        gmm = instance.kind == "gmm"
+        assert (counts["design"], counts["jacobian"]) == (1, 1 if gmm else 0)
+
+    def test_replace_derives_a_fresh_design(self, g1, iv1):
+        moved_gmm = make_distribution(g1.dist.support, [0.15, 0.2, 0.3, 0.2, 0.15])
+        v = expectation(moved_gmm, moved_gmm.column(0) ** 2)
+        moved_iv = make_distribution(iv1.dist.support, [0.1, 0.1, 0.15, 0.15] * 2)
+        for instance, dist, model in (
+            (g1, moved_gmm, overidentified_mean_model(v)),
+            (iv1, moved_iv, iv1.model),
+        ):
+            design = instance.design
+            moved = dataclasses.replace(instance, dist=dist, model=model)
+            assert "design" not in vars(moved)
+            assert moved.design is not design and same_distribution(moved.design.dist, dist)
+            assert instance.design is design
+            for basis in tangent_bases(moved):
+                assert same_distribution(basis.dist, dist)
+
+
 class TestProject:
     def test_identity_on_subspace_element(self, g1, rng):
         basis = tangent_bases(g1)[0]
@@ -687,6 +750,14 @@ class TestInvariantsOnGeneratedInstances:
         influence = efficient_influence_of(instance)
         bias = [inner_product(dist, nu, report.pi_TperpM) for nu in influence]
         assert np.max(np.abs(bias)) <= 1e-12  # the pretest's channel moves no efficient bias
+        # Hausman's lemma: C = <influence, statistic basis> is zero for the
+        # efficient estimator and its pretest.  The basis rows are unit
+        # vectors, so C carries the influence's rounding: the bound scales
+        # with its norm (13 where x1 is nearly collinear with the intercept).
+        basis = instance.design.statistic[instance.tests[0]]
+        for b in (ScoreFunction(dist, row) for row in basis.matrix()):
+            for nu in influence:
+                assert abs(inner_product(dist, b, nu)) <= 1e-12 * max(1.0, nu.norm())
 
     @settings(max_examples=40, deadline=None)
     @given(case=random_instances(), seed=st.integers(0, 2**32 - 1))
@@ -714,6 +785,14 @@ class TestInvariantsOnGeneratedInstances:
         self.check(signed, g_signed)
         moved = prediction_numbers(signed, g_signed)
         assert np.max(np.abs(moved - prediction_numbers(instance, g))) <= 1e-12
+
+    def test_hausman_lemma_on_the_built_ins(self, g1, iv1):
+        # C(gmm, j) and C(ols, dwh) vanish; 2SLS is not efficient under the
+        # null, and C(tsls, dwh) = sqrt(V_tsls - V_ols) = sqrt(1 - 1/2) along x1
+        assert np.max(np.abs(g1.design.covariance("gmm", "j"))) <= 1e-12
+        assert np.max(np.abs(iv1.design.covariance("ols", "dwh"))) <= 1e-12
+        cross = iv1.design.covariance("tsls", "dwh")
+        assert np.abs(cross).ravel() == pytest.approx([math.sqrt(0.5), 0.0], abs=1e-12)
 
 
 def test_singular_sigma_detected(g1):

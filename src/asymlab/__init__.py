@@ -20,7 +20,6 @@ from .dist import (
 )
 from .gmm import (
     GmmEstimate,
-    efficient_influence,
     estimate_gmm,
     j_statistic,
     kl_projection,
@@ -39,14 +38,7 @@ from .instances import (
     tangent_bases,
     three_way_bases,
 )
-from .iv import (
-    LinearEstimate,
-    dwh_statistic,
-    estimate_2sls,
-    estimate_ols,
-    hausman_contrast_basis,
-    iv_influence_functions,
-)
+from .iv import LinearEstimate, dwh_statistic, estimate_2sls, estimate_ols
 from .mc import (
     ComparisonReport,
     ExperimentConfig,
@@ -62,23 +54,13 @@ from .paths import (
     numerical_score,
     path_distribution,
 )
-from .predict import (
-    Prediction,
-    TestPrediction,
-    build_prediction,
-    hall_split,
-    hausman_noncentrality,
-    j_noncentrality,
-    predicted_bias,
-)
+from .predict import Prediction, TestPrediction, build_prediction, hall_split
 from .scores import (
     DecompositionReport,
     ScoreFunction,
     SubspaceBasis,
     centered_score,
-    gmm_tangent_basis,
     inner_product,
-    iv_tangent_bases,
     orthonormal_basis,
     project,
     zero_score,

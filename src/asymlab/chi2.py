@@ -102,7 +102,8 @@ def noncentral_chisq_cdf(x: float, k: int, lam: float) -> float:
 
 @lru_cache(maxsize=4096)
 def chisq_quantile(k: int, prob: float) -> float:
-    """Central chi-square quantile by bisection to bracket width 1e-10."""
+    """Central chi-square quantile by bisection, to a bracket of width 1e-10
+    relative to the quantile below 1 and absolute from 1 up."""
     if k < 1 or not 0.0 < prob < 1.0:
         raise DomainError(f"need k >= 1 and 0 < prob < 1; got k={k}, prob={prob}")
     lo, hi = 0.0, max(1.0, float(k))
@@ -110,7 +111,7 @@ def chisq_quantile(k: int, prob: float) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise DomainError("quantile bracket exploded")
-    while hi - lo > 1e-10:
+    while hi - lo > 1e-10 * min(1.0, hi):
         mid = 0.5 * (lo + hi)
         if noncentral_chisq_cdf(mid, k, 0.0) < prob:
             lo = mid
@@ -123,6 +124,8 @@ def local_power(k: int, ncp: float, alpha: float) -> float:
     """Rejection probability of a level-alpha chi-square(k) test at noncentrality ncp."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"need 0 < alpha < 1, got {alpha}")
+    if 1.0 - alpha == 1.0:
+        raise DomainError(f"alpha = {alpha} is too small: 1 - alpha rounds to 1")
     if ncp < 0:
         raise DomainError(f"need ncp >= 0, got {ncp}")
     crit = chisq_quantile(k, 1.0 - alpha)

@@ -31,10 +31,6 @@ class EmptySpan(AsymlabError):
     """All spanning vectors were numerically zero after orthogonalization."""
 
 
-class WrongSubspaceLabel(AsymlabError):
-    """A basis with an unexpected subspace label was supplied."""
-
-
 # --- moment models and GMM -------------------------------------------------
 
 

@@ -16,7 +16,8 @@ Every positive-definite solve here and in ``iv`` goes through ``_cholesky``,
 a Cholesky factorisation in Python floats: every system the shipped
 configs solve is 1 x 1 or 2 x 2, where it costs a few microseconds, and the
 run path does not import SciPy.  The population objects (efficient score,
-information, influence) are read from ``scores.moment_design``.
+information, influence) live on the instance's design
+(``scores.moment_design``), not here.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
     SingularSigmaHat,
 )
 from .models import MomentModel
-from .scores import ScoreFunction, _near_singular, as_scores, centered_score, moment_design
+from .scores import _near_singular
 
 FIRST_ORDER_TOL = 1e-13
 DECREMENT_TOL = 1e-12
@@ -75,21 +76,6 @@ class GmmEstimate:
     l: int
     p: int
     stop_reasons: tuple[str, str]
-
-
-def efficient_influence(
-    dist: DiscreteDistribution, model: MomentModel, theta0
-) -> tuple[list[ScoreFunction], np.ndarray, list[ScoreFunction]]:
-    """Efficient influence function, information matrix, and efficient score,
-    read from the moment design (``scores.moment_design``).
-
-    The efficient score is -E[grad m]' Sigma^{-1} m evaluated on the support;
-    the information is E[grad m]' Sigma^{-1} E[grad m]; the influence is the
-    information inverse applied to the score.
-    """
-    design = moment_design(dist, model, theta0)
-    ell = [centered_score(dist, v) for v in design.ell.T]
-    return as_scores(dist, design.influence["gmm"]), design.info, ell
 
 
 def _cholesky(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:

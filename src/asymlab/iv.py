@@ -8,6 +8,8 @@ sandwich variances are deliberately out of scope.  A sample is a
 cross-product and residual sum weights a row by its count, so a sample on a
 finite support can be passed as the support and its count vector.  X'X,
 Z'Z and X'P_Z X are solved by ``gmm._cholesky``, as every GMM system is.
+The population influence functions of OLS and 2SLS and the DWH statistic
+basis live on the instance's design (``scores.iv_design``), not here.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chi2 import TestStatistic
-from .dist import Dataset, DiscreteDistribution
+from .dist import Dataset
 from .errors import (
     NegativeSpectrumWarning,
     RankDeficientFirstStage,
@@ -29,7 +31,6 @@ from .errors import (
 )
 from .gmm import _cholesky
 from .models import IVModel
-from .scores import ScoreFunction, SubspaceBasis, as_scores, iv_design
 
 RANK_TOL = 1e-8  # relative spectral cutoff for the generalized inverse
 
@@ -166,22 +167,3 @@ def dwh_statistic(data: Dataset, ols: LinearEstimate, tsls: LinearEstimate) -> T
     coords = evecs[:, keep].T @ delta
     value = float(data.n * np.sum(coords**2 / evals[keep]))
     return TestStatistic(value=value, dof=int(keep.sum()))
-
-
-# --- population score objects ---------------------------------------------------
-
-
-def iv_influence_functions(
-    dist: DiscreteDistribution, model: IVModel
-) -> tuple[list[ScoreFunction], list[ScoreFunction]]:
-    """Population influence functions of OLS and 2SLS for the coefficient
-    vector, read from the IV design (``scores.iv_design``)."""
-    influence = iv_design(dist, model).influence
-    return as_scores(dist, influence["ols"]), as_scores(dist, influence["tsls"])
-
-
-def hausman_contrast_basis(dist: DiscreteDistribution, model: IVModel) -> SubspaceBasis:
-    """The DWH statistic basis: an orthonormal basis of the OLS/2SLS
-    influence differences, in the detectable subspace (maintained tangent
-    space minus the null one); its dimension is the test's dof."""
-    return iv_design(dist, model).statistic["dwh"]

@@ -3,12 +3,12 @@
 Everything here is computed at the population level from the base
 distribution, never plugged in from samples: the outputs are the ground
 truth that the Monte Carlo lab checks its empirical results against.  Every
-number is read from the instance's population design (``scores``): an
-estimator's drift along a deviation direction g is the inner product of its
-influence function with g; a chi-square test's statistic basis is an
-orthonormal set of mean-zero functions whose coordinates of g are the
-test's limit drift mu, so its noncentrality is |mu|^2 and its dof the
-basis's dimension.
+number is read from the instance's population design (``instance.design``):
+an estimator's bias along a deviation direction g, ``design.bias``, is the
+inner product of its influence function with g; a chi-square test's drift,
+``design.drift``, is g's coordinates on its statistic basis, an orthonormal
+set of mean-zero functions, so its noncentrality is |mu|^2 and its dof the
+basis's dimension; ``design.covariance`` is the limit covariance of the two.
 """
 
 from __future__ import annotations
@@ -19,33 +19,12 @@ from typing import Sequence
 import numpy as np
 
 from .chi2 import local_power
-from .dist import DiscreteDistribution
-from .errors import ShapeMismatch, WrongSubspaceLabel
+from .errors import ShapeMismatch
 from .instances import GmmInstance, IvInstance, decompose_score
-from .models import MomentModel
-from .scores import (
-    ScoreFunction,
-    SubspaceBasis,
-    as_scores,
-    coordinates,
-    inner_product,
-    moment_design,
-)
+from .scores import ScoreFunction, coordinates
 
 
-def predicted_bias(
-    dist: DiscreteDistribution, influence: Sequence[ScoreFunction], g: ScoreFunction
-) -> np.ndarray:
-    """Asymptotic mean of the scaled estimation error along direction ``g``.
-
-    Coordinate j is E[nu_j(X) g(X)] for influence coordinate nu_j.
-    """
-    return np.array([inner_product(dist, f, g) for f in influence])
-
-
-def hall_split(
-    dist: DiscreteDistribution, model: MomentModel, theta0, g: ScoreFunction
-) -> tuple[np.ndarray, np.ndarray]:
+def hall_split(instance: GmmInstance, g: ScoreFunction) -> tuple[np.ndarray, np.ndarray]:
     """Split the scaled moment drift into identifying and overidentifying parts.
 
     The drift is g's coordinates in the moment design's frame (Sigma^{-1/2}
@@ -53,35 +32,9 @@ def hall_split(
     the efficient score (what moves the estimator); the overidentifying part
     the last l - p, on the J statistic basis (what moves the J statistic).
     """
-    drift = coordinates(dist, g, moment_design(dist, model, theta0).frame)
-    identifying = np.where(np.arange(drift.size) < model.p, drift, 0.0)
+    drift = coordinates(instance.dist, g, instance.design.frame)
+    identifying = np.where(np.arange(drift.size) < instance.model.p, drift, 0.0)
     return identifying, drift - identifying
-
-
-def j_noncentrality(
-    dist: DiscreteDistribution, model: MomentModel, theta0, g: ScoreFunction
-) -> float:
-    """Noncentrality of the overidentification statistic along direction
-    ``g``: |mu|^2 for g's coordinates mu on the J statistic basis, which
-    spans the orthocomplement of the model tangent space."""
-    mu = coordinates(dist, g, moment_design(dist, model, theta0).statistic["j"])
-    return float(mu @ mu)
-
-
-def hausman_noncentrality(
-    dist: DiscreteDistribution, f_basis: SubspaceBasis, g: ScoreFunction
-) -> tuple[float, int]:
-    """Noncentrality and dof of a contrast test composed of the basis functions.
-
-    ``f_basis`` must be labeled as part of the detectable subspace
-    (T_perp_cap_M, or T_perp when the maintained model is everything).
-    """
-    if f_basis.label not in ("T_perp_cap_M", "T_perp"):
-        raise WrongSubspaceLabel(
-            f"contrast basis must be labeled T_perp_cap_M or T_perp, got {f_basis.label!r}"
-        )
-    coefs = coordinates(dist, g, f_basis)
-    return float(coefs @ coefs), f_basis.dim
 
 
 # --- bundled predictions for an experiment -----------------------------------------
@@ -137,18 +90,18 @@ def build_prediction(
 ) -> Prediction:
     """Analytic bias, noncentrality, and local power for a configured
     experiment, read from the instance's population design."""
-    dist, design = instance.dist, instance.design
+    design = instance.design
     biases: dict[str, np.ndarray] = {}
     test_preds: dict[str, TestPrediction] = {}
     for name in estimators:
         if name not in design.influence:
             raise ShapeMismatch(f"estimator {name!r} does not apply to a {instance.kind} instance")
-        biases[name] = predicted_bias(dist, as_scores(dist, design.influence[name]), g)
+        biases[name] = design.bias(name, g)
     for name in tests:
         if name not in design.statistic:
             raise ShapeMismatch(f"test {name!r} does not apply to a {instance.kind} instance")
-        mu = coordinates(dist, g, design.statistic[name])
-        ncp, dof = float(mu @ mu), design.statistic[name].dim
+        mu = design.drift(name, g)
+        ncp, dof = float(mu @ mu), mu.size
         test_preds[name] = TestPrediction(dof, ncp, local_power(dof, ncp, alpha))
     report = decompose_score(instance, g)
     decomposition = {

@@ -9,15 +9,17 @@ Gram-Schmidt applied twice in whitened coordinates (f -> sqrt(p) f), whose
 pivot order and signs depend on the inputs, not on rounding.
 
 Each instance has one population design (``moment_design`` or
-``iv_design``), derived once with all of its checks: each estimator's
-influence function and each test's statistic basis, whose coordinates of a
-score are the test's limit drift (J: the moment functions orthogonal to the
-efficient score; DWH: the OLS/2SLS influence differences).  The tangent
-bases (T has nearly S dimensions) are built only for a score given by basis
-coefficients.  A score's three-way split is read from the small side: every
-orthocomplement is spanned by a few explicit functions (the J basis; the
-IV design's cell-wise errors, over the (x1, z) cells that
-``dist._row_groups`` finds, and instrument errors).
+``iv_design``), derived once with all of its checks, and the only route to
+its population objects: each estimator's influence function, whose inner
+products with a score are its bias (``bias``), and each test's statistic
+basis, whose coordinates of a score are the test's limit drift (``drift``;
+J: the moment functions orthogonal to the efficient score; DWH: the
+OLS/2SLS influence differences).  The tangent bases (T has nearly S
+dimensions) are built only for a score given by basis coefficients.  A
+score's three-way split is read from the small side: every orthocomplement
+is spanned by a few explicit functions (the J basis; the IV design's
+cell-wise errors, over the (x1, z) cells that ``dist._row_groups`` finds,
+and instrument errors).
 """
 
 from __future__ import annotations
@@ -99,11 +101,6 @@ def centered_score(dist: DiscreteDistribution, values) -> ScoreFunction:
 
 def zero_score(dist: DiscreteDistribution) -> ScoreFunction:
     return ScoreFunction(dist, np.zeros(dist.n_atoms))
-
-
-def as_scores(dist: DiscreteDistribution, columns: np.ndarray) -> list[ScoreFunction]:
-    """The columns of the mean-zero per-atom values ``columns`` (S, k) as scores."""
-    return [ScoreFunction(dist, v) for v in columns.T]
 
 
 @dataclass(frozen=True)
@@ -333,6 +330,17 @@ class PopulationDesign:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
+    def bias(self, estimator: str, g: ScoreFunction) -> np.ndarray:
+        """b = E[nu g] (p,), the asymptotic mean of the estimator's scaled
+        error along the deviation ``g``."""
+        _require_same_dist(self.dist, g)
+        return expectation(self.dist, self.influence[estimator] * g.values[:, None])
+
+    def drift(self, test: str, g: ScoreFunction) -> np.ndarray:
+        """mu (k,), the test's limit drift along ``g``: g's coordinates on
+        its statistic basis (noncentrality |mu|^2, dof k)."""
+        return coordinates(self.dist, g, self.statistic[test])
+
     def covariance(self, estimator: str, test: str) -> np.ndarray:
         """C = E[b nu'] (k, p), the limit covariance of the test's vector with
         the estimator's; zero for an estimator efficient under the test's
@@ -412,22 +420,6 @@ def moment_design(dist: DiscreteDistribution, model: MomentModel, theta0) -> Mom
     if escape > 1e-8:
         raise RankDeficientJacobian(f"the influence escapes the tangent space by {escape:.2e}")
     return design
-
-
-def gmm_tangent_basis(
-    dist: DiscreteDistribution, model: MomentModel, theta0
-) -> tuple[SubspaceBasis, SubspaceBasis]:
-    """Tangent space of the moment model and its orthocomplement, of
-    dimension l - p on a rich enough support (``MomentDesign.bases``)."""
-    return moment_design(dist, model, theta0).bases
-
-
-def gmm_orthocomplement_part(
-    dist: DiscreteDistribution, model: MomentModel, theta0, values: np.ndarray
-) -> np.ndarray:
-    """Projection of per-atom ``values`` (S,) on the orthocomplement T_perp of
-    the moment model's tangent space, spanned by the J statistic basis."""
-    return moment_design(dist, model, theta0).orthocomplement_parts(values)[0]
 
 
 def check_iv_null_model(dist: DiscreteDistribution, model: IVModel, tol: float = 1e-10) -> None:
@@ -552,20 +544,6 @@ def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
         if np.max(leak) > 1e-10:
             raise NestingViolated(f"a null tangent direction leaks {np.max(leak):.2e} outside M")
     return design
-
-
-def iv_tangent_bases(
-    dist: DiscreteDistribution, model: IVModel
-) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis]:
-    """Three-way tangent split of the exogeneity testing problem (``IvDesign.bases``)."""
-    return iv_design(dist, model).bases
-
-
-def iv_orthocomplement_parts(
-    dist: DiscreteDistribution, model: IVModel, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Parts of per-atom ``values`` in T_perp and M_perp (``IvDesign.orthocomplement_parts``)."""
-    return iv_design(dist, model).orthocomplement_parts(values)
 
 
 # --- three-way decomposition -------------------------------------------------------

@@ -15,17 +15,11 @@ from oracles import noncentral_chisq_cdf_by_quadrature
 from asymlab.chi2 import local_power, noncentral_chisq_cdf
 from asymlab.config import build_experiment, load_raw, validate_raw
 from asymlab.dist import draw_indices, expectation, make_distribution, replication_seed
-from asymlab.gmm import efficient_influence, kl_projection
+from asymlab.gmm import kl_projection
 from asymlab.instances import g1_instance, iv1_instance, tangent_bases
-from asymlab.iv import hausman_contrast_basis
 from asymlab.mc import run_experiment
 from asymlab.paths import LocalPath, hellinger_residual, path_distribution
-from asymlab.predict import (
-    hall_split,
-    hausman_noncentrality,
-    j_noncentrality,
-    predicted_bias,
-)
+from asymlab.predict import hall_split
 from asymlab.scores import ScoreFunction, centered_score, orthonormal_basis, project
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -49,17 +43,18 @@ def _unit_scores(basis, count, rng):
         yield ScoreFunction(basis.dist, coefs @ basis.matrix())
 
 
+def _ncp(instance, test, g) -> float:
+    mu = instance.design.drift(test, g)
+    return float(mu @ mu)
+
+
 def test_criterion_01_orthogonality_exact():
     g1 = g1_instance()
     rng = np.random.default_rng(101)
     t_basis, t_perp = tangent_bases(g1)
-    nu, _, _ = efficient_influence(g1.dist, g1.model, g1.theta0)
-    worst_ncp = max(
-        j_noncentrality(g1.dist, g1.model, g1.theta0, g) for g in _unit_scores(t_basis, 100, rng)
-    )
+    worst_ncp = max(_ncp(g1, "j", g) for g in _unit_scores(t_basis, 100, rng))
     worst_bias = max(
-        float(np.linalg.norm(predicted_bias(g1.dist, nu, g)))
-        for g in _unit_scores(t_perp, 100, rng)
+        float(np.linalg.norm(g1.design.bias("gmm", g))) for g in _unit_scores(t_perp, 100, rng)
     )
     _criterion(
         1,
@@ -72,7 +67,7 @@ def test_criterion_01_orthogonality_exact():
 def test_criterion_02_j_test_local_power():
     experiment = _experiment("g1_perp")
     g1 = experiment.instance
-    ncp = j_noncentrality(g1.dist, g1.model, g1.theta0, experiment.score)
+    ncp = _ncp(g1, "j", experiment.score)
     power = local_power(1, ncp, experiment.alpha)
     summary = run_experiment(experiment)
     rate_gap = abs(summary.tests["j"].rate - power)
@@ -124,9 +119,8 @@ def test_criterion_04_contrast_bias_equality():
 def test_criterion_05_contrast_power_channel():
     experiment = _experiment("iv1_power")
     iv1 = experiment.instance
-    basis = hausman_contrast_basis(iv1.dist, iv1.model)
-    ncp, dof = hausman_noncentrality(iv1.dist, basis, experiment.score)
-    power = local_power(dof, ncp, experiment.alpha)
+    mu = iv1.design.drift("dwh", experiment.score)
+    power = local_power(mu.size, float(mu @ mu), experiment.alpha)
     summary = run_experiment(experiment)
     ols, tsls = summary.estimators["ols"], summary.estimators["tsls"]
     rate = summary.tests["dwh"].rate
@@ -189,20 +183,20 @@ def test_criterion_08_moment_drift_split():
     g1 = g1_instance()
     rng = np.random.default_rng(808)
     t_basis, _ = tangent_bases(g1)
-    nu, _, _ = efficient_influence(g1.dist, g1.model, g1.theta0)
-    nu_span = orthonormal_basis(g1.dist, list(nu))
+    nu = [ScoreFunction(g1.dist, v) for v in g1.design.influence["gmm"].T]
+    nu_span = orthonormal_basis(g1.dist, nu)
     ok = True
     for draw in range(50):
         g = centered_score(g1.dist, rng.standard_normal(5))
         stripped = g - project(g1.dist, g, nu_span)
         for cand in (g, stripped):
-            ident, over = hall_split(g1.dist, g1.model, g1.theta0, cand)
+            ident, over = hall_split(g1, cand)
             ok = ok and abs(ident @ over) < 1e-12
             ident_zero = np.linalg.norm(ident) < 1e-10
             proj_zero = project(g1.dist, cand, nu_span).norm() < 1e-10
             ok = ok and ident_zero == proj_zero
     for g in _unit_scores(t_basis, 20, rng):
-        _, over = hall_split(g1.dist, g1.model, g1.theta0, g)
+        _, over = hall_split(g1, g)
         ok = ok and np.linalg.norm(over) < 1e-10
     _criterion(
         8,

@@ -87,6 +87,15 @@ class TestQuantile:
         with pytest.raises(DomainError):
             chisq_quantile(1, 1.0)
 
+    def test_quantiles_below_one_are_relative(self):
+        # a bracket of absolute width 1e-10 cannot place a quantile below
+        # 1e-10: at k = 1 and prob 1e-6 (quantile 1.6e-12) the size missed
+        # alpha by 3.3e-6, and at prob 1e-8 the power at ncp 4 fell below it
+        for k in range(1, 6):
+            for alpha in (0.5, 0.9, 1 - 1e-6, 1 - 1e-10):
+                assert abs(local_power(k, 0.0, alpha) - alpha) <= 1e-9
+                assert local_power(k, 4.0, alpha) >= alpha
+
 
 class TestLocalPower:
     def test_size_under_null(self):
@@ -111,6 +120,9 @@ class TestLocalPower:
             local_power(1, 1.0, 0.0)
         with pytest.raises(DomainError):
             local_power(1, -1.0, 0.05)
+        # 1 - 1e-300 rounds to 1, which the quantile alone reports as prob=1.0
+        with pytest.raises(DomainError, match="alpha = 1e-300"):
+            local_power(1, 0.0, 1e-300)
 
 
 class TestTestStatistic:

@@ -157,6 +157,14 @@ class TestConfigValidation:
         assert execute([command, "--config", path, "--set", override, "--out", os.devnull]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["predict", "run"])
+    def test_alpha_whose_complement_rounds_to_one_is_named(self, command, capsys):
+        path = str(CONFIG_DIR / "g1_perp.json")
+        code = execute([command, "--config", path, "--set", "alpha=1e-300", "--out", os.devnull])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "alpha = 1e-300" in err
+
     def test_override_injecting_unknown_key_is_caught(self):
         raw = minimal_config()
         apply_overrides(raw, ["instants=G1"])
@@ -334,6 +342,24 @@ class TestCliCommands:
         assert execute(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "11/11 checks passed" in out
+
+    def test_selftest_derives_each_design_once(self, run_python):
+        script = (
+            "import collections, json\n"
+            "from asymlab.scores import PopulationDesign\n"
+            "from asymlab.selftest import run_selftest\n"
+            "built = collections.Counter()\n"
+            "real = PopulationDesign.__post_init__\n"
+            "def counted(design):\n"
+            "    built[type(design).__name__] += 1\n"
+            "    real(design)\n"
+            "PopulationDesign.__post_init__ = counted\n"
+            "failures, _ = run_selftest()\n"
+            "print(json.dumps([failures, built]))\n"
+        )
+        failures, built = json.loads(run_python(script))
+        assert failures == 0
+        assert built.get("MomentDesign", 0) <= 1 and built.get("IvDesign", 0) <= 1, built
 
     @staticmethod
     def _selftest_under_optimized_mode(run_python, sabotage: str):

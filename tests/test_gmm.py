@@ -36,7 +36,6 @@ from asymlab.gmm import (
     _curvature,
     _newton,
     _weighted_jacobian,
-    efficient_influence,
     estimate_gmm,
     j_statistic,
     kl_projection,
@@ -50,7 +49,8 @@ from asymlab.instances import (
 )
 from asymlab.models import MomentModel
 from asymlab.paths import LocalPath, path_distribution
-from asymlab.scores import ScoreFunction, project
+from asymlab.predict import hall_split
+from asymlab.scores import ScoreFunction, moment_design, project
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 G1_V = 1.2  # the variance restriction of the G1 instance
@@ -69,15 +69,16 @@ class TestEfficientInfluence:
     def test_g1_hand_algebra(self, g1):
         # oracle: E[grad m] = (-1, 0)', Sigma = diag(1.2, 2.16), so the
         # efficient score is x / 1.2, the information 1/1.2, the influence x
-        nu, info, ell = efficient_influence(g1.dist, g1.model, g1.theta0)
+        design = g1.design
         x = g1.dist.column(0)
+        info = design.info
         assert info.shape == (1, 1) and info[0, 0] == pytest.approx(1.0 / 1.2, abs=1e-12)
-        assert np.max(np.abs(nu[0].values - x)) < 1e-10
-        assert np.max(np.abs(ell[0].values - x / 1.2)) < 1e-10
+        assert np.max(np.abs(design.influence["gmm"][:, 0] - x)) < 1e-10
+        assert np.max(np.abs(design.ell[:, 0] - x / 1.2)) < 1e-10
 
     def test_just_identified_sample_mean_influence(self, g1):
-        nu, info, _ = efficient_influence(g1.dist, mean_model(), np.array([0.0]))
-        assert np.max(np.abs(nu[0].values - g1.dist.column(0))) < 1e-10
+        nu = moment_design(g1.dist, mean_model(), np.array([0.0])).influence["gmm"]
+        assert np.max(np.abs(nu[:, 0] - g1.dist.column(0))) < 1e-10
 
     def test_duplicate_moment_singular(self, g1):
         def m(theta, x):
@@ -88,16 +89,16 @@ class TestEfficientInfluence:
             return np.full((x.shape[0], 2, 1), -1.0)
 
         with pytest.raises(SingularSigma):
-            efficient_influence(g1.dist, MomentModel(m=m, jac=jac, p=1, l=2), np.array([0.0]))
+            moment_design(g1.dist, MomentModel(m=m, jac=jac, p=1, l=2), np.array([0.0]))
 
     def test_moment_not_satisfied(self, g1):
         with pytest.raises(MomentNotSatisfied):
-            efficient_influence(g1.dist, g1.model, np.array([0.7]))
+            moment_design(g1.dist, g1.model, np.array([0.7]))
 
     def test_influence_lies_in_tangent_space(self, g1):
-        nu, _, _ = efficient_influence(g1.dist, g1.model, g1.theta0)
         t_basis, _ = tangent_bases(g1)
-        for f in nu:
+        for values in g1.design.influence["gmm"].T:
+            f = ScoreFunction(g1.dist, values)
             assert (f - project(g1.dist, f, t_basis)).norm() < 1e-8
 
 
@@ -174,7 +175,7 @@ class TestEstimateGmm:
 
         flat = MomentModel(m=m, jac=jac, p=1, l=2)
         with pytest.raises(RankDeficientJacobian):
-            efficient_influence(g1.dist, flat, np.array([0.0]))
+            moment_design(g1.dist, flat, np.array([0.0]))
 
 
 class TestJStatistic:
@@ -269,8 +270,8 @@ class TestProjectionMatrixIdentity:
         assert basis.dim == g1.model.l - g1.model.p
         rows = basis.matrix()
         assert np.max(np.abs((rows * g1.dist.probs) @ rows.T - np.eye(basis.dim))) < 1e-12
-        _, _, ell = efficient_influence(g1.dist, g1.model, g1.theta0)
-        assert np.max(np.abs(rows @ (g1.dist.probs * ell[0].values))) < 1e-12
+        ell = g1.design.ell[:, 0]
+        assert np.max(np.abs(rows @ (g1.dist.probs * ell))) < 1e-12
         root_p = np.sqrt(g1.dist.probs)
         proj = (rows * root_p).T @ (rows * root_p)
         assert np.max(np.abs(proj - proj.T)) < 1e-12
@@ -281,13 +282,11 @@ class TestProjectionMatrixIdentity:
     def test_tangent_scores_have_no_overidentifying_drift(self, g1, rng):
         # for scores inside the tangent space the whitened moment drift lies
         # entirely in the identifying subspace
-        from asymlab.predict import hall_split
-
         t_basis, _ = tangent_bases(g1)
         for _ in range(50):
             coefs = rng.standard_normal(t_basis.dim)
             g = ScoreFunction(g1.dist, coefs @ t_basis.matrix())
-            _, over = hall_split(g1.dist, g1.model, g1.theta0, g)
+            _, over = hall_split(g1, g)
             assert np.linalg.norm(over) < 1e-10
 
 

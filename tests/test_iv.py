@@ -27,8 +27,6 @@ from asymlab.iv import (
     dwh_statistic,
     estimate_2sls,
     estimate_ols,
-    hausman_contrast_basis,
-    iv_influence_functions,
     read_csv,
     write_csv,
 )
@@ -38,7 +36,7 @@ from asymlab.scores import (
     ScoreFunction,
     centered_score,
     inner_product,
-    iv_tangent_bases,
+    iv_design,
     project,
 )
 
@@ -190,7 +188,7 @@ class TestDwh:
 
     def test_iv1_rank_one(self, iv1):
         # oracle: the population variance difference has rank k1 = 1
-        assert hausman_contrast_basis(iv1.dist, iv1.model).dim == 1
+        assert iv1.design.statistic["dwh"].dim == 1
         data = iv1_sample(iv1, n=500, seed=31)
         stat = dwh_statistic(data, estimate_ols(data, iv1.model), estimate_2sls(data, iv1.model))
         assert stat.dof == 1
@@ -374,19 +372,19 @@ class TestPopulationScores:
                 rows.append([x1, x1, 1.0, z1])  # y = x1 exactly, e = 0
         dist = make_distribution(rows, np.full(4, 0.25))
         with pytest.raises(NullModelViolated):
-            iv_tangent_bases(dist, iv1.model)
+            iv_design(dist, iv1.model)
 
     def test_influence_functions_match_estimator_limits(self, iv1):
         # OLS influence: E[XX']^{-1} X e; 2SLS influence: z e here
-        nu, tau = iv_influence_functions(iv1.dist, iv1.model)
+        nu, tau = iv1.design.influence["ols"], iv1.design.influence["tsls"]
         e = iv1.model.errors_on(iv1.dist.support)
         x1, z1 = iv1.dist.column(1), iv1.dist.column(3)
-        assert np.max(np.abs(nu[0].values - 0.5 * x1 * e)) < 1e-12
-        assert np.max(np.abs(nu[1].values - e)) < 1e-12
-        assert np.max(np.abs(tau[0].values - z1 * e)) < 1e-12
+        assert np.max(np.abs(nu[:, 0] - 0.5 * x1 * e)) < 1e-12
+        assert np.max(np.abs(nu[:, 1] - e)) < 1e-12
+        assert np.max(np.abs(tau[:, 0] - z1 * e)) < 1e-12
 
     def test_contrast_basis_is_detectable_and_hand_checked(self, iv1):
-        basis = hausman_contrast_basis(iv1.dist, iv1.model)
+        basis = iv1.design.statistic["dwh"]
         assert basis.dim == 1 and basis.label == "T_perp_cap_M"
         e = iv1.model.errors_on(iv1.dist.support)
         x1, z1 = iv1.dist.column(1), iv1.dist.column(3)
@@ -462,7 +460,7 @@ class TestBiasChannels:
             assert np.max(np.abs(biases["tsls"] - h)) < 1e-10
 
     def test_contrast_direction_moves_tsls_only(self, iv1):
-        basis = hausman_contrast_basis(iv1.dist, iv1.model)
+        basis = iv1.design.statistic["dwh"]
         g = ScoreFunction(basis.dist, basis.matrix()[0])
         biases = predicted_biases(iv1, g)
         assert np.max(np.abs(biases["ols"])) < 1e-10

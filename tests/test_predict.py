@@ -10,21 +10,11 @@ from asymlab.errors import (
     NullModelViolated,
     RankDeficientFirstStage,
     ShapeMismatch,
-    WrongSubspaceLabel,
 )
-from asymlab.gmm import efficient_influence
 from asymlab.instances import GmmInstance, IvInstance, decompose_score, tangent_bases
-from asymlab.iv import hausman_contrast_basis
 from asymlab.models import IVModel
 from asymlab.paths import LocalPath, path_distribution
-from asymlab.predict import (
-    build_prediction,
-    hall_split,
-    hausman_noncentrality,
-    j_noncentrality,
-    local_power,
-    predicted_bias,
-)
+from asymlab.predict import build_prediction, hall_split, local_power
 from asymlab.scores import (
     ScoreFunction,
     centered_score,
@@ -33,24 +23,27 @@ from asymlab.scores import (
 )
 
 
+def ncp(instance, test, g):
+    """|mu|^2 for the test's drift mu along ``g``."""
+    mu = instance.design.drift(test, g)
+    return float(mu @ mu)
+
+
 class TestPredictedBias:
     def test_zero_direction(self, g1):
-        nu, _, _ = efficient_influence(g1.dist, g1.model, g1.theta0)
-        assert np.array_equal(predicted_bias(g1.dist, nu, zero_score(g1.dist)), [0.0])
+        assert np.array_equal(g1.design.bias("gmm", zero_score(g1.dist)), [0.0])
 
     def test_orthocomplement_direction_is_invisible(self, g1):
         # oracle: E[x^3] = 0 by symmetry
-        nu, _, _ = efficient_influence(g1.dist, g1.model, g1.theta0)
         x = g1.dist.column(0)
         g = centered_score(g1.dist, (x**2 - 1.2) / math.sqrt(2.16))
-        assert abs(predicted_bias(g1.dist, nu, g)[0]) < 1e-12
+        assert abs(g1.design.bias("gmm", g)[0]) < 1e-12
 
     def test_efficient_score_direction_moves_one_for_one(self, g1):
         # oracle: E[x * c x / 1.2] = c since E[x^2] = 1.2
-        nu, _, _ = efficient_influence(g1.dist, g1.model, g1.theta0)
         for c in (0.5, 1.5, -2.0):
             g = centered_score(g1.dist, c * g1.dist.column(0) / 1.2)
-            assert predicted_bias(g1.dist, nu, g)[0] == pytest.approx(c, abs=1e-12)
+            assert g1.design.bias("gmm", g)[0] == pytest.approx(c, abs=1e-12)
 
 
 class TestJNoncentrality:
@@ -59,10 +52,10 @@ class TestJNoncentrality:
         for _ in range(20):
             coefs = rng.standard_normal(t_basis.dim)
             g = ScoreFunction(g1.dist, coefs @ t_basis.matrix())
-            assert j_noncentrality(g1.dist, g1.model, g1.theta0, g) < 1e-10
+            assert ncp(g1, "j", g) < 1e-10
 
     def test_zero_score(self, g1):
-        assert j_noncentrality(g1.dist, g1.model, g1.theta0, zero_score(g1.dist)) == 0.0
+        assert ncp(g1, "j", zero_score(g1.dist)) == 0.0
 
     def test_hand_value_on_detectable_direction(self, g1):
         # oracle: Sigma^{-1/2} E[m g] = (0, c sqrt(2.16)) and the identifying
@@ -70,8 +63,7 @@ class TestJNoncentrality:
         x = g1.dist.column(0)
         for c in (0.5, 2.0):
             g = centered_score(g1.dist, c * (x**2 - 1.2))
-            ncp = j_noncentrality(g1.dist, g1.model, g1.theta0, g)
-            assert ncp == pytest.approx(c * c * 2.16, abs=1e-10)
+            assert ncp(g1, "j", g) == pytest.approx(c * c * 2.16, abs=1e-10)
 
     def test_matches_quadratic_form_with_projected_score(self, g1, rng):
         # the noncentrality is the same whether computed from g or from its
@@ -80,25 +72,20 @@ class TestJNoncentrality:
         for _ in range(10):
             g = centered_score(g1.dist, rng.standard_normal(5))
             g_perp = project(g1.dist, g, t_perp)
-            a = j_noncentrality(g1.dist, g1.model, g1.theta0, g)
-            b = j_noncentrality(g1.dist, g1.model, g1.theta0, g_perp)
-            assert a == pytest.approx(b, abs=1e-10)
+            assert ncp(g1, "j", g) == pytest.approx(ncp(g1, "j", g_perp), abs=1e-10)
 
 
 class TestHausmanNoncentrality:
     def test_tangent_direction_null(self, iv1):
-        basis = hausman_contrast_basis(iv1.dist, iv1.model)
         e = iv1.model.errors_on(iv1.dist.support)
         g = centered_score(iv1.dist, iv1.dist.column(1) * e)
-        ncp, dof = hausman_noncentrality(iv1.dist, basis, g)
-        assert ncp < 1e-12 and dof == 1
+        mu = iv1.design.drift("dwh", g)
+        assert mu @ mu < 1e-12 and mu.size == 1
 
     def test_basis_element_has_unit_ncp(self, iv1):
-        basis = hausman_contrast_basis(iv1.dist, iv1.model)
-        ncp, _ = hausman_noncentrality(
-            iv1.dist, basis, ScoreFunction(basis.dist, basis.matrix()[0])
-        )
-        assert ncp == pytest.approx(1.0, abs=1e-12)
+        basis = iv1.design.statistic["dwh"]
+        g = ScoreFunction(basis.dist, basis.matrix()[0])
+        assert ncp(iv1, "dwh", g) == pytest.approx(1.0, abs=1e-12)
 
     def test_detectable_direction_matches_decomposition(self, iv1):
         # oracle: the exact three-way split on the support
@@ -106,23 +93,16 @@ class TestHausmanNoncentrality:
         x1, z1 = iv1.dist.column(1), iv1.dist.column(3)
         c = 2.0
         g = centered_score(iv1.dist, c * (z1 - 0.5 * x1) * e)
-        basis = hausman_contrast_basis(iv1.dist, iv1.model)
-        ncp, _ = hausman_noncentrality(iv1.dist, basis, g)
         report = decompose_score(iv1, g)
-        assert ncp == pytest.approx(report.var_TperpM, abs=1e-10)
-        assert ncp == pytest.approx(2.0, abs=1e-10)
-
-    def test_wrong_label_rejected(self, iv1):
-        t_basis, _, _ = tangent_bases(iv1)
-        with pytest.raises(WrongSubspaceLabel):
-            hausman_noncentrality(iv1.dist, t_basis, zero_score(iv1.dist))
+        assert ncp(iv1, "dwh", g) == pytest.approx(report.var_TperpM, abs=1e-10)
+        assert ncp(iv1, "dwh", g) == pytest.approx(2.0, abs=1e-10)
 
 
 class TestHallSplit:
     def test_parts_orthogonal_and_additive(self, g1, rng):
         for _ in range(20):
             g = centered_score(g1.dist, rng.standard_normal(5))
-            ident, over = hall_split(g1.dist, g1.model, g1.theta0, g)
+            ident, over = hall_split(g1, g)
             assert abs(ident @ over) < 1e-12
             total = np.linalg.norm(ident) ** 2 + np.linalg.norm(over) ** 2
             drift = ident + over
@@ -133,18 +113,18 @@ class TestHallSplit:
         # E[m g] vanishes
         _, t_perp = tangent_bases(g1)
         g = ScoreFunction(t_perp.dist, t_perp.matrix()[0])
-        ident, _ = hall_split(g1.dist, g1.model, g1.theta0, g)
+        ident, _ = hall_split(g1, g)
         assert np.linalg.norm(ident) < 1e-10
 
     def test_tangent_direction_has_no_overidentifying_part(self, g1, rng):
         t_basis, _ = tangent_bases(g1)
         coefs = rng.standard_normal(t_basis.dim)
         g = ScoreFunction(g1.dist, coefs @ t_basis.matrix())
-        _, over = hall_split(g1.dist, g1.model, g1.theta0, g)
+        _, over = hall_split(g1, g)
         assert np.linalg.norm(over) < 1e-10
 
     def test_zero_score(self, g1):
-        ident, over = hall_split(g1.dist, g1.model, g1.theta0, zero_score(g1.dist))
+        ident, over = hall_split(g1, zero_score(g1.dist))
         assert np.linalg.norm(ident) == 0.0 and np.linalg.norm(over) == 0.0
 
 
@@ -153,24 +133,20 @@ class TestOrthogonalityProposition:
         # computable form: a nonzero bias needs tangent variance, a nonzero
         # noncentrality needs orthocomplement variance; and the cross checks
         # vanish exactly
-        nu, _, _ = efficient_influence(g1.dist, g1.model, g1.theta0)
         for _ in range(100):
             g = centered_score(g1.dist, rng.standard_normal(5))
             report = decompose_score(g1, g)
-            bias = predicted_bias(g1.dist, nu, g)
-            ncp = j_noncentrality(g1.dist, g1.model, g1.theta0, g)
-            if np.linalg.norm(bias) > 1e-12:
+            if np.linalg.norm(g1.design.bias("gmm", g)) > 1e-12:
                 assert report.var_T > 1e-12
-            if ncp > 1e-12:
+            if ncp(g1, "j", g) > 1e-12:
                 assert report.var_TperpM > 1e-12
-            assert np.linalg.norm(predicted_bias(g1.dist, nu, report.pi_TperpM)) < 1e-10
-            assert j_noncentrality(g1.dist, g1.model, g1.theta0, report.pi_T) < 1e-10
+            assert np.linalg.norm(g1.design.bias("gmm", report.pi_TperpM)) < 1e-10
+            assert ncp(g1, "j", report.pi_T) < 1e-10
 
 
 class TestPathwiseDerivative:
     def test_mean_functional_derivative_matches_inner_product(self, g1, rng):
         # central difference of the mean along the path against E[nu g]
-        nu, _, _ = efficient_influence(g1.dist, g1.model, g1.theta0)
         step = 1e-4
         for _ in range(5):
             g = centered_score(g1.dist, rng.standard_normal(5))
@@ -179,9 +155,7 @@ class TestPathwiseDerivative:
             mean_up = expectation(path_distribution(up, step), g1.dist.column(0))
             mean_down = expectation(path_distribution(down, step), g1.dist.column(0))
             derivative = (mean_up - mean_down) / (2.0 * step)
-            assert derivative == pytest.approx(
-                predicted_bias(g1.dist, nu, g)[0], abs=1e-6
-            )
+            assert derivative == pytest.approx(g1.design.bias("gmm", g)[0], abs=1e-6)
 
 
 class TestBuildPrediction:

@@ -21,7 +21,6 @@ from asymlab.errors import (
     NullModelViolated,
     SingularSigma,
 )
-from asymlab.gmm import efficient_influence
 from asymlab.instances import (
     GmmInstance,
     IvInstance,
@@ -31,7 +30,6 @@ from asymlab.instances import (
     tangent_bases,
     three_way_bases,
 )
-from asymlab.iv import iv_influence_functions
 from asymlab.models import IVModel, MomentModel
 from asymlab.predict import build_prediction
 from asymlab.scores import (
@@ -41,10 +39,10 @@ from asymlab.scores import (
     ScoreFunction,
     centered_score,
     check_iv_null_model,
-    gmm_tangent_basis,
     inner_product,
+    iv_design,
     iv_population_matrices,
-    iv_tangent_bases,
+    moment_design,
     orthonormal_basis,
     project,
     zero_score,
@@ -287,7 +285,7 @@ def perturbed_instances(draw):
     collinear with the intercept, and then the exact projectors move with
     the probabilities by about the test's bound.  Rng seed 3106978 (levels
     1.9433 and 1.9490, condition number 2.9e6) moves them by 1.0e-12 on the
-    Householder route of ``iv_orthocomplement_parts`` as well, so such a
+    Householder route of ``IvDesign.orthocomplement_parts`` as well, so such a
     design measures itself, not the Gram-Schmidt routine
     (``test_ill_conditioned_design_moves_both_routes`` checks that case).
     Over 400 other designs the condition number stays below 2.2e4 and no
@@ -469,7 +467,7 @@ class TestGmmTangentBasis:
     def test_g1_dimensions_and_direction(self, g1):
         # oracle: null-space computation on the 4-dimensional mean-zero space
         # with Sigma = diag(1.2, 2.16)
-        t_basis, t_perp = gmm_tangent_basis(g1.dist, g1.model, g1.theta0)
+        t_basis, t_perp = g1.design.bases
         assert t_basis.dim == 3 and t_perp.dim == 1
         x = g1.dist.column(0)
         ref = centered_score(g1.dist, (x**2 - 1.2) / math.sqrt(2.16))
@@ -486,13 +484,13 @@ class TestGmmTangentBasis:
             return np.full((x.shape[0], 1, 1), -1.0)
 
         model = MomentModel(m=m, jac=jac, p=1, l=1)
-        t_basis, t_perp = gmm_tangent_basis(g1.dist, model, np.array([0.0]))
+        t_basis, t_perp = moment_design(g1.dist, model, np.array([0.0])).bases
         assert t_basis.dim == g1.dist.n_atoms - 1
         assert t_perp.dim == 0
 
     def test_moment_not_satisfied(self, g1):
         with pytest.raises(MomentNotSatisfied):
-            gmm_tangent_basis(g1.dist, g1.model, np.array([0.5]))
+            moment_design(g1.dist, g1.model, np.array([0.5]))
 
     def test_dimension_bookkeeping_on_wider_instance(self, rng):
         # a 9-point distribution with three moments (mean, variance, skew)
@@ -513,7 +511,7 @@ class TestGmmTangentBasis:
             return np.stack([-np.ones_like(d), -2.0 * d, -3.0 * d * d], axis=1)[:, :, None]
 
         model = MomentModel(m=m, jac=jac, p=1, l=3)
-        t_basis, t_perp = gmm_tangent_basis(dist, model, np.array([0.0]))
+        t_basis, t_perp = moment_design(dist, model, np.array([0.0])).bases
         assert t_perp.dim == model.l - model.p
         assert t_basis.dim + t_perp.dim == dist.n_atoms - 1
 
@@ -521,7 +519,7 @@ class TestGmmTangentBasis:
         # the parameter score must be orthogonal to every nuisance direction:
         # check it against the tangent basis elements built from the
         # complement of the moment span
-        t_basis, _ = gmm_tangent_basis(g1.dist, g1.model, g1.theta0)
+        t_basis, _ = g1.design.bases
         x = g1.dist.column(0)
         ell = centered_score(g1.dist, x / 1.2)
         m_span = orthonormal_basis(
@@ -561,7 +559,7 @@ class TestIvTangentBases:
     def test_null_model_violation_detected(self, iv1):
         skewed = make_distribution(iv1.dist.support, np.arange(1.0, 9.0))
         with pytest.raises(NullModelViolated):
-            iv_tangent_bases(skewed, iv1.model)
+            iv_design(skewed, iv1.model)
 
     def test_negative_zero_stays_in_its_cell(self, iv1):
         # x1 = -0.0 on one atom of an x1 = 0 cell: the same cells, the same
@@ -579,7 +577,7 @@ class TestIvTangentBases:
     def test_wrong_sigma_rejected(self, iv1):
         model = IVModel(beta0=iv1.model.beta0, sigma0_sq=2.0, dims=iv1.model.dims)
         with pytest.raises(NullModelViolated):
-            iv_tangent_bases(iv1.dist, model)
+            iv_design(iv1.dist, model)
 
     def test_overidentified_instance_three_way_split(self):
         # two instruments for one endogenous regressor: the maintained model
@@ -595,7 +593,7 @@ class TestIvTangentBases:
                         probs.append(1.0 / 16.0)
         dist = make_distribution(rows, probs)
         model = IVModel(beta0=np.array([2.0, -1.0]), sigma0_sq=1.0, dims=(1, 1, 2))
-        t_basis, t_perp_m, m_perp = iv_tangent_bases(dist, model)
+        t_basis, t_perp_m, m_perp = iv_design(dist, model).bases
         s = dist.n_atoms
         assert s == 16
         # conditioning cells: 8 distinct (x1, z) values -> nuisance dim 15 - 8
@@ -700,9 +698,8 @@ def prediction_numbers(instance, g):
 
 def efficient_influence_of(instance):
     """The influence functions of the estimator efficient under the null model."""
-    if instance.kind == "gmm":
-        return efficient_influence(instance.dist, instance.model, instance.theta0)[0]
-    return iv_influence_functions(instance.dist, instance.model)[0]  # OLS
+    influence = instance.design.influence[instance.estimators[0]]  # GMM or OLS
+    return [ScoreFunction(instance.dist, v) for v in influence.T]
 
 
 @st.composite
@@ -805,7 +802,7 @@ def test_singular_sigma_detected(g1):
 
     model = MomentModel(m=m, jac=jac, p=1, l=2)
     with pytest.raises(SingularSigma):
-        gmm_tangent_basis(g1.dist, model, np.array([0.0]))
+        moment_design(g1.dist, model, np.array([0.0]))
 
 
 def test_linear_iv_moment_model_matches_design(iv1):

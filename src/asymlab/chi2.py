@@ -11,10 +11,11 @@ one pass of the climb serves every term of the mixture.  Each term is the
 Poisson density of Loader (2000), exp(-(Stirling error) - (deviance)) /
 sqrt(2 pi a), whose exponent does not cancel.  Against SciPy's ``gammainc``
 in the same mixture the CDF agrees to 2e-15 for k up to 60, lam up to 600
-and x up to 3000, past the point where exp(-y) underflows.  The accuracy
-is absolute, not relative: each central CDF is 1 - Q, so a CDF below about
-1e-16 reads 0.  Quantiles come from bisection on this CDF, one source of
-truth for sizes and powers.
+and x up to 3000, past the point where exp(-y) underflows.  That accuracy
+is absolute: each central CDF in the mixture is 1 - Q, so a noncentral CDF
+below about 1e-16 reads 0.  Below its mean the central CDF is the lower
+series of P = 1 - Q, accurate relative to P, and so are its quantiles, which
+come from bisection on this CDF, one source of truth for sizes and powers.
 """
 
 from __future__ import annotations
@@ -68,6 +69,17 @@ def _ladder_term(a: float, y: float) -> float:
     return math.exp(-_stirling_error(a) - _deviance(a, y)) / math.sqrt(2.0 * math.pi * a)
 
 
+def _lower_gamma(a: float, y: float) -> float:
+    """P(a, y) = 1 - Q(a, y) for y < a by its lower series, accurate relative to P:
+    y^a e^-y / Gamma(a + 1) * sum_j y^j / ((a + 1) ... (a + j)), positive terms."""
+    term = total = j = 1.0
+    while term > 1e-17 * total:
+        term *= y / (a + j)
+        total += term
+        j += 1.0
+    return _ladder_term(a, y) * total
+
+
 def noncentral_chisq_cdf(x: float, k: int, lam: float) -> float:
     """P(X <= x) for X noncentral chi-square with k dof and noncentrality lam."""
     x, lam = float(x), float(lam)
@@ -81,6 +93,8 @@ def noncentral_chisq_cdf(x: float, k: int, lam: float) -> float:
     half = 0.5 * lam
     if half > _MAX_HALF_NCP:
         raise DomainError(f"noncentrality {lam} exceeds the supported range")
+    if half == 0.0 and y < 0.5 * k:
+        return _lower_gamma(0.5 * k, y)
     a, q = (0.5, math.erfc(math.sqrt(y))) if k % 2 else (1.0, math.exp(-y))
     while a < 0.5 * k:
         q += _ladder_term(a, y)
@@ -103,7 +117,7 @@ def noncentral_chisq_cdf(x: float, k: int, lam: float) -> float:
 @lru_cache(maxsize=4096)
 def chisq_quantile(k: int, prob: float) -> float:
     """Central chi-square quantile by bisection, to a bracket of width 1e-10
-    relative to the quantile below 1 and absolute from 1 up."""
+    relative to the quantile below 1 and absolute from 1 up; refused where it underflows."""
     if k < 1 or not 0.0 < prob < 1.0:
         raise DomainError(f"need k >= 1 and 0 < prob < 1; got k={k}, prob={prob}")
     lo, hi = 0.0, max(1.0, float(k))
@@ -112,6 +126,8 @@ def chisq_quantile(k: int, prob: float) -> float:
         if hi > 1e12:
             raise DomainError("quantile bracket exploded")
     while hi - lo > 1e-10 * min(1.0, hi):
+        if hi < 2.0**-1022:  # below the smallest normal float
+            raise DomainError(f"the chi-square({k}) quantile at {prob} underflows")
         mid = 0.5 * (lo + hi)
         if noncentral_chisq_cdf(mid, k, 0.0) < prob:
             lo = mid

@@ -7,15 +7,16 @@ one vectorised moment evaluation over the rows; a row with count zero adds
 exact zeros.  Each GMM step minimises its weighted objective by damped
 Newton (``_newton``), whose Hessian takes the second derivatives of the
 moments from central differences of the vectorised Jacobian.  A Newton step
-costs O(S) array work: 1 + 2p Jacobian evaluations, two p x p Cholesky
-factorisations at most, and moment-only evaluations for the line-search
-trials.  Where the residual is large, Gauss-Newton converges only linearly;
-Newton converges quadratically and stops at the exact minimiser up to
-rounding.  Each step records why it stopped (``GmmEstimate.stop_reasons``).
-Every positive-definite solve here and in ``iv`` goes through ``_cholesky``,
-a Cholesky factorisation in Python floats: every system the shipped
-configs solve is 1 x 1 or 2 x 2, where it costs a few microseconds, and the
-run path does not import SciPy.  The population objects (efficient score,
+costs O(S) array work: one Jacobian evaluation, on the (1 + 2p, p) stack of
+theta and its difference points, two p x p Cholesky factorisations at most,
+and moment-only evaluations for the line-search trials.  Where the residual
+is large, Gauss-Newton converges only linearly; Newton converges
+quadratically and stops at the exact minimiser up to rounding.  Each step
+records why it stopped (``GmmEstimate.stop_reasons``).  Every
+positive-definite solve here and in ``iv`` goes through ``_cholesky``, a
+Cholesky factorisation in Python floats: every system the shipped configs
+solve is 1 x 1 or 2 x 2, where it costs a few microseconds, and the run
+path does not import SciPy.  The population objects (efficient score,
 information, influence) live on the instance's design
 (``scores.moment_design``), not here.
 """
@@ -135,67 +136,31 @@ def _cholesky(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return np.array(cols[0]) if b.ndim == 1 else np.array(cols).T
 
 
-def _weighted_jacobian(
-    model: MomentModel, theta: np.ndarray, pts: np.ndarray, w: np.ndarray
-) -> np.ndarray:
-    g = model.jacobians_at(theta, pts)
-    return (w @ g.reshape(g.shape[0], -1)).reshape(model.l, model.p)
-
-
-def _curvature(
-    model: MomentModel,
-    pts: np.ndarray,
-    w: np.ndarray,
-    theta: np.ndarray,
-    wm: np.ndarray,
-) -> np.ndarray:
-    """sum_k (W mbar)_k d^2 mbar_k / d theta d theta', by differences of the Jacobian.
-
-    Column j is the central difference of the weighted Jacobian between
-    theta -/+ h e_j.  Costs 2p Jacobian evaluations.
-    """
-    out = np.empty((model.p, model.p))
-    for j in range(model.p):
-        h = 6e-6 * max(1.0, abs(theta[j]))  # about eps^(1/3), the central-difference optimum
-        up, dn = theta.copy(), theta.copy()
-        up[j] += h
-        dn[j] -= h
-        width = up[j] - dn[j]  # the step as rounded in theta, not 2h
-        g_up = _weighted_jacobian(model, up, pts, w)
-        g_dn = _weighted_jacobian(model, dn, pts, w)
-        out[:, j] = wm @ (g_up - g_dn) / width
-    return 0.5 * (out + out.T)
-
-
-def _direction(
-    model: MomentModel,
-    pts: np.ndarray,
-    w: np.ndarray,
-    theta: np.ndarray,
-    weight: np.ndarray,
-    gbar: np.ndarray,
-    wm: np.ndarray,
-    rhs: np.ndarray,
-) -> np.ndarray | None:
-    """The Newton step, or the Gauss-Newton step where the Hessian is not
-    positive definite; None when the normal matrix G'WG is not either."""
-    normal = gbar.T @ weight @ gbar
-    hess = normal + _curvature(model, pts, w, theta, wm)
-    for matrix in (hess, normal):
-        step = _cholesky(matrix, rhs)
-        if step is not None:
-            return -step
-    return None
+def _jacobians(
+    model: MomentModel, pts: np.ndarray, w: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(G, D, widths) from one Jacobian evaluation on the (1 + 2p, p) stack
+    theta, theta + h e_j, theta - h e_j: G the weighted Jacobian at theta, D
+    (p, l, p) with D[j] = G(theta + h e_j) - G(theta - h e_j), and widths[j]
+    the step as rounded in theta, not 2h."""
+    p, t = model.p, theta.tolist()  # the stack is built in Python floats: a few us, not tens
+    h = [6e-6 * max(1.0, abs(x)) for x in t]  # about eps^(1/3), the central-difference optimum
+    ups = [[x + h[j] if i == j else x for i, x in enumerate(t)] for j in range(p)]
+    dns = [[x - h[j] if i == j else x for i, x in enumerate(t)] for j in range(p)]
+    g = w @ model.jacobians_at(np.array([t, *ups, *dns]), pts).reshape(2 * p + 1, len(pts), -1)
+    g = g.reshape(2 * p + 1, model.l, p)
+    return g[0], g[1 : p + 1] - g[p + 1 :], np.array([ups[j][j] - dns[j][j] for j in range(p)])
 
 
 @dataclass(frozen=True)
 class _Minimum:
-    """Where a weighted minimisation stopped, with the moments there."""
+    """Where a weighted minimisation stopped, with the moments there and the
+    Jacobian evaluation ``jac`` = (gbar, diffs, widths) of ``_jacobians``."""
 
     theta: np.ndarray
     m_vals: np.ndarray  # (S, l): moments at theta on the sample rows
     mbar: np.ndarray
-    gbar: np.ndarray
+    jac: tuple[np.ndarray, np.ndarray, np.ndarray]
     steps: int
     reason: str
 
@@ -207,14 +172,16 @@ def _newton(
     weight: np.ndarray,
     theta: np.ndarray,
     m_vals: np.ndarray,
-    gbar: np.ndarray,
+    jac: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> _Minimum:
     """Minimise mbar(theta)' W mbar(theta) by damped Newton from ``theta``.
 
     The Hessian is 2 (G'WG + sum_k (W mbar)_k d^2 mbar_k), its second-order
-    term from ``_curvature``.  Where it is not positive definite the
-    Gauss-Newton step (normal matrix G'WG) is taken; where the normal matrix
-    is not positive definite either, the search stops (NOT_POSITIVE_DEFINITE).
+    term from the central differences of G: column j is (W mbar)' times
+    difference j over its width, then symmetrised.  Where it is not positive
+    definite the Gauss-Newton step (normal matrix G'WG) is taken; where the
+    normal matrix is not positive definite either, the search stops
+    (NOT_POSITIVE_DEFINITE).
     A step is accepted on sufficient decrease: Armijo with constant 1/4,
     halving up to MAX_HALVINGS times, else the search stops (LINE_SEARCH).
 
@@ -232,9 +199,11 @@ def _newton(
     search, as does a line-searched step that moves theta by less than
     STEP_TOL (STEP).  An iterate reached after MAX_ITER steps ends it too
     (ITERATION_CAP).  FIRST_ORDER, DECREMENT and STEP count as converged.
-    It takes the moments and the Jacobian at ``theta`` (``m_vals``,
-    ``gbar``) and hands back those at the returned theta.
+    It takes the moments and the Jacobian evaluation at ``theta`` (``m_vals``,
+    ``jac``) and hands back those at the returned theta: one Jacobian
+    evaluation per step.
     """
+    gbar, diffs, widths = jac
     steps = 0
     unsearched = 0  # steps applied without a line search
     reason = None
@@ -250,11 +219,17 @@ def _newton(
             elif steps == MAX_ITER:
                 reason = ITERATION_CAP
             else:
-                step = _direction(model, pts, w, theta, weight, gbar, wm, rhs)
+                normal = gbar.T @ weight @ gbar
+                curvature = (wm @ diffs) / widths[:, None]  # row j holds column j
+                step = _cholesky(normal + 0.5 * (curvature + curvature.T), rhs)
+                if step is None:  # the Hessian is not positive definite: Gauss-Newton
+                    step = _cholesky(normal, rhs)
                 if step is None:
                     reason = NOT_POSITIVE_DEFINITE
+                else:
+                    step = -step
         if reason is not None:
-            return _Minimum(theta, m_vals, mbar, gbar, steps, reason)
+            return _Minimum(theta, m_vals, mbar, jac, steps, reason)
         steps += 1
         obj = mbar @ wm
         slope = 2.0 * (rhs @ step)
@@ -276,12 +251,12 @@ def _newton(
                     break
                 alpha *= 0.5
             else:
-                return _Minimum(theta, m_vals, mbar, gbar, steps, LINE_SEARCH)
+                return _Minimum(theta, m_vals, mbar, jac, steps, LINE_SEARCH)
             moved = cand - theta
             if moved @ moved < STEP_TOL**2:
                 reason = STEP
             theta, m_vals = cand, m_c
-        gbar = _weighted_jacobian(model, theta, pts, w)
+        jac = gbar, diffs, widths = _jacobians(model, pts, w, theta)
 
 
 def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
@@ -291,8 +266,9 @@ def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
     the moment variance is estimated there and held fixed while step two
     minimizes the efficiently weighted objective from the step-one
     estimate.  Both steps run ``_newton``, which hands back the moments and
-    Jacobian at its minimiser: step two starts from them, and neither is
-    evaluated again.  The overidentification value n * mbar' SigmaHat^{-1}
+    the Jacobian evaluation at its minimiser: step two starts from them, and
+    neither is evaluated again, so an estimate makes ``iterations + 1``
+    Jacobian calls.  The overidentification value n * mbar' SigmaHat^{-1}
     mbar is computed with the same fixed weight.  SigmaHat and the sample
     information are refused (``SingularSigmaHat``, ``RankDeficientJacobian``)
     by ``_near_singular``, the rule the population Sigma is held to: a matrix
@@ -305,18 +281,16 @@ def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
     if data.n <= model.l:
         raise ValueError(f"need n > l, got n={data.n}, l={model.l}")
     pts, w = data.rows, data.counts / data.n
-    m_init = model.moments_at(theta_init, pts)
-    gbar_init = _weighted_jacobian(model, theta_init, pts, w)
-    first = _newton(model, pts, w, np.eye(model.l), theta_init, m_init, gbar_init)
-    m_vals = first.m_vals
-    sigma_hat = (m_vals.T * w) @ m_vals
+    m_init, jac_init = model.moments_at(theta_init, pts), _jacobians(model, pts, w, theta_init)
+    first = _newton(model, pts, w, np.eye(model.l), theta_init, m_init, jac_init)
+    sigma_hat = (first.m_vals.T * w) @ first.m_vals
     sigma_hat = 0.5 * (sigma_hat + sigma_hat.T)
     if _near_singular(sigma_hat):
         raise SingularSigmaHat("first-step moment variance is singular")
     weight = _cholesky(sigma_hat, np.eye(model.l))  # not near singular, so not None
     weight = 0.5 * (weight + weight.T)
-    second = _newton(model, pts, w, weight, first.theta, first.m_vals, first.gbar)
-    mbar, gbar = second.mbar, second.gbar
+    second = _newton(model, pts, w, weight, first.theta, first.m_vals, first.jac)
+    mbar, gbar = second.mbar, second.jac[0]
     j_stat = float(data.n * mbar @ weight @ mbar)
     info_hat = gbar.T @ weight @ gbar
     info_hat = 0.5 * (info_hat + info_hat.T)

@@ -89,17 +89,17 @@ def overidentified_mean_model(v: float) -> MomentModel:
     """Mean model with a known-variance side restriction: m = (x - t, (x - t)^2 - v)."""
 
     def m(theta, x):
-        d = x[:, 0] - theta[0]
-        out = np.empty((d.shape[0], 2))
-        out[:, 0] = d
-        out[:, 1] = d * d - v
+        d = x[:, 0] - theta[:, :1]  # (B, S)
+        out = np.empty(d.shape + (2,))
+        out[..., 0] = d
+        out[..., 1] = d * d - v
         return out
 
     def jac(theta, x):
-        d = x[:, 0] - theta[0]
-        out = np.empty((d.shape[0], 2, 1))
-        out[:, 0, 0] = -1.0
-        out[:, 1, 0] = -2.0 * d
+        d = x[:, 0] - theta[:, :1]
+        out = np.empty(d.shape + (2, 1))
+        out[..., 0, 0] = -1.0
+        out[..., 1, 0] = -2.0 * d
         return out
 
     return MomentModel(m=m, jac=jac, p=1, l=2)
@@ -112,11 +112,12 @@ def linear_iv_moment_model(dims: tuple[int, int, int]) -> MomentModel:
 
     def m(beta, rows):
         y, X, Z = shell.design_matrices(rows)
-        return Z * (y - X @ beta)[:, None]
+        fitted = (X * beta[:, None, :]).sum(axis=2)  # (B, S); elementwise, so row b is B-free
+        return Z * (y - fitted)[:, :, None]
 
     def jac(beta, rows):
         _, X, Z = shell.design_matrices(rows)
-        return -(Z[:, :, None] * X[:, None, :])
+        return np.repeat(-(Z[None, :, :, None] * X[None, :, None, :]), len(beta), axis=0)
 
     return MomentModel(m=m, jac=jac, p=k1 + k2, l=q + k2)
 

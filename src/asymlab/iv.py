@@ -31,6 +31,7 @@ from .errors import (
 )
 from .gmm import _cholesky
 from .models import IVModel
+from .scores import _near_singular
 
 RANK_TOL = 1e-8  # relative spectral cutoff for the generalized inverse
 
@@ -113,7 +114,8 @@ def estimate_ols(data: Dataset, model: IVModel) -> LinearEstimate:
 
 
 def estimate_2sls(data: Dataset, model: IVModel) -> LinearEstimate:
-    """Two-stage least squares with instruments Z = [z1, x2]."""
+    """Two-stage least squares with instruments Z = [z1, x2]; X'P_Z X is held
+    to ``scores._near_singular``, the rule of GMM's SigmaHat and information."""
     y, X, Z = _design(data, model)
     cZ = Z * data.counts[:, None]
     ztx = cZ.T @ X
@@ -123,8 +125,7 @@ def estimate_2sls(data: Dataset, model: IVModel) -> LinearEstimate:
         raise SingularInstrumentGram("Z'Z is singular")
     xpx = ztx.T @ first[:, :-1]  # X' P_Z X
     xpy = ztx.T @ first[:, -1]
-    svals = np.linalg.svd(xpx, compute_uv=False)
-    if svals[-1] <= 1e-12 * max(svals[0], 1e-300):
+    if _near_singular(xpx):
         raise RankDeficientFirstStage("instruments do not span the regressors")
     solved = _cholesky(xpx, np.column_stack([xpy, np.eye(X.shape[1])]))
     if solved is None:

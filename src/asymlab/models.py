@@ -2,9 +2,9 @@
 
 These are pure data holders; estimation and tangent-space construction live in
 ``gmm``, ``iv`` and ``scores``.  Moment functions are vectorised over
-observations: one call evaluates every support point or sample row at once,
-so a step of the GMM solver costs a few whole-array operations rather than
-one Python call per point.
+observations and over parameters: one call evaluates every support point or
+sample row at each parameter vector of a (B, p) stack, so a GMM step makes
+one Jacobian call for theta and its 2p difference points.
 """
 
 from __future__ import annotations
@@ -21,12 +21,14 @@ from .errors import ShapeMismatch
 class MomentModel:
     """Moment restriction E[m(theta0, X)] = 0 with l moments and p parameters.
 
-    ``m(theta, points)`` takes an (S, d) array of observations and returns
-    their moment values, shape (S, l); ``jac(theta, points)`` returns the
-    derivatives of ``m`` in ``theta``, shape (S, l, p).  Row s of either
-    output must depend on row s of ``points`` only.  ``l == p`` is allowed
-    (just identified) but then the overidentification test is degenerate.
-    The parameter is unbounded: GMM searches all of R^p, so ``m`` and
+    ``m(theta, points)`` takes a (B, p) stack of parameter vectors and an
+    (S, d) array of observations and returns the moment values at every
+    pair, shape (B, S, l); ``jac(theta, points)`` returns the derivatives of
+    ``m`` in ``theta``, shape (B, S, l, p).  Entry (b, s) of either output
+    must depend on row b of ``theta`` and row s of ``points`` only, so that
+    a row of a stack is bit for bit the evaluation at that parameter alone.
+    ``l == p`` is allowed (just identified) but then the overidentification
+    test is degenerate.  The parameter is unbounded: GMM searches all of R^p, so ``m`` and
     ``jac`` must accept any finite theta.
     """
 
@@ -40,40 +42,40 @@ class MomentModel:
             raise ShapeMismatch(f"need l >= p >= 1, got l={self.l}, p={self.p}")
 
     def moments_at(self, theta: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Evaluate m on every row of ``points``; returns shape (S, l)."""
-        out = np.asarray(self.m(np.asarray(theta, dtype=float), points), dtype=float)
-        if out.shape != (points.shape[0], self.l):
+        """m on every row of ``points``: (S, l) at theta (p,), (B, S, l) at a (B, p) stack."""
+        theta = np.asarray(theta, dtype=float)
+        stack = theta if theta.ndim == 2 else theta[None]
+        out = np.asarray(self.m(stack, points), dtype=float)
+        if out.shape != (len(stack), points.shape[0], self.l):
             raise ShapeMismatch(
                 f"moment function returned shape {out.shape}, "
-                f"expected ({points.shape[0]}, {self.l})"
+                f"expected ({len(stack)}, {points.shape[0]}, {self.l})"
             )
-        return out
+        return out if theta.ndim == 2 else out[0]
 
     def jacobians_at(self, theta: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Evaluate the Jacobian on every row of ``points``; shape (S, l, p)."""
-        out = np.asarray(self.jac(np.asarray(theta, dtype=float), points), dtype=float)
-        if out.shape != (points.shape[0], self.l, self.p):
+        """The Jacobian: (S, l, p) at theta (p,), (B, S, l, p) at a (B, p) stack."""
+        theta = np.asarray(theta, dtype=float)
+        stack = theta if theta.ndim == 2 else theta[None]
+        out = np.asarray(self.jac(stack, points), dtype=float)
+        if out.shape != (len(stack), points.shape[0], self.l, self.p):
             raise ShapeMismatch(
                 f"jacobian returned shape {out.shape}, "
-                f"expected ({points.shape[0]}, {self.l}, {self.p})"
+                f"expected ({len(stack)}, {points.shape[0]}, {self.l}, {self.p})"
             )
-        return out
+        return out if theta.ndim == 2 else out[0]
 
     def check_jacobian(self, theta: np.ndarray, points: np.ndarray, tol: float = 1e-6) -> None:
-        """Central-difference consistency check of ``jac`` against ``m``."""
-        theta = np.asarray(theta, dtype=float)
-        step = 1e-6
-        analytic = self.jacobians_at(theta, points)
-        for j in range(self.p):
-            up, dn = theta.copy(), theta.copy()
-            up[j] += step
-            dn[j] -= step
-            fd = (self.moments_at(up, points) - self.moments_at(dn, points)) / (2.0 * step)
-            err = np.max(np.abs(fd - analytic[:, :, j]))
-            if err > tol:
-                raise ShapeMismatch(
-                    f"jacobian column {j} disagrees with finite differences by {err:.2e}"
-                )
+        """Check ``jac`` against central differences of one ``m`` call at theta +/- 1e-6 e_j."""
+        theta, shift = np.asarray(theta, dtype=float), 1e-6 * np.eye(self.p)
+        shifted = self.moments_at(np.vstack((theta + shift, theta - shift)), points)
+        fd = (shifted[: self.p] - shifted[self.p :]) / 2e-6  # (p, S, l)
+        analytic = np.moveaxis(self.jacobians_at(theta, points), 2, 0)
+        errs = np.max(np.abs(fd - analytic), axis=(1, 2))
+        for j in np.flatnonzero(errs > tol)[:1]:  # the first column that disagrees
+            raise ShapeMismatch(
+                f"jacobian column {j} disagrees with finite differences by {errs[j]:.2e}"
+            )
 
 
 @dataclass(frozen=True)

@@ -205,12 +205,17 @@ def _check_moment_contract():
         ("linear_iv_moments", iv_model, iv1.dist.support, iv1.model.beta0),
     ]
     for name, model, points, theta in cases:
-        shape = np.shape(model.m(theta, points))
-        _require(shape == (points.shape[0], model.l), f"{name} moments have shape {shape}")
-        shape = np.shape(model.jac(theta, points))
-        _require(
-            shape == (points.shape[0], model.l, model.p), f"{name} Jacobians have shape {shape}"
-        )
+        stack = theta + np.array([[0.0], [0.3], [-0.2]])  # (3, p)
+        for rows in (stack[:1], stack):
+            want = (len(rows), points.shape[0], model.l)
+            shape = np.shape(model.m(rows, points))
+            _require(shape == want, f"{name} moments have shape {shape}")
+            shape = np.shape(model.jac(rows, points))
+            _require(shape == want + (model.p,), f"{name} Jacobians have shape {shape}")
+        for what, fn in (("moments", model.m), ("Jacobians", model.jac)):
+            singles = [fn(row[None], points)[0] for row in stack]
+            same = all(map(np.array_equal, fn(stack, points), singles))
+            _require(same, f"{name} {what} of a stack row differ from its single evaluation")
         model.check_jacobian(theta + 0.3, points)
 
 

@@ -97,6 +97,29 @@ class TestQuantile:
                 assert local_power(k, 4.0, alpha) >= alpha
 
 
+    @pytest.mark.parametrize("p", [1e-300, 1e-100, 1e-20, 1e-12, 1e-6, 1e-3, 0.3])
+    def test_lower_tail_k_2(self, p):
+        # chi-square(2) is exponential with mean 2: the quantile is -2 log(1 - p)
+        assert chisq_quantile(2, p) == pytest.approx(-2.0 * math.log1p(-p), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1e-150, 1e-40, 1e-20, 1e-12, 1e-8])
+    def test_lower_tail_k_1(self, p):
+        # P(chi-square(1) <= x) = erf(sqrt(x / 2)) = sqrt(2 x / pi) (1 - x / 6 + ...),
+        # so the quantile is pi p^2 / 2 to a relative 1e-16 for p <= 1e-8
+        assert chisq_quantile(1, p) == pytest.approx(0.5 * math.pi * p * p, rel=1e-9, abs=0.0)
+
+    def test_lower_tail_cdf_is_relative(self):
+        # below the mean the central CDF keeps its relative accuracy
+        for k, x in ((1, 1e-30), (2, 1e-12), (3, 1e-6), (10, 0.5), (30, 20.0)):
+            want = cdf_by_gammainc(x, k, 0.0)
+            assert noncentral_chisq_cdf(x, k, 0.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_a_quantile_that_underflows_is_refused(self):
+        # the chi-square(1) quantile at 1e-300 is about 1.6e-600
+        with pytest.raises(DomainError, match="underflows"):
+            chisq_quantile(1, 1e-300)
+
+
 class TestLocalPower:
     def test_size_under_null(self):
         for k in range(1, 6):

@@ -401,7 +401,7 @@ class TestCliCommands:
             "real = st.linear_iv_moment_model\n"
             "def squeezed(dims):\n"
             "    model = real(dims)\n"
-            "    jac = lambda beta, rows: model.jac(beta, rows)[:, :, 0]\n"
+            "    jac = lambda beta, rows: model.jac(beta, rows)[..., 0]\n"
             "    return MomentModel(m=model.m, jac=jac, p=model.p, l=model.l)\n"
             "st.linear_iv_moment_model = squeezed\n"
         )

@@ -33,9 +33,8 @@ from asymlab.errors import (
 )
 from asymlab.gmm import (
     _cholesky,
-    _curvature,
+    _jacobians,
     _newton,
-    _weighted_jacobian,
     estimate_gmm,
     j_statistic,
     kl_projection,
@@ -57,10 +56,10 @@ G1_V = 1.2  # the variance restriction of the G1 instance
 
 def mean_model():
     def m(theta, x):
-        return x[:, :1] - theta[0]
+        return x[None, :, :1] - theta[:, None, :1]
 
     def jac(theta, x):
-        return np.full((x.shape[0], 1, 1), -1.0)
+        return np.full((len(theta), x.shape[0], 1, 1), -1.0)
 
     return MomentModel(m=m, jac=jac, p=1, l=1)
 
@@ -82,11 +81,11 @@ class TestEfficientInfluence:
 
     def test_duplicate_moment_singular(self, g1):
         def m(theta, x):
-            d = x[:, 0] - theta[0]
-            return np.stack([d, d], axis=1)
+            d = x[:, 0] - theta[:, :1]
+            return np.stack([d, d], axis=2)
 
         def jac(theta, x):
-            return np.full((x.shape[0], 2, 1), -1.0)
+            return np.full((len(theta), x.shape[0], 2, 1), -1.0)
 
         with pytest.raises(SingularSigma):
             moment_design(g1.dist, MomentModel(m=m, jac=jac, p=1, l=2), np.array([0.0]))
@@ -168,10 +167,11 @@ class TestEstimateGmm:
         from asymlab.errors import RankDeficientJacobian
 
         def m(theta, x):
-            return np.stack([x[:, 0], x[:, 0] ** 2 - 1.2], axis=1)  # does not depend on theta
+            one = np.stack([x[:, 0], x[:, 0] ** 2 - 1.2], axis=1)  # does not depend on theta
+            return np.repeat(one[None], len(theta), axis=0)
 
         def jac(theta, x):
-            return np.zeros((x.shape[0], 2, 1))
+            return np.zeros((len(theta), x.shape[0], 2, 1))
 
         flat = MomentModel(m=m, jac=jac, p=1, l=2)
         with pytest.raises(RankDeficientJacobian):
@@ -215,10 +215,10 @@ class TestKlProjection:
         eta = make_distribution([1.0, -1.0], [0.6, 0.4])
 
         def m(theta, x):
-            return x[:, :1].copy()
+            return np.repeat(x[None, :, :1], len(theta), axis=0)
 
         def jac(theta, x):
-            return np.ones((x.shape[0], 1, 1))
+            return np.ones((len(theta), x.shape[0], 1, 1))
 
         model = MomentModel(m=m, jac=jac, p=1, l=1)
         projected, lam = kl_projection(eta, model, np.array([0.0]))
@@ -227,10 +227,10 @@ class TestKlProjection:
 
     def test_infeasible_target(self, g1):
         def m(theta, x):
-            return x[:, :1] - 3.0
+            return np.repeat(x[None, :, :1] - 3.0, len(theta), axis=0)
 
         def jac(theta, x):
-            return np.zeros((x.shape[0], 1, 1))
+            return np.zeros((len(theta), x.shape[0], 1, 1))
 
         model = MomentModel(m=m, jac=jac, p=1, l=1)
         with pytest.raises(Infeasible):
@@ -243,7 +243,10 @@ class TestKlProjection:
         points = [[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [-1.5, 0.7]]
         eta = make_distribution(points, np.full(5, 0.2))
         model = MomentModel(
-            m=lambda t, x: x.copy(), jac=lambda t, x: np.zeros((x.shape[0], 2, 1)), p=1, l=2
+            m=lambda t, x: np.repeat(x[None], len(t), axis=0),
+            jac=lambda t, x: np.zeros((len(t), x.shape[0], 2, 1)),
+            p=1,
+            l=2,
         )
         with pytest.raises(Infeasible):
             kl_projection(eta, model, np.array([0.0]))
@@ -306,6 +309,19 @@ class TestMomentContract:
         with pytest.raises(ShapeMismatch):
             model.jacobians_at(np.array([0.0]), g1.dist.support)
 
+    def test_moments_without_the_stack_axis_are_refused(self, g1):
+        # a function written for one parameter vector returns (S, l) for a
+        # stack; the check names the (B, S, l) shape it expected
+        def m(theta, x):
+            return g1.model.m(theta, x)[0]
+
+        model = MomentModel(m=m, jac=g1.model.jac, p=1, l=2)
+        stack = np.array([[0.0], [0.1], [0.2]])
+        with pytest.raises(ShapeMismatch, match=r"returned shape \(5, 2\), expected \(3, 5, 2\)"):
+            model.moments_at(stack, g1.dist.support)
+        with pytest.raises(ShapeMismatch, match=r"expected \(1, 5, 2\)"):
+            model.moments_at(np.array([0.0]), g1.dist.support)
+
     def test_jacobian_that_disagrees_with_the_moments_is_refused(self, g1):
         doubled = MomentModel(
             m=g1.model.m, jac=lambda t, x: 2.0 * g1.model.jac(t, x), p=g1.model.p, l=g1.model.l
@@ -356,6 +372,106 @@ class TestMomentContract:
         assert np.max(np.abs(got_jac - want_jac)) <= 1e-14 * max(1.0, np.max(np.abs(want_jac)))
 
 
+def assert_stack_rows_are_single_evaluations(model, stack, points):
+    """Row b of a stacked evaluation is bit for bit the evaluation at stack[b]."""
+    m_stack = model.moments_at(stack, points)
+    jac_stack = model.jacobians_at(stack, points)
+    assert m_stack.shape == (len(stack), len(points), model.l)
+    assert jac_stack.shape == (len(stack), len(points), model.l, model.p)
+    for b, theta in enumerate(stack):
+        assert np.array_equal(m_stack[b], model.moments_at(theta, points))
+        assert np.array_equal(jac_stack[b], model.jacobians_at(theta, points))
+
+
+class TestParameterStacks:
+    def test_catalogue_models(self, g1, iv1):
+        rng = np.random.default_rng(5)
+        assert_stack_rows_are_single_evaluations(
+            g1.model, rng.uniform(-1.0, 1.0, (3, 1)), g1.dist.support
+        )
+        iv_model = linear_iv_moment_model(iv1.model.dims)
+        assert_stack_rows_are_single_evaluations(
+            iv_model, rng.uniform(-2.0, 2.0, (3, iv_model.p)), iv1.dist.support
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_points=st.integers(1, 40),
+        v=st.floats(0.1, 5.0),
+        k1=st.integers(1, 2),
+        k2=st.integers(0, 2),
+        extra=st.integers(0, 2),
+    )
+    def test_generated_models(self, seed, n_points, v, k1, k2, extra):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-3.0, 3.0, (n_points, 1))
+        assert_stack_rows_are_single_evaluations(
+            overidentified_mean_model(v), rng.uniform(-1.0, 1.0, (3, 1)), points
+        )
+        dims = (k1, k2, k1 + extra)
+        rows = rng.uniform(-2.0, 2.0, (n_points, 1 + k1 + k2 + k1 + extra))
+        assert_stack_rows_are_single_evaluations(
+            linear_iv_moment_model(dims), rng.uniform(-2.0, 2.0, (3, k1 + k2)), rows
+        )
+
+
+def counted(model):
+    """``model`` with every call of m and jac appended to a list as
+    ("m" or "jac", number of parameter rows)."""
+    calls = []
+
+    def m(theta, x):
+        calls.append(("m", len(theta)))
+        return model.m(theta, x)
+
+    def jac(theta, x):
+        calls.append(("jac", len(theta)))
+        return model.jac(theta, x)
+
+    return MomentModel(m=m, jac=jac, p=model.p, l=model.l), calls
+
+
+class TestEvaluationCounts:
+    @pytest.mark.parametrize("seed", [0, 3, 71])
+    def test_one_jacobian_call_per_newton_step(self, g1, seed):
+        model, calls = counted(g1.model)
+        est = estimate_gmm(count_sample(g1.dist, 1000, seed), model, g1.theta0)
+        jacobians = [rows for kind, rows in calls if kind == "jac"]
+        assert est.iterations > 0
+        assert jacobians == [1 + 2 * model.p] * (est.iterations + 1)
+        assert all(rows == 1 for kind, rows in calls if kind == "m")
+
+    def test_one_jacobian_call_per_newton_step_at_p_2(self):
+        # the linear IV moments on a two-parameter design
+        iv = _iv_two_parameter_sample()
+        model, calls = counted(linear_iv_moment_model((1, 1, 2)))
+        est = estimate_gmm(iv, model, np.zeros(2))
+        jacobians = [rows for kind, rows in calls if kind == "jac"]
+        assert est.iterations > 0
+        assert jacobians == [5] * (est.iterations + 1)
+
+    def test_check_jacobian_makes_one_moment_call(self, g1, iv1):
+        for base, points, theta in (
+            (g1.model, g1.dist.support, np.array([0.3])),
+            (linear_iv_moment_model(iv1.model.dims), iv1.dist.support, iv1.model.beta0),
+        ):
+            model, calls = counted(base)
+            model.check_jacobian(theta, points)
+            assert calls == [("m", 2 * model.p), ("jac", 1)]
+
+
+def _iv_two_parameter_sample():
+    """A count sample of rows (y, x1, x2, z1, z2) with y = x1 + x2 + noise."""
+    rng = np.random.default_rng(8)
+    z = rng.standard_normal((60, 2))
+    x1 = z @ [1.0, 0.5] + 0.3 * rng.standard_normal(60)
+    x2 = rng.standard_normal(60)
+    y = x1 + x2 + rng.standard_normal(60)
+    rows = np.column_stack([y, x1, x2, z])
+    return Dataset(rows, rng.integers(1, 5, 60))
+
+
 def count_sample(dist, n, seed):
     """The draws of ``draw_sample(dist, n, seed)`` as the support with its counts."""
     idx = draw_indices(dist, n, seed)
@@ -370,19 +486,22 @@ def rows_and_weights(data):
 def newton_from(model, pts, w, theta, weight):
     """``_newton`` from ``theta``, with the moments and Jacobian there, as
     ``estimate_gmm`` starts step one."""
-    m_vals, gbar = model.moments_at(theta, pts), _weighted_jacobian(model, theta, pts, w)
-    return _newton(model, pts, w, weight, theta, m_vals, gbar)
+    m_vals = model.moments_at(theta, pts)
+    return _newton(model, pts, w, weight, theta, m_vals, _jacobians(model, pts, w, theta))
 
 
 def _flat_direction_model():
     """m = (x - t1 - t2, x^2 - 1.2): the Jacobian has rank one everywhere."""
 
     def m(theta, x):
-        return np.stack([x[:, 0] - theta[0] - theta[1], x[:, 0] ** 2 - G1_V], axis=1)
+        out = np.empty((len(theta), x.shape[0], 2))
+        out[..., 0] = x[:, 0] - theta[:, :1] - theta[:, 1:]
+        out[..., 1] = x[:, 0] ** 2 - G1_V
+        return out
 
     def jac(theta, x):
-        out = np.zeros((x.shape[0], 2, 2))
-        out[:, 0, :] = -1.0
+        out = np.zeros((len(theta), x.shape[0], 2, 2))
+        out[..., 0, :] = -1.0
         return out
 
     return MomentModel(m=m, jac=jac, p=2, l=2)
@@ -458,7 +577,7 @@ class TestStopReasons:
         sigma_hat = (first.m_vals.T * w) @ first.m_vals
         weight = _cholesky(0.5 * (sigma_hat + sigma_hat.T), np.eye(2))
         weight = 0.5 * (weight + weight.T)
-        second = _newton(model, pts, w, weight, first.theta, first.m_vals, first.gbar)
+        second = _newton(model, pts, w, weight, first.theta, first.m_vals, first.jac)
         assert second.reason == gmm.NOT_POSITIVE_DEFINITE and second.steps == 0
         assert np.array_equal(second.theta, np.zeros(2))
 
@@ -467,7 +586,8 @@ class TestStopReasons:
         found = newton_from(g1.model, pts, w, g1.theta0, np.eye(2))
         assert np.array_equal(found.m_vals, g1.model.moments_at(found.theta, pts))
         assert np.array_equal(found.mbar, w @ found.m_vals)
-        assert np.array_equal(found.gbar, _weighted_jacobian(g1.model, found.theta, pts, w))
+        for got, want in zip(found.jac, _jacobians(g1.model, pts, w, found.theta)):
+            assert np.array_equal(got, want)
 
     def test_gauss_newton_step_where_the_hessian_is_refused(self, g1, monkeypatch):
         # with the variance restriction at 3.0 instead of 1.2 the curvature
@@ -475,31 +595,26 @@ class TestStopReasons:
         # Gauss-Newton step moves on, and Newton ends at a first-order point
         model = overidentified_mean_model(3.0)
         pts, w = rows_and_weights(draw_sample(g1.dist, 200, seed=1))
-        refused = []  # per _direction call: whether each Cholesky factorisation failed
-        direction, cholesky = gmm._direction, gmm._cholesky
-
-        def recorded_direction(*args):
-            refused.append([])
-            return direction(*args)
+        refused = []  # per Cholesky factorisation: whether it failed
+        cholesky = gmm._cholesky
 
         def recorded_cholesky(a, b):
             x = cholesky(a, b)
-            refused[-1].append(x is None)
+            refused.append(x is None)
             return x
 
-        monkeypatch.setattr(gmm, "_direction", recorded_direction)
         monkeypatch.setattr(gmm, "_cholesky", recorded_cholesky)
         found = newton_from(model, pts, w, np.array([0.3]), np.eye(2))
-        assert refused[0] == [True, False]  # the Hessian refused, G'WG accepted
-        assert all(calls == [False] for calls in refused[1:])
         assert found.reason == gmm.FIRST_ORDER and found.steps == 6
-        gbar = _weighted_jacobian(model, found.theta, pts, w)
+        # step one: the Hessian refused, G'WG accepted; every later Hessian accepted
+        assert refused == [True, False] + [False] * (found.steps - 1)
+        gbar = _jacobians(model, pts, w, found.theta)[0]
         mbar = w @ model.moments_at(found.theta, pts)
         gradient = np.linalg.norm(gbar.T @ mbar)
         assert gradient <= gmm.FIRST_ORDER_TOL * np.linalg.norm(gbar) * np.linalg.norm(mbar)
 
     def test_step_two_starts_from_what_step_one_evaluated(self, g1, monkeypatch):
-        evaluated = []  # ("m" or "jac", theta) of every evaluation, in order
+        evaluated = []  # ("m" or "jac", parameter stack) of every evaluation, in order
 
         def m(theta, x):
             evaluated.append(("m", theta.copy()))
@@ -522,7 +637,7 @@ class TestStopReasons:
         est = estimate_gmm(data, MomentModel(m=m, jac=jac, p=1, l=2), g1.theta0)
         theta1 = minima[0]
         assert not np.array_equal(est.theta_hat, theta1)  # step two moved
-        at_theta1 = [kind for kind, theta in evaluated if np.array_equal(theta, theta1)]
+        at_theta1 = [kind for kind, rows in evaluated for r in rows if np.array_equal(r, theta1)]
         assert at_theta1 == ["m", "jac"]  # once each, by step one
         plain = estimate_gmm(data, g1.model, g1.theta0)
         assert np.array_equal(est.theta_hat, plain.theta_hat)
@@ -532,20 +647,26 @@ class TestStopReasons:
 class TestCurvature:
     @pytest.mark.parametrize("theta", [-0.5, 0.1, 0.5])
     def test_central_difference_is_exact(self, g1, theta):
-        # d^2 mbar / dt^2 = (0, 2), so the curvature is 2 (W mbar)_2 exactly
+        # d^2 mbar / dt^2 = (0, 2), so the curvature (W mbar)' times the
+        # difference over its width is 2 (W mbar)_2 exactly
         base = overidentified_mean_model(G1_V)
         seen = []
 
         def jac(theta, x):
-            seen.append(theta[0])
+            seen.append(theta.copy())
             return base.jac(theta, x)
 
         model = MomentModel(m=base.m, jac=jac, p=1, l=2)
         pts, w = rows_and_weights(count_sample(g1.dist, 100, seed=0))
         wm = np.array([0.3, -0.7])
-        got = _curvature(model, pts, w, np.array([theta]), wm)
+        gbar, diffs, widths = _jacobians(model, pts, w, np.array([theta]))
+        got = (wm @ diffs) / widths[:, None]
         assert got == pytest.approx(np.array([[2.0 * wm[1]]]), rel=1e-8)
-        assert len(seen) == 2 and seen[0] > theta > seen[1]
+        assert np.array_equal(gbar[:, 0], w @ base.jacobians_at(np.array([theta]), pts)[:, :, 0])
+        # one evaluation, on theta and its two difference points
+        assert len(seen) == 1 and seen[0].shape == (3, 1)
+        assert seen[0][0, 0] == theta and seen[0][1, 0] > theta > seen[0][2, 0]
+        assert widths[0] == seen[0][1, 0] - seen[0][2, 0]
 
 
 @pytest.fixture(scope="module")
@@ -623,7 +744,7 @@ def _first_order_residual(model, v, data, est):
     weight = 0.5 * (weight + weight.T)
     theta = est.theta_hat
     wm = weight @ (w @ model.moments_at(theta, pts))
-    gbar = _weighted_jacobian(model, theta, pts, w)
+    gbar = _jacobians(model, pts, w, theta)[0]
     x = pts[:, 0]
     terms = w @ (np.abs(x) + abs(theta[0]) + (x - theta[0]) ** 2 + v)
     g_norm = np.linalg.norm(gbar)

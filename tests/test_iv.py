@@ -172,7 +172,7 @@ class TestTsls:
         x1 = np.concatenate([np.ones(20), -np.ones(20)])[:, None]
         z1 = np.concatenate([np.ones(10), -np.ones(10), np.ones(10), -np.ones(10)])[:, None]
         data, model = synthetic(rng.standard_normal(40), x1, np.ones((40, 1)), z1)
-        with pytest.raises(RankDeficientFirstStage):
+        with pytest.raises(RankDeficientFirstStage, match="do not span the regressors"):
             estimate_2sls(data, model)
 
 

@@ -75,10 +75,10 @@ class TestConfigValidation:
         from asymlab.models import MomentModel
 
         def m(theta, x):
-            return x[:, :1] - theta[0]
+            return x[None, :, :1] - theta[:, None, :1]
 
         def jac(theta, x):
-            return np.full((x.shape[0], 1, 1), -1.0)
+            return np.full((len(theta), x.shape[0], 1, 1), -1.0)
 
         flat = GmmInstance(
             name="flat",

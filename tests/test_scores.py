@@ -478,10 +478,10 @@ class TestGmmTangentBasis:
         # oracle: dimension count S - 1 - l + p = S - 1
 
         def m(theta, x):
-            return x[:, :1] - theta[0]
+            return x[None, :, :1] - theta[:, None, :1]
 
         def jac(theta, x):
-            return np.full((x.shape[0], 1, 1), -1.0)
+            return np.full((len(theta), x.shape[0], 1, 1), -1.0)
 
         model = MomentModel(m=m, jac=jac, p=1, l=1)
         t_basis, t_perp = moment_design(g1.dist, model, np.array([0.0])).bases
@@ -503,12 +503,12 @@ class TestGmmTangentBasis:
         s = expectation(dist, dist.column(0) ** 3)
 
         def m(theta, x):
-            d = x[:, 0] - theta[0]
-            return np.stack([d, d * d - v, d**3 - s], axis=1)
+            d = x[:, 0] - theta[:, :1]
+            return np.stack([d, d * d - v, d**3 - s], axis=2)
 
         def jac(theta, x):
-            d = x[:, 0] - theta[0]
-            return np.stack([-np.ones_like(d), -2.0 * d, -3.0 * d * d], axis=1)[:, :, None]
+            d = x[:, 0] - theta[:, :1]
+            return np.stack([-np.ones_like(d), -2.0 * d, -3.0 * d * d], axis=2)[..., None]
 
         model = MomentModel(m=m, jac=jac, p=1, l=3)
         t_basis, t_perp = moment_design(dist, model, np.array([0.0])).bases
@@ -794,11 +794,11 @@ class TestInvariantsOnGeneratedInstances:
 
 def test_singular_sigma_detected(g1):
     def m(theta, x):
-        d = x[:, 0] - theta[0]
-        return np.stack([d, d], axis=1)
+        d = x[:, 0] - theta[:, :1]
+        return np.stack([d, d], axis=2)
 
     def jac(theta, x):
-        return np.full((x.shape[0], 2, 1), -1.0)
+        return np.full((len(theta), x.shape[0], 2, 1), -1.0)
 
     model = MomentModel(m=m, jac=jac, p=1, l=2)
     with pytest.raises(SingularSigma):

@@ -61,7 +61,6 @@ from .scores import (
     SubspaceBasis,
     centered_score,
     inner_product,
-    orthonormal_basis,
     project,
     zero_score,
 )

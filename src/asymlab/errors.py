@@ -27,10 +27,6 @@ class DistributionMismatch(AsymlabError):
     """Score functions or bases attached to different distributions were mixed."""
 
 
-class EmptySpan(AsymlabError):
-    """All spanning vectors were numerically zero after orthogonalization."""
-
-
 # --- moment models and GMM -------------------------------------------------
 
 
@@ -67,10 +63,6 @@ class NoConvergence(AsymlabError):
 
 class NullModelViolated(AsymlabError):
     """The distribution does not satisfy the conditional null model exactly."""
-
-
-class NestingViolated(AsymlabError):
-    """The null tangent space is not numerically contained in the maintained one."""
 
 
 class SingularDesign(AsymlabError):

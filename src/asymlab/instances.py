@@ -3,6 +3,9 @@ the three-way split of a score.
 
 Each instance holds one population design (``design``), derived with all of
 its checks on first use; predictions, score splits and tangent bases read it.
+The tangent bases come from a Householder QR of the few functions that span
+each orthocomplement (``scores._split_span``), so a basis vector, and a
+score given by basis coefficients, is the same under any BLAS thread count.
 
 Two built-ins cover the full verification surface:
 
@@ -162,8 +165,8 @@ def instance_by_name(name: str) -> Instance:
 
 def tangent_bases(instance: Instance) -> tuple[SubspaceBasis, ...]:
     """(T, T_perp) for a moment instance; (T, T_perp_cap_M, M_perp) for an IV
-    one: built on the first call and held on the instance's design.  Only a
-    score given by basis coefficients needs them."""
+    one: built from the small side on the first call and held on the
+    instance's design.  Only a score given by basis coefficients needs them."""
     return instance.design.bases
 
 

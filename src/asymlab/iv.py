@@ -54,23 +54,6 @@ def write_csv(data: Dataset, model: IVModel, path) -> None:
         writer.writerows(np.repeat(data.rows, data.counts, axis=0).tolist())
 
 
-def read_csv(path) -> tuple[Dataset, tuple[int, int, int]]:
-    """Read a sample written by ``write_csv``; returns it with the block
-    sizes (k1, k2, q) taken from the header."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        body = np.array([[float(v) for v in row] for row in reader])
-    k1 = sum(1 for name in header if name.startswith("x1_"))
-    k2 = sum(1 for name in header if name.startswith("x2_"))
-    q = sum(1 for name in header if name.startswith("z1_"))
-    if header[0] != "y" or 1 + k1 + k2 + q != len(header):
-        raise ShapeMismatch(f"unrecognized header {header}")
-    if body.ndim != 2 or body.shape[1] != len(header):
-        raise ShapeMismatch(f"rows have shape {body.shape}, expected (*, {len(header)})")
-    return Dataset(body), (k1, k2, q)
-
-
 @dataclass(frozen=True)
 class LinearEstimate:
     """A linear estimator's coefficients, asymptotic variance of sqrt(n) * error,

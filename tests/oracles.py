@@ -12,11 +12,16 @@ uses; the moment-model oracles evaluate
 one observation at a time.
 """
 
+import csv
 import math
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma, gammainc, iv
+
+from asymlab.dist import Dataset
+from asymlab.errors import ShapeMismatch
+from asymlab.scores import SubspaceBasis
 
 
 def noncentral_chisq_density(x: float, k: int, lam: float) -> float:
@@ -116,6 +121,14 @@ def gram_schmidt_fsum(probs, spanning, drop_tol: float, tie: float = 1e-10) -> n
     return np.array(accepted).reshape(len(accepted), len(w))
 
 
+def orthonormal_basis(dist, spanning, label: str = "full"):
+    """The ``SubspaceBasis`` of ``gram_schmidt_fsum`` applied to the values of
+    the scores ``spanning``, residuals below 1e-9 of the largest input norm
+    dropped."""
+    rows = gram_schmidt_fsum(dist.probs, [f.values for f in spanning], 1e-9)
+    return SubspaceBasis(dist, rows, label)
+
+
 def decompose_by_bases(probs, g, bases) -> tuple[list[np.ndarray], list[float]]:
     """The three-way split of ``g`` by explicit orthonormal bases: its
     projection on each (k, S) basis under the weights ``probs``, and each
@@ -131,6 +144,23 @@ def decompose_by_bases(probs, g, bases) -> tuple[list[np.ndarray], list[float]]:
             part += math.fsum(w * row * g) * row
         parts.append(part)
     return parts, [math.fsum(w * part * part) for part in parts]
+
+
+def read_csv(path) -> tuple[Dataset, tuple[int, int, int]]:
+    """Read a sample written by ``iv.write_csv``; returns it with the block
+    sizes (k1, k2, q) taken from the header."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        body = np.array([[float(v) for v in row] for row in reader])
+    k1 = sum(1 for name in header if name.startswith("x1_"))
+    k2 = sum(1 for name in header if name.startswith("x2_"))
+    q = sum(1 for name in header if name.startswith("z1_"))
+    if header[0] != "y" or 1 + k1 + k2 + q != len(header):
+        raise ShapeMismatch(f"unrecognized header {header}")
+    if body.ndim != 2 or body.shape[1] != len(header):
+        raise ShapeMismatch(f"rows have shape {body.shape}, expected (*, {len(header)})")
+    return Dataset(body), (k1, k2, q)
 
 
 def fsum_moment(probs, a, b) -> np.ndarray:

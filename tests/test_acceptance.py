@@ -10,7 +10,7 @@ import math
 from pathlib import Path
 
 import numpy as np
-from oracles import noncentral_chisq_cdf_by_quadrature
+from oracles import noncentral_chisq_cdf_by_quadrature, orthonormal_basis
 
 from asymlab.chi2 import local_power, noncentral_chisq_cdf
 from asymlab.config import build_experiment, load_raw, validate_raw
@@ -20,7 +20,7 @@ from asymlab.instances import g1_instance, iv1_instance, tangent_bases
 from asymlab.mc import run_experiment
 from asymlab.paths import LocalPath, hellinger_residual, path_distribution
 from asymlab.predict import hall_split
-from asymlab.scores import ScoreFunction, centered_score, orthonormal_basis, project
+from asymlab.scores import ScoreFunction, centered_score, project
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import read_csv
 
 import asymlab.cli
 import asymlab.mc
@@ -21,7 +22,7 @@ from asymlab.config import (
 )
 from asymlab.errors import AsymlabError, ConfigInvalid
 from asymlab.instances import iv1_instance
-from asymlab.iv import estimate_ols, read_csv
+from asymlab.iv import estimate_ols
 from asymlab.mc import ComparisonEntry, ComparisonReport, compare_to_theory, run_experiment
 from asymlab.predict import build_prediction
 
@@ -188,6 +189,30 @@ class TestCliCommands:
         assert doc["tests"][0]["dof"] == 1
         assert doc["tests"][0]["ncp"] == pytest.approx(4.0, abs=1e-9)
         assert np.allclose(doc["bias"][0]["values"], [0.0], atol=1e-9)
+
+    def test_predict_refuses_a_noncentrality_beyond_the_supported_range(self, tmp_path, capsys):
+        # a generated moment instance whose score has T_perp coefficient c:
+        # the J noncentrality is c^2, supported up to 1400
+        rng = np.random.default_rng(1400)
+        support = np.sort(rng.uniform(-3.0, 3.0, 7))
+        probs = rng.dirichlet(np.ones(7))
+        centered = support - probs @ support
+        instance = {
+            "kind": "gmm",
+            "distribution": {"support": centered.tolist(), "probs": probs.tolist()},
+            "model": {"name": "overidentified_mean", "v": float(probs @ centered**2)},
+            "theta0": [0.0],
+        }
+        for coefficient, code in ((37.0, 0), (40.0, 2)):
+            score = {"kind": "basis", "space": "T_perp", "coefficients": [coefficient]}
+            path = write_config(tmp_path, minimal_config(instance=instance, score=score))
+            assert execute(["predict", "--config", str(path)]) == code
+            out, err = capsys.readouterr()
+            if code == 0:
+                assert json.loads(out)["tests"][0]["ncp"] == pytest.approx(37.0**2, rel=1e-12)
+            else:
+                assert out == "" and "noncentrality 1600" in err
+                assert "exceeds the supported range" in err
 
     def test_predict_reads_negative_zero_as_zero(self, tmp_path, capsys):
         # IV1 written inline, once as is and once with x1 = -0.0 on two of

@@ -1,6 +1,7 @@
-"""Source hygiene: every name a library module imports is used in it, and
-every private module-level function or class is used somewhere in the
-library."""
+"""Source hygiene: every name a library module imports is used in it, every
+private module-level function or class and every module-level constant is
+used somewhere in the library, and every error class is named outside
+``errors.py``."""
 
 import ast
 from pathlib import Path
@@ -58,6 +59,45 @@ def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
     return found
 
 
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """Module-level names bound by assignment (not dunders) that no statement
+    of any of ``sources`` reads, as a name, an attribute or an import."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                name = getattr(target, "id", "__")
+                if not name.startswith("__") and name not in read:
+                    found.append(f"{module}: {name} (line {node.lineno})")
+    return found
+
+
+def unnamed_error_classes(errors_source: str, others: dict[str, str]) -> list[str]:
+    """Classes defined in ``errors_source`` that no module of ``others`` refers to."""
+    named = set().union(*(_referenced(ast.parse(source)) for source in others.values()))
+    return [
+        f"{node.name} (line {node.lineno})"
+        for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef) and node.name not in named
+    ]
+
+
 def test_the_check_sees_an_unused_import():
     source = "import math\nfrom .dist import expectation, variance\n\nvariance(math.pi)\n"
     assert unused_imports(source) == ["expectation (line 2)"]
@@ -79,3 +119,41 @@ def test_every_import_is_used(path):
 def test_every_private_definition_has_a_caller():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_definitions(sources) == []
+
+
+def test_the_check_sees_an_unread_constant():
+    sources = {
+        "a.py": (
+            "TOL = 1e-9\nSTALE = 16\n__version__ = '0'\nLIMIT: int = 3\n\n"
+            "def f(x):\n    return x < TOL\n"
+        ),
+        "b.py": "from .a import LIMIT\nimport a\n\nSTALE_TOO = 2\nSTALE_TOO = a.f(1)\n",
+    }
+    assert unread_constants(sources) == [
+        "a.py: STALE (line 2)",
+        "b.py: STALE_TOO (line 4)",
+        "b.py: STALE_TOO (line 5)",
+    ]
+
+
+def test_the_check_sees_an_unnamed_error_class():
+    errors = (
+        "class BaseError(Exception):\n    pass\n\n"
+        "class Raised(BaseError):\n    pass\n\n"
+        "class Stale(BaseError):\n    pass\n"
+    )
+    others = {
+        "a.py": "from .errors import BaseError, Raised\n",
+        "b.py": "from . import errors\n\nraise errors.Raised('x')\n",
+    }
+    assert unnamed_error_classes(errors, others) == ["Stale (line 7)"]
+
+
+def test_every_constant_is_read():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_constants(sources) == []
+
+
+def test_every_error_class_is_named_outside_errors():
+    others = {p.name: p.read_text() for p in PACKAGE.glob("*.py") if p.name != "errors.py"}
+    assert unnamed_error_classes((PACKAGE / "errors.py").read_text(), others) == []

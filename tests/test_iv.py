@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import iv_bias_closed_forms, iv_efficient_scores
+from oracles import iv_bias_closed_forms, iv_efficient_scores, orthonormal_basis, read_csv
 
 from asymlab.config import build_experiment, build_instance, load_raw, validate_raw
 from asymlab.dist import Dataset, draw_sample, make_distribution
@@ -27,7 +27,6 @@ from asymlab.iv import (
     dwh_statistic,
     estimate_2sls,
     estimate_ols,
-    read_csv,
     write_csv,
 )
 from asymlab.models import IVModel
@@ -428,8 +427,6 @@ class TestBiasChannels:
     def test_tangent_scores_bias_both_estimators_equally(self, iv1, rng):
         # a direction inside the null tangent space drifts both estimators by
         # the same vector h
-        from asymlab.scores import orthonormal_basis
-
         t_basis, _, _ = tangent_bases(iv1)
         ell_p, _ = efficient_scores(iv1)
         score_span = orthonormal_basis(iv1.dist, list(ell_p))

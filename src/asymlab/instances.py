@@ -220,7 +220,8 @@ def resolve_score(instance: Instance, spec: dict) -> ScoreFunction:
     or coefficients on one of the instance's orthonormal tangent-split bases
     ({"kind": "basis", "space": "T" | "T_perp" | "T_perp_cap_M" | "M_perp",
     "coefficients": [...]}).  Values and coefficients must be arrays of
-    numbers.
+    numbers.  Coefficients refer to ``scores._split_span``'s vectors (on a
+    space of more than one dimension, not those of earlier versions).
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigInvalid("score must be an object with a 'kind' field")

@@ -47,7 +47,7 @@ from .models import IVModel, MomentModel
 
 MEAN_ZERO_TOL = 1e-10
 ORTHO_TOL = 1e-10
-DROP_TOL = 1e-9  # DWH rank cutoff on singular values, relative to the largest
+DROP_TOL = 1e-9  # DWH rank cutoff on singular values, relative to the fitted regressors
 
 SUBSPACE_LABELS = ("T", "T_perp", "T_perp_cap_M", "M_perp", "M", "full")
 
@@ -403,9 +403,9 @@ class IvDesign(PopulationDesign):
         """
         dist, e, cell = self.dist, self.e, self.cell
         on_cells = np.where(cell[:, None] == np.arange(cell.max() + 1), e[:, None], 0.0)
-        xe, ze, p = self.X * e[:, None], self.Z * e[:, None], self.X.shape[1]
+        xe, p = self.X * e[:, None], self.X.shape[1]
         t_perp = _split_span(_white(dist, on_cells), _white(dist, xe))[:, p:]
-        m_perp = _split_span(_white(dist, ze), _white(dist, self.ell_m))[:, p:]
+        m_perp = self._m_perp()
         cap = _split_span(t_perp, m_perp)[:, m_perp.shape[1] :]
         return (
             _tangent_basis(dist, t_perp),
@@ -413,10 +413,11 @@ class IvDesign(PopulationDesign):
             _basis(dist, m_perp, "M_perp"),
         )
 
-    def _m_perp_part(self, values: np.ndarray) -> np.ndarray:
-        """Part of ``values`` in M_perp: span(z e) minus span(ell_m)."""
-        ze = self.Z * self.e[:, None]
-        return _span_part(self.dist, ze, values) - _span_part(self.dist, self.ell_m, values)
+    def _m_perp(self) -> np.ndarray:
+        """Whitened orthonormal columns (S, q - k1) for M_perp: span(z e)
+        minus span(ell_m); none when q = k1."""
+        ze = _white(self.dist, self.Z * self.e[:, None])
+        return _split_span(ze, _white(self.dist, self.ell_m))[:, self.X.shape[1] :]
 
     def orthocomplement_parts(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(part of per-atom ``values`` in T_perp, part in M_perp).  T_perp is
@@ -428,10 +429,8 @@ class IvDesign(PopulationDesign):
         on_cells = e * (np.bincount(cell, we * values) / np.bincount(cell, we * e))[cell]
         xe = self.X * e[:, None]
         t_perp = on_cells - expectation(dist, on_cells) - _span_part(dist, xe, values)
-        k1, _, q = self.model.dims
-        if q == k1:
-            return t_perp, np.zeros(dist.n_atoms)
-        return t_perp, self._m_perp_part(values)
+        sqp, m_perp = np.sqrt(dist.probs), self._m_perp()
+        return t_perp, (m_perp @ (m_perp.T @ (values * sqp))) / sqp
 
 
 def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
@@ -443,9 +442,13 @@ def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
     E[x e (z e)'] = sigma0^2 E[xz'], the projection of x e on span(z e) is
     sigma0^2 ell_m, and x e has no part in M_perp.
 
-    The DWH basis spans the whitened OLS/2SLS influence differences: the
-    left singular vectors whose singular values exceed ``DROP_TOL`` times
-    the largest (and 1e-12, so a difference made of rounding has rank zero).
+    The DWH basis spans the OLS/2SLS influence differences, which are
+    uncorrelated with OLS's influence (Hausman 1978), so span(x1_hat e)
+    minus span(x e), x1_hat the projection of x1 on z.  It is read from a
+    Householder QR of [x e, x1_hat e], which does not cancel where 2SLS is
+    close to OLS: the k1 trailing columns, rotated by the left singular
+    vectors of R's trailing block; its singular values above ``DROP_TOL``
+    times the largest column norm of x1_hat e set the rank.
     """
     cell, e = _null_cells(dist, model, 1e-10)
     _, X, Z = model.design_matrices(dist.support)
@@ -457,8 +460,11 @@ def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
     ols = (X @ np.linalg.inv(exx)) * e[:, None]
     tsls = (Z @ first @ np.linalg.inv(exz @ first)) * e[:, None]
     ols, tsls = (v - expectation(dist, v) for v in (ols, tsls))
-    u, sv, _ = np.linalg.svd((tsls - ols) * np.sqrt(dist.probs)[:, None], full_matrices=False)
-    dwh = _basis(dist, u[:, sv > max(DROP_TOL * sv[0], 1e-12)], "T_perp_cap_M")
+    p, fitted = model.n_params, _white(dist, (Z @ first[:, : model.k1]) * e[:, None])
+    q, r = np.linalg.qr(np.hstack([_white(dist, X * e[:, None]), fitted]))
+    u, sv, _ = np.linalg.svd(r[p:, p:])
+    keep = sv > DROP_TOL * np.max(np.linalg.norm(fitted, axis=0))
+    dwh = _basis(dist, q[:, p:] @ u[:, keep], "T_perp_cap_M")
     influence = dict(zip(IvDesign.estimators, [ols, tsls]))
     statistic = dict(zip(IvDesign.tests, [dwh]))
     return IvDesign(dist, influence, statistic, model, X, Z, e, cell, ell_m)

@@ -819,9 +819,10 @@ class TestInvariantsOnGeneratedInstances:
         ],
     )
     def test_hausman_lemma_where_the_influence_differences_cancel(self, seed, z_counts, w_count):
-        # an orthonormalised nu_tsls - nu_ols gave a ratio of 1.3 to 8.9e-12
-        # on these: 2SLS is within 0.0002 to 0.02 of OLS on four, and
-        # E[XX'] (1.7e4) or E[ZZ'] (4.1e7) is ill-conditioned on the others
+        # a basis orthonormalised from nu_tsls - nu_ols gave a ratio above
+        # 1e-12 (up to 8.9e-12) on these: 2SLS is within 0.0002 to 0.02 of
+        # OLS on four, and E[XX'] (1.7e4) or E[ZZ'] (4.1e7) is ill-conditioned
+        # on the others
         rows, weights, _, model = iv_grid_design(seed, z_counts, w_count)
         assert hausman_ratio(IvInstance("grid", make_distribution(rows, weights), model)) <= 1e-14
 

@@ -11,12 +11,10 @@ from .chi2 import TestStatistic, chisq_quantile, local_power, noncentral_chisq_c
 from .dist import (
     Dataset,
     DiscreteDistribution,
-    draw_sample,
     expectation,
     make_distribution,
     replication_seed,
     same_distribution,
-    variance,
 )
 from .gmm import (
     GmmEstimate,
@@ -36,7 +34,6 @@ from .instances import (
     overidentified_mean_model,
     resolve_score,
     tangent_bases,
-    three_way_bases,
 )
 from .iv import LinearEstimate, dwh_statistic, estimate_2sls, estimate_ols
 from .mc import (
@@ -50,7 +47,6 @@ from .models import IVModel, MomentModel
 from .paths import (
     LocalPath,
     hellinger_residual,
-    log_likelihood_ratio,
     numerical_score,
     path_distribution,
 )
@@ -62,7 +58,6 @@ from .scores import (
     centered_score,
     inner_product,
     project,
-    zero_score,
 )
 
 __version__ = "0.1.0"

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .dist import make_distribution
 from .errors import AsymlabError, ConfigInvalid
 from .instances import (
@@ -19,6 +17,7 @@ from .instances import (
     Instance,
     IvInstance,
     _is_number,
+    _numbers,
     instance_by_name,
     linear_iv_moment_model,
     overidentified_mean_model,
@@ -120,31 +119,68 @@ def build_instance(spec) -> Instance:
         _check_keys(spec, {"kind", "distribution", "model", "theta0"}, "instance")
         dist = _build_distribution(_require(spec, "distribution", "instance"))
         model = _build_moment_model(_require(spec, "model", "instance"))
-        theta0 = np.asarray(_require(spec, "theta0", "instance"), dtype=float)
+        theta0 = _numbers(spec, "theta0", "instance")
+        if theta0.shape != (model.p,):
+            raise ConfigInvalid(
+                f"instance field 'theta0' must hold p = {model.p} numbers, got {theta0.shape[0]}"
+            )
         return GmmInstance(name="custom", dist=dist, model=model, theta0=theta0)
     if kind == "iv":
         _check_keys(spec, {"kind", "distribution", "model"}, "instance")
         dist = _build_distribution(_require(spec, "distribution", "instance"))
         model_spec = _require(spec, "model", "instance")
+        if not isinstance(model_spec, dict):
+            raise ConfigInvalid("model must be an object")
         _check_keys(model_spec, {"beta0", "sigma0_sq", "dims"}, "instance.model")
-        model = IVModel(
-            beta0=np.asarray(_require(model_spec, "beta0", "instance.model"), dtype=float),
-            sigma0_sq=float(_require(model_spec, "sigma0_sq", "instance.model")),
-            dims=tuple(_require(model_spec, "dims", "instance.model")),
-        )
+        try:
+            model = IVModel(
+                beta0=_numbers(model_spec, "beta0", "instance.model"),
+                sigma0_sq=_number(model_spec, "sigma0_sq", "instance.model"),
+                dims=_dims(model_spec, "instance.model"),
+            )
+        except ValueError as exc:  # sigma0_sq not positive
+            raise ConfigInvalid(f"bad instance.model: {exc}") from None
         return IvInstance(name="custom", dist=dist, model=model)
     raise ConfigInvalid(f"unknown instance kind {kind!r}")
+
+
+def _number(spec: dict, key: str, where: str) -> float:
+    value = _require(spec, key, where)
+    if not _is_number(value):
+        raise ConfigInvalid(f"{where} field {key!r} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _dims(spec: dict, where: str) -> tuple[int, int, int]:
+    """The model's block sizes (k1, k2, q), which must be three JSON integers."""
+    dims = _require(spec, "dims", where)
+    if not (isinstance(dims, list) and len(dims) == 3 and all(_is_number(d, int) for d in dims)):
+        raise ConfigInvalid(f"{where} field 'dims' must be three JSON integers, got {dims!r}")
+    return tuple(dims)
+
+
+def _support_rows(spec: dict) -> list[list]:
+    """The support as rows: it must be an array of numbers (one coordinate
+    each) or of arrays of numbers, all of one length."""
+    support = _require(spec, "support", "distribution")
+    if isinstance(support, list):
+        rows = [row if isinstance(row, list) else [row] for row in support]
+        if len({len(row) for row in rows}) <= 1 and all(_is_number(v) for row in rows for v in row):
+            return rows
+    raise ConfigInvalid(
+        "distribution field 'support' must be an array of numbers or of arrays of numbers"
+        " of one length"
+    )
 
 
 def _build_distribution(spec):
     if not isinstance(spec, dict):
         raise ConfigInvalid("distribution must be an object")
     _check_keys(spec, {"support", "probs"}, "distribution")
+    rows, probs = _support_rows(spec), _numbers(spec, "probs", "distribution")
     try:
-        return make_distribution(
-            _require(spec, "support", "distribution"), _require(spec, "probs", "distribution")
-        )
-    except AsymlabError as exc:
+        return make_distribution(rows, probs)
+    except (AsymlabError, ValueError) as exc:
         raise ConfigInvalid(f"bad distribution: {exc}") from None
 
 
@@ -154,10 +190,10 @@ def _build_moment_model(spec):
     name = _require(spec, "name", "instance.model")
     if name == "overidentified_mean":
         _check_keys(spec, {"name", "v"}, "instance.model")
-        return overidentified_mean_model(float(_require(spec, "v", "instance.model")))
+        return overidentified_mean_model(_number(spec, "v", "instance.model"))
     if name == "linear_iv_moments":
         _check_keys(spec, {"name", "dims"}, "instance.model")
-        return linear_iv_moment_model(tuple(_require(spec, "dims", "instance.model")))
+        return linear_iv_moment_model(_dims(spec, "instance.model"))
     raise ConfigInvalid(f"unknown model {name!r}; catalog: overidentified_mean, linear_iv_moments")
 
 

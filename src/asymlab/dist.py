@@ -4,9 +4,10 @@ Everything downstream lives on a fixed finite support, so expectations are
 finite weighted sums (evaluated with compensated summation, ``math.fsum``)
 and mean-zero functions form a finite-dimensional vector space.  Sampling is
 inverse-CDF over the fixed support ordering driven by the counter-based
-Philox generator, so draws are reproducible for a given 64-bit seed and
-independent of any scheduling.  Support points, sample rows and the IV
-null model's (x1, z) cells are matched by one rule, ``_row_groups``.
+Philox generator, so draws are reproducible for a given seed in [0, 2^64)
+(any other is refused) and independent of any scheduling.  Support points
+and the IV null model's (x1, z) cells are matched by one rule,
+``_row_groups``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DuplicateSupportPoint, LengthMismatch, ZeroOrNegativeProb
-
-_SEED_MASK = 2**64 - 1
-
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
@@ -156,25 +154,22 @@ def expectation(dist: DiscreteDistribution, values) -> float | np.ndarray:
     return out.reshape(v.shape[1:])
 
 
-def variance(dist: DiscreteDistribution, values) -> float:
-    """Variance of a scalar per-support-point function."""
-    v = np.asarray(values, dtype=float)
-    mean = expectation(dist, v)
-    return expectation(dist, (v - mean) ** 2)
+def _checked_seed(seed: int) -> int:
+    """``seed`` as an int, refused outside [0, 2^64) with ``ValueError``: a
+    seed is one 64-bit word, and reducing a wider one modulo 2^64 would give
+    two seeds one stream."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 def draw_indices(dist: DiscreteDistribution, n: int, seed: int) -> np.ndarray:
     """n i.i.d. categorical draws returned as support indices, shape (n,)."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & _SEED_MASK))
+    rng = np.random.Generator(np.random.Philox(key=_checked_seed(seed)))
     return np.searchsorted(dist.cdf, rng.random(n), side="right")
-
-
-def draw_sample(dist: DiscreteDistribution, n: int, seed: int) -> Dataset:
-    """n i.i.d. draws from ``dist``, deterministic for a given seed."""
-    idx = draw_indices(dist, n, seed)
-    return Dataset(rows=dist.support[idx])
 
 
 def replication_seed(master_seed: int, rep: int) -> int:
@@ -184,7 +179,7 @@ def replication_seed(master_seed: int, rep: int) -> int:
     per-replication streams are statistically independent and the mapping
     does not depend on how replications are scheduled.
     """
-    ss = np.random.SeedSequence(entropy=int(master_seed) & _SEED_MASK, spawn_key=(int(rep),))
+    ss = np.random.SeedSequence(entropy=_checked_seed(master_seed), spawn_key=(int(rep),))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -200,13 +195,3 @@ def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, int]:
     ids[order] = np.argsort(np.argsort(first))[np.cumsum(starts) - 1]
     return ids, first.shape[0]
 
-
-def atom_indices(dist: DiscreteDistribution, rows: np.ndarray) -> np.ndarray:
-    """Map (m, d) sample rows back to support indices (rows must be support points)."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != dist.dim:
-        raise LengthMismatch(f"rows of shape {rows.shape} for points of dimension {dist.dim}")
-    ids = _row_groups(np.vstack([dist.support, rows]))[0][dist.n_atoms :]
-    if np.any(ids >= dist.n_atoms):
-        raise LengthMismatch("a row does not match any support point")
-    return ids

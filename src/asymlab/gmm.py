@@ -35,6 +35,7 @@ from .errors import (
     Infeasible,
     NoConvergence,
     RankDeficientJacobian,
+    ShapeMismatch,
     SingularSigmaHat,
 )
 from .models import MomentModel
@@ -262,7 +263,8 @@ def _newton(
 def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
     """Classic two-step GMM.
 
-    Step one minimizes the identity-weighted moment norm from ``theta_init``;
+    Step one minimizes the identity-weighted moment norm from ``theta_init``,
+    which must have shape (p,) (else ``ShapeMismatch``);
     the moment variance is estimated there and held fixed while step two
     minimizes the efficiently weighted objective from the step-one
     estimate.  Both steps run ``_newton``, which hands back the moments and
@@ -278,6 +280,8 @@ def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
     exception; ``stop_reasons`` records which.
     """
     theta_init = np.array(theta_init, dtype=float)
+    if theta_init.shape != (model.p,):
+        raise ShapeMismatch(f"theta_init has shape {theta_init.shape}, expected ({model.p},)")
     if data.n <= model.l:
         raise ValueError(f"need n > l, got n={data.n}, l={model.l}")
     pts, w = data.rows, data.counts / data.n

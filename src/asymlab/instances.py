@@ -163,26 +163,12 @@ def instance_by_name(name: str) -> Instance:
         ) from None
 
 
-def tangent_bases(instance: Instance) -> tuple[SubspaceBasis, ...]:
-    """(T, T_perp) for a moment instance; (T, T_perp_cap_M, M_perp) for an IV
+def tangent_bases(instance: Instance) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis]:
+    """(T, T_perp, M_perp) for a moment instance, M_perp empty because the
+    maintained model is everything; (T, T_perp_cap_M, M_perp) for an IV
     one: built from the small side on the first call and held on the
     instance's design.  Only a score given by basis coefficients needs them."""
     return instance.design.bases
-
-
-def three_way_bases(instance: Instance) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis]:
-    """Always a complete (T, detectable, invisible) triple.
-
-    For a moment instance the maintained model is everything, so the
-    detectable part is the whole orthocomplement and the invisible part is
-    empty.
-    """
-    bases = tangent_bases(instance)
-    if len(bases) == 3:
-        return bases
-    t_basis, t_perp = bases
-    empty = SubspaceBasis(instance.dist, np.zeros((0, instance.dist.n_atoms)), label="M_perp")
-    return t_basis, t_perp, empty
 
 
 def decompose_score(instance: Instance, g: ScoreFunction) -> DecompositionReport:
@@ -205,11 +191,12 @@ def _is_number(value, kinds=(int, float)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _numbers(spec: dict, key: str) -> np.ndarray:
-    """``spec[key]``, which must be a JSON array of numbers, as a float array."""
+def _numbers(spec: dict, key: str, where: str) -> np.ndarray:
+    """``spec[key]``, which must be a JSON array of numbers, as a float array;
+    ``where`` names ``spec`` in the error."""
     items = spec.get(key)
     if not isinstance(items, list) or not all(_is_number(v) for v in items):
-        raise ConfigInvalid(f"score field {key!r} must be an array of numbers")
+        raise ConfigInvalid(f"{where} field {key!r} must be an array of numbers")
     return np.array(items, dtype=float)
 
 
@@ -230,7 +217,7 @@ def resolve_score(instance: Instance, spec: dict) -> ScoreFunction:
         extra = set(spec) - {"kind", "values"}
         if extra:
             raise ConfigInvalid(f"unknown score fields {sorted(extra)}")
-        values = _numbers(spec, "values")
+        values = _numbers(spec, "values", "score")
         try:
             return ScoreFunction(instance.dist, values)
         except Exception as exc:
@@ -240,15 +227,16 @@ def resolve_score(instance: Instance, spec: dict) -> ScoreFunction:
         if extra:
             raise ConfigInvalid(f"unknown score fields {sorted(extra)}")
         space = spec.get("space")
-        coefs = _numbers(spec, "coefficients")
-        for basis in three_way_bases(instance):
+        coefs = _numbers(spec, "coefficients", "score")
+        bases = tangent_bases(instance)
+        for basis in bases:
             if basis.label == space:
                 if coefs.shape != (basis.dim,):
                     raise ConfigInvalid(
                         f"{space} has dimension {basis.dim}, got {coefs.shape[0]} coefficients"
                     )
-                values = coefs @ basis.matrix()
+                values = coefs @ basis.values
                 return ScoreFunction(instance.dist, values)
-        labels = [b.label for b in three_way_bases(instance)]
+        labels = [b.label for b in bases]
         raise ConfigInvalid(f"space {space!r} not available; choose from {labels}")
     raise ConfigInvalid(f"unknown score kind {kind!r}")

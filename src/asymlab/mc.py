@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import Dataset, DiscreteDistribution, draw_indices, replication_seed
+from .dist import Dataset, DiscreteDistribution, _checked_seed, draw_indices, replication_seed
 from .errors import AsymlabError, ConfigInvalid, NoConvergence, ShapeMismatch, TooManyFailures
 from .gmm import estimate_gmm, j_statistic
 from .instances import GmmInstance, Instance
@@ -52,6 +52,10 @@ class ExperimentConfig:
             raise ConfigInvalid(f"need reps >= 100, got {self.reps}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigInvalid(f"need 0 < alpha < 1, got {self.alpha}")
+        try:
+            _checked_seed(self.master_seed)
+        except ValueError as exc:
+            raise ConfigInvalid(str(exc)) from None
         inst, kind = self.instance, self.instance.kind
         if not self.estimators and not self.tests:
             raise ConfigInvalid("configure at least one estimator or test")

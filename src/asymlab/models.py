@@ -139,16 +139,6 @@ class IVModel:
             )
         return rows
 
-    def split_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Split (n, point_dim) rows into (y, x1, x2, z1) blocks."""
-        rows = self._checked(rows)
-        k1, k2, q = self.dims
-        y = rows[:, 0]
-        x1 = rows[:, 1 : 1 + k1]
-        x2 = rows[:, 1 + k1 : 1 + k1 + k2]
-        z1 = rows[:, 1 + k1 + k2 :]
-        return y, x1, x2, z1
-
     def design_matrices(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (y, X, Z) with X = [x1, x2] and Z = [z1, x2]: y and X are
         views of ``rows`` (x1 and x2 are adjacent), Z one gather of its

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Dataset, DiscreteDistribution, atom_indices, make_distribution
+from .dist import DiscreteDistribution, make_distribution
 from .errors import PositivityViolated
 from .scores import ScoreFunction, _require_same_dist
 
@@ -76,18 +76,6 @@ def hellinger_residual(path: LocalPath, t: float) -> float:
     g = path.score.values
     terms = ((np.sqrt(q) - np.sqrt(p)) / t - 0.5 * g * np.sqrt(p)) ** 2
     return math.fsum(terms)
-
-
-def log_likelihood_ratio(path: LocalPath, t: float, data: Dataset) -> float:
-    """Sum over observations of log dP_t/dP_0, rows must be support points.
-
-    Each row counts as many times as its multiplicity in ``data.counts``.
-    """
-    q = path_distribution(path, t).probs
-    p = path.base.probs
-    idx = atom_indices(path.base, data.rows)
-    logs = np.log(q) - np.log(p)
-    return math.fsum(logs[idx] * data.counts)
 
 
 def numerical_score(path: LocalPath, step: float = 1e-5) -> np.ndarray:

@@ -22,8 +22,9 @@ tangent bases, are read from the small side: every orthocomplement is
 spanned by a few explicit functions (the J basis; the IV design's cell-wise
 errors, over the (x1, z) cells that ``dist._row_groups`` finds, and
 instrument errors), and T is the complement of the constant and T_perp.
-The bases (T has nearly S dimensions) are built only for a score given by
-basis coefficients.
+Each design's ``bases`` is the same (T, T_perp or T_perp_cap_M, M_perp)
+triple, M_perp empty for a moment design.  The bases (T has nearly S
+dimensions) are built only for a score given by basis coefficients.
 """
 
 from __future__ import annotations
@@ -99,10 +100,6 @@ def centered_score(dist: DiscreteDistribution, values) -> ScoreFunction:
     return ScoreFunction(dist, v - expectation(dist, v))
 
 
-def zero_score(dist: DiscreteDistribution) -> ScoreFunction:
-    return ScoreFunction(dist, np.zeros(dist.n_atoms))
-
-
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Orthonormal basis of a subspace of the score space.
@@ -139,10 +136,6 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return self.values.shape[0]
-
-    def matrix(self) -> np.ndarray:
-        """Basis values stacked row-wise, shape (dim, S)."""
-        return self.values
 
 
 def _require_same_dist(dist: DiscreteDistribution, f: ScoreFunction) -> None:
@@ -202,12 +195,12 @@ def coordinates(dist: DiscreteDistribution, g: ScoreFunction, basis: SubspaceBas
     _require_same_dist(dist, g)
     if not same_distribution(dist, basis.dist):
         raise DistributionMismatch("basis is attached to a different distribution")
-    return basis.matrix() @ (dist.probs * g.values)
+    return basis.values @ (dist.probs * g.values)
 
 
 def project(dist: DiscreteDistribution, g: ScoreFunction, onto: SubspaceBasis) -> ScoreFunction:
     """Orthogonal projection of ``g`` onto the subspace spanned by ``onto``."""
-    return ScoreFunction(dist, coordinates(dist, g, onto) @ onto.matrix())
+    return ScoreFunction(dist, coordinates(dist, g, onto) @ onto.values)
 
 
 def _span_part(dist: DiscreteDistribution, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -266,7 +259,7 @@ class PopulationDesign:
         the estimator's; zero for an estimator efficient under the test's
         null (Hausman 1978)."""
         nu = self.influence[estimator]
-        return self.statistic[test].matrix() @ (self.dist.probs[:, None] * nu)
+        return self.statistic[test].values @ (self.dist.probs[:, None] * nu)
 
 
 @dataclass(frozen=True)
@@ -285,17 +278,20 @@ class MomentDesign(PopulationDesign):
     tests = ("j",)
 
     @cached_property
-    def bases(self) -> tuple[SubspaceBasis, SubspaceBasis]:
-        """(T, T_perp): T_perp is spanned by the J statistic basis, and T, the
-        efficient score plus the nuisance scores (every direction
-        uncorrelated with m), is its orthocomplement."""
-        t_perp = self.statistic["j"].matrix().T * np.sqrt(self.dist.probs)[:, None]
-        return _tangent_basis(self.dist, t_perp), _basis(self.dist, t_perp, "T_perp")
+    def bases(self) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis]:
+        """(T, T_perp, M_perp): T_perp is spanned by the J statistic basis, and
+        T, the efficient score plus the nuisance scores (every direction
+        uncorrelated with m), is its orthocomplement.  The maintained model
+        is everything, so M_perp is empty."""
+        dist = self.dist
+        t_perp = self.statistic["j"].values.T * np.sqrt(dist.probs)[:, None]
+        empty = SubspaceBasis(dist, np.zeros((0, dist.n_atoms)), "M_perp")
+        return _tangent_basis(dist, t_perp), _basis(dist, t_perp, "T_perp"), empty
 
     def orthocomplement_parts(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(part of per-atom ``values`` (S,) in T_perp, on the J basis; part in
         M_perp, zero because the maintained model is everything)."""
-        b = self.statistic["j"].matrix()
+        b = self.statistic["j"].values
         return (b @ (self.dist.probs * values)) @ b, np.zeros(self.dist.n_atoms)
 
 

@@ -50,7 +50,7 @@ def _check_expectation():
 def _check_projections():
     g1 = g1_instance()
     rng = np.random.default_rng(11)
-    t_basis, _ = tangent_bases(g1)
+    t_basis = tangent_bases(g1)[0]
     for _ in range(5):
         g = _random_score(g1.dist, rng)
         h = _random_score(g1.dist, rng)
@@ -64,27 +64,30 @@ def _check_projections():
 
 def _check_g1_dimensions():
     g1 = g1_instance()
-    t_basis, t_perp = tangent_bases(g1)
-    _require(t_basis.dim == 3 and t_perp.dim == 1, f"dimensions {(t_basis.dim, t_perp.dim)}")
+    t_basis, t_perp, m_perp = tangent_bases(g1)
+    _require(
+        (t_basis.dim, t_perp.dim, m_perp.dim) == (3, 1, 0),
+        f"dimensions {(t_basis.dim, t_perp.dim, m_perp.dim)}",
+    )
     x = g1.dist.column(0)
     ref = centered_score(g1.dist, (x**2 - 1.2) / math.sqrt(2.16))
-    gap = abs(abs(inner_product(g1.dist, ref, ScoreFunction(g1.dist, t_perp.matrix()[0]))) - 1.0)
+    gap = abs(abs(inner_product(g1.dist, ref, ScoreFunction(g1.dist, t_perp.values[0]))) - 1.0)
     _require(gap < 1e-10, "orthocomplement direction is not the standardized second moment")
 
 
 def _check_orthogonality_channels():
     g1 = g1_instance()
     rng = np.random.default_rng(7)
-    t_basis, t_perp = tangent_bases(g1)
+    t_basis, t_perp, _ = tangent_bases(g1)
     design = g1.design
     _require(abs(design.info[0, 0] - 1.0 / 1.2) < 1e-12, "efficient information is not 1 / 1.2")
     for _ in range(20):
         coefs = rng.standard_normal(t_basis.dim)
-        g_in_t = ScoreFunction(g1.dist, coefs @ t_basis.matrix())
+        g_in_t = ScoreFunction(g1.dist, coefs @ t_basis.values)
         mu = design.drift("j", g_in_t)
         _require(mu @ mu < 1e-10, "a tangent direction moves the J test")
         coefs = rng.standard_normal(t_perp.dim)
-        g_perp = ScoreFunction(g1.dist, coefs @ t_perp.matrix())
+        g_perp = ScoreFunction(g1.dist, coefs @ t_perp.values)
         _require(
             np.max(np.abs(design.bias("gmm", g_perp))) < 1e-10,
             "an orthocomplement direction biases the estimator",
@@ -229,7 +232,7 @@ def _check_hall():
     for instance, efficient in ((g1, "gmm"), (iv1_instance(), "ols")):
         design = instance.design
         for name, basis in design.statistic.items():
-            gram = (basis.matrix() * instance.dist.probs) @ basis.matrix().T
+            gram = (basis.values * instance.dist.probs) @ basis.values.T
             gap = np.max(np.abs(gram - np.eye(basis.dim)), initial=0.0)
             _require(gap < 1e-12, f"the {name} statistic basis is not orthonormal")
             cross = np.max(np.abs(design.covariance(efficient, name)), initial=0.0)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma, gammainc, iv
 
-from asymlab.dist import Dataset
+from asymlab.dist import Dataset, draw_indices
 from asymlab.errors import ShapeMismatch
 from asymlab.scores import SubspaceBasis
 
@@ -119,6 +119,12 @@ def gram_schmidt_fsum(probs, spanning, drop_tol: float, tie: float = 1e-10) -> n
         accepted.append(v if lead > 0 else -v)
         del remaining[i]
     return np.array(accepted).reshape(len(accepted), len(w))
+
+
+def draw_sample(dist, n: int, seed: int) -> Dataset:
+    """n i.i.d. draws from ``dist``, one row per observation in draw order:
+    the support rows of ``draw_indices``."""
+    return Dataset(rows=dist.support[draw_indices(dist, n, seed)])
 
 
 def orthonormal_basis(dist, spanning, label: str = "full"):

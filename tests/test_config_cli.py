@@ -51,6 +51,27 @@ def minimal_config(**overrides):
     return doc
 
 
+def inline_config(kind):
+    """G1 (``kind`` "gmm") or IV1 ("iv") written inline, in a config that
+    predicts on it."""
+    if kind == "gmm":
+        instance = {
+            "kind": "gmm",
+            "distribution": {"support": [-2, -1, 0, 1, 2], "probs": [0.1, 0.2, 0.4, 0.2, 0.1]},
+            "model": {"name": "overidentified_mean", "v": 1.2},
+            "theta0": [0.0],
+        }
+        return minimal_config(instance=instance)
+    iv1 = iv1_instance()
+    doc = json.loads((CONFIG_DIR / "iv1_power.json").read_text())
+    doc["instance"] = {
+        "kind": "iv",
+        "distribution": {"support": iv1.dist.support.tolist(), "probs": iv1.dist.probs.tolist()},
+        "model": {"beta0": [1.0, 0.0], "sigma0_sq": 1.0, "dims": [1, 1, 1]},
+    }
+    return doc
+
+
 class TestConfigValidation:
     def test_unknown_top_level_field(self, tmp_path):
         path = write_config(tmp_path, minimal_config(bogus=1))
@@ -123,6 +144,8 @@ class TestConfigValidation:
             'reps="200"',
             'alpha="0.05"',
             "seed=true",
+            "seed=-1",
+            f"seed={2**64}",
         ],
     )
     def test_malformed_field_is_a_config_error(self, override, capsys):
@@ -213,6 +236,45 @@ class TestCliCommands:
             else:
                 assert out == "" and "noncentrality 1600" in err
                 assert "exceeds the supported range" in err
+
+    @pytest.mark.parametrize(
+        "kind, override, field",
+        [
+            ("iv", 'instance.model.dims="abc"', "'dims'"),
+            ("iv", "instance.model.dims=[1.5, 1, 1]", "'dims'"),
+            ("gmm", 'instance.model={"name": "linear_iv_moments", "dims": [1, 1]}', "'dims'"),
+            ("gmm", "instance.theta0=x", "'theta0'"),
+            ("gmm", "instance.theta0=[0, 0, 0]", "'theta0'"),
+            ("gmm", "instance.model.v=a", "'v'"),
+            ("iv", "instance.model.sigma0_sq=x", "'sigma0_sq'"),
+            ("iv", "instance.model.sigma0_sq=0", "sigma0_sq"),
+            ("gmm", "instance.distribution.support=[[-2], [-1, 3], [0], [1], [2]]", "'support'"),
+        ],
+    )
+    def test_malformed_inline_instance_field_is_a_config_error(
+        self, tmp_path, capsys, kind, override, field
+    ):
+        # each once ended in a traceback and exit 1 (the exit of a failed
+        # comparison), or, for a fractional dims entry or a theta0 of the
+        # wrong length, was accepted
+        path = write_config(tmp_path, inline_config(kind))
+        assert execute(["predict", "--config", str(path), "--set", override]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and field in err
+
+    def test_predict_refuses_a_two_atom_moment_design(self, tmp_path, capsys):
+        # theta0 the mean and v the variance: E[m] = 0 and Sigma has rank one
+        instance = {
+            "kind": "gmm",
+            "distribution": {"support": [-1.0, 3.0], "probs": [0.75, 0.25]},
+            "model": {"name": "overidentified_mean", "v": 3.0},
+            "theta0": [0.0],
+        }
+        score = {"kind": "values", "values": [1.0, -3.0]}
+        path = write_config(tmp_path, minimal_config(instance=instance, score=score))
+        assert execute(["predict", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "singular" in err
 
     def test_predict_reads_negative_zero_as_zero(self, tmp_path, capsys):
         # IV1 written inline, once as is and once with x1 = -0.0 on two of

@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import expectation_per_atom
+from oracles import draw_sample, expectation_per_atom
 
 from asymlab.dist import (
     Dataset,
-    atom_indices,
-    draw_sample,
+    _row_groups,
+    draw_indices,
     expectation,
     make_distribution,
     replication_seed,
     same_distribution,
-    variance,
 )
 from asymlab.errors import DuplicateSupportPoint, LengthMismatch, ZeroOrNegativeProb
 
@@ -117,8 +116,10 @@ class TestExpectation:
         with pytest.raises(LengthMismatch):
             expectation(self.dist, np.ones(4))
 
-    def test_variance_helper(self):
-        assert variance(self.dist, self.dist.column(0)) == pytest.approx(1.2, abs=1e-14)
+    def test_variance_by_expectation(self):
+        x = self.dist.column(0)
+        centered = x - expectation(self.dist, x)
+        assert expectation(self.dist, centered**2) == pytest.approx(1.2, abs=1e-14)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -176,8 +177,7 @@ class TestDrawSample:
         # oracle: binomial standard error sqrt(p (1 - p) / n)
         dist = make_distribution(SUPPORT5, PROBS5)
         n = 10**6
-        data = draw_sample(dist, n, seed=7)
-        idx = atom_indices(dist, data.rows)
+        idx = draw_indices(dist, n, seed=7)
         freq = np.bincount(idx, minlength=5) / n
         bound = 4.0 * np.sqrt(dist.probs * (1.0 - dist.probs) / n)
         assert np.all(np.abs(freq - dist.probs) < bound)
@@ -187,23 +187,11 @@ class TestDrawSample:
         with pytest.raises(ValueError):
             draw_sample(dist, 0, seed=1)
 
-    def test_atom_indices_roundtrip(self):
-        dist = make_distribution(SUPPORT5, PROBS5)
-        data = draw_sample(dist, 100, seed=5)
-        idx = atom_indices(dist, data.rows)
-        assert np.array_equal(dist.support[idx], data.rows)
-
-    def test_atom_indices_rejects_foreign_rows(self):
-        dist = make_distribution(SUPPORT5, PROBS5)
-        for rows in ([[0.5]], [[np.nan]], [[0.0, 0.0]], [0.0]):
-            with pytest.raises(LengthMismatch):
-                atom_indices(dist, np.array(rows))
-
-    def test_atom_indices_match_rows_by_equality(self):
-        # -0.0 is the support point 0.0, as make_distribution counts it
-        dist = make_distribution([[0.0, 1.0], [1.0, -1.0], [2.0, 0.0]], [1, 1, 1])
-        rows = np.array([[-0.0, 1.0], [2.0, -0.0], [0.0, 1.0], [1.0, -1.0]])
-        assert atom_indices(dist, rows).tolist() == [0, 2, 0, 1]
+    def test_row_groups_match_rows_by_equality(self):
+        # -0.0 is 0.0, as make_distribution counts it; ids follow first occurrence
+        rows = np.array([[-0.0, 1.0], [2.0, -0.0], [0.0, 1.0], [1.0, -1.0], [2.0, 0.0]])
+        ids, count = _row_groups(rows)
+        assert ids.tolist() == [0, 1, 0, 2, 1] and count == 3
 
 
 class TestReplicationSeeds:
@@ -214,8 +202,25 @@ class TestReplicationSeeds:
         seeds = {replication_seed(m, r) for m in (1, 2) for r in range(200)}
         assert len(seeds) == 400
 
-    def test_negative_master_handled(self):
-        assert replication_seed(-1, 1) == replication_seed(2**64 - 1, 1)
+    def test_seeds_outside_64_bits_refused(self):
+        # reduced modulo 2^64, -1 and 2^64 - 1 (or 5 and 2^64 + 5) ran the same stream
+        dist = make_distribution(SUPPORT5, PROBS5)
+        for seed in (-1, 2**64, 2**64 + 5):
+            with pytest.raises(ValueError, match="2\\^64"):
+                replication_seed(seed, 1)
+            with pytest.raises(ValueError, match="2\\^64"):
+                draw_indices(dist, 10, seed)
+
+    def test_seeds_in_range_keep_their_streams(self):
+        for master in (0, 5, 2**63 + 12345, 2**64 - 1):
+            for rep in (1, 7):
+                keyed = np.random.SeedSequence(master, spawn_key=(rep,))
+                assert replication_seed(master, rep) == int(keyed.generate_state(1, np.uint64)[0])
+        dist = make_distribution(SUPPORT5, PROBS5)
+        for seed in (0, 2**64 - 1):
+            draws = np.random.Generator(np.random.Philox(key=seed)).random(50)
+            want = np.searchsorted(dist.cdf, draws, side="right")
+            assert np.array_equal(draw_indices(dist, 50, seed), want)
 
 
 def test_fsum_accumulation_beats_naive():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    draw_sample,
     linear_iv_per_row,
     overidentified_mean_per_row,
     overidentified_mean_two_step,
@@ -17,7 +18,6 @@ from asymlab.config import build_experiment, load_raw, validate_raw
 from asymlab.dist import (
     Dataset,
     draw_indices,
-    draw_sample,
     expectation,
     make_distribution,
     replication_seed,
@@ -90,12 +90,24 @@ class TestEfficientInfluence:
         with pytest.raises(SingularSigma):
             moment_design(g1.dist, MomentModel(m=m, jac=jac, p=1, l=2), np.array([0.0]))
 
+    def test_two_atom_designs_have_singular_sigma(self, rng):
+        # on two atoms the mean-zero functions span one dimension, so with
+        # theta0 the mean and v the variance E[m] = 0 and Sigma has rank one
+        for _ in range(200):
+            p = rng.uniform(0.02, 0.98)
+            dist = make_distribution(rng.uniform(-3.0, 3.0, 2), [p, 1.0 - p])
+            x = dist.column(0)
+            mean = expectation(dist, x)
+            model = overidentified_mean_model(expectation(dist, (x - mean) ** 2))
+            with pytest.raises(SingularSigma):
+                GmmInstance("two atoms", dist, model, np.array([mean])).design
+
     def test_moment_not_satisfied(self, g1):
         with pytest.raises(MomentNotSatisfied):
             moment_design(g1.dist, g1.model, np.array([0.7]))
 
     def test_influence_lies_in_tangent_space(self, g1):
-        t_basis, _ = tangent_bases(g1)
+        t_basis, _, _ = tangent_bases(g1)
         for values in g1.design.influence["gmm"].T:
             f = ScoreFunction(g1.dist, values)
             assert (f - project(g1.dist, f, t_basis)).norm() < 1e-8
@@ -141,6 +153,12 @@ class TestEstimateGmm:
         data = draw_sample(g1.dist, 2, seed=1)
         with pytest.raises(ValueError):
             estimate_gmm(data, g1.model, np.array([0.0]))
+
+    @pytest.mark.parametrize("theta_init", [[0.0, 0.0, 0.0], [], 0.0, [[0.0]]])
+    def test_theta_init_of_another_shape_is_refused(self, g1, theta_init):
+        # a (3,) start once returned three copies of the p = 1 estimate
+        with pytest.raises(ShapeMismatch, match=r"expected \(1,\)"):
+            estimate_gmm(draw_sample(g1.dist, 500, seed=3), g1.model, theta_init)
 
     def test_sigma_hat_positive_definite(self, g1):
         data = draw_sample(g1.dist, 500, seed=5)
@@ -251,6 +269,31 @@ class TestKlProjection:
         with pytest.raises(Infeasible):
             kl_projection(eta, model, np.array([0.0]))
 
+    def test_feasibility_matches_the_angular_gaps(self, rng):
+        # oracle: for l = 2, zero is interior to the hull of the moment points
+        # iff every angular gap between them, seen from zero, is below pi
+        verdicts = []
+        for _ in range(400):
+            size = int(rng.integers(2, 7))
+            support, probs = rng.uniform(-3.0, 3.0, size), rng.dirichlet(np.ones(size))
+            theta, v = rng.uniform(-2.0, 2.0, 1), rng.uniform(0.1, 4.0)
+            model = overidentified_mean_model(v)
+            points = model.moments_at(theta, support[:, None])
+            angles = np.sort(np.arctan2(points[:, 1], points[:, 0]))
+            gap = np.max(np.diff(angles, append=angles[0] + 2.0 * math.pi))
+            assert abs(gap - math.pi) > 1e-6  # no design on the boundary
+            eta = make_distribution(support, probs)
+            try:
+                projected, _ = kl_projection(eta, model, theta)
+            except Infeasible:
+                verdicts.append(False)
+            else:
+                verdicts.append(True)
+                moments = expectation(projected, model.moments_at(theta, projected.support))
+                assert np.max(np.abs(moments)) < 1e-10
+            assert verdicts[-1] == (gap < math.pi)
+        assert 0 < sum(verdicts) < len(verdicts)
+
     def test_random_feasible_pairs(self, g1, rng):
         for _ in range(10):
             eta = make_distribution(g1.dist.support, rng.dirichlet(np.full(5, 4.0)))
@@ -271,7 +314,7 @@ class TestProjectionMatrixIdentity:
         # idempotent and equals T_perp's
         basis = g1.design.statistic["j"]
         assert basis.dim == g1.model.l - g1.model.p
-        rows = basis.matrix()
+        rows = basis.values
         assert np.max(np.abs((rows * g1.dist.probs) @ rows.T - np.eye(basis.dim))) < 1e-12
         ell = g1.design.ell[:, 0]
         assert np.max(np.abs(rows @ (g1.dist.probs * ell))) < 1e-12
@@ -279,16 +322,16 @@ class TestProjectionMatrixIdentity:
         proj = (rows * root_p).T @ (rows * root_p)
         assert np.max(np.abs(proj - proj.T)) < 1e-12
         assert np.max(np.abs(proj @ proj - proj)) < 1e-12
-        t_perp = tangent_bases(g1)[1].matrix() * root_p
+        t_perp = tangent_bases(g1)[1].values * root_p
         assert np.max(np.abs(proj - t_perp.T @ t_perp)) < 1e-12
 
     def test_tangent_scores_have_no_overidentifying_drift(self, g1, rng):
         # for scores inside the tangent space the whitened moment drift lies
         # entirely in the identifying subspace
-        t_basis, _ = tangent_bases(g1)
+        t_basis, _, _ = tangent_bases(g1)
         for _ in range(50):
             coefs = rng.standard_normal(t_basis.dim)
-            g = ScoreFunction(g1.dist, coefs @ t_basis.matrix())
+            g = ScoreFunction(g1.dist, coefs @ t_basis.values)
             _, over = hall_split(g1, g)
             assert np.linalg.norm(over) < 1e-10
 

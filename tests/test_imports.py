@@ -1,14 +1,18 @@
 """Source hygiene: every name a library module imports is used in it, every
 private module-level function or class and every module-level constant is
-used somewhere in the library, and every error class is named outside
+used somewhere in the library, every public function, class, method and
+property is used in the library or the benchmark (re-exports from
+``__init__.py`` do not count), and every error class is named outside
 ``errors.py``."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "asymlab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "asymlab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -27,17 +31,23 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-def _referenced(node: ast.AST) -> set[str]:
-    """Every name a subtree reads, as a bare name, an attribute or an import."""
-    names = set()
+def _references(node: ast.AST) -> Counter:
+    """How often a subtree reads each name, as a bare name, an attribute or an
+    import."""
+    names = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            names.add(sub.id)
+            names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+            names[sub.attr] += 1
         elif isinstance(sub, ast.ImportFrom):
             names.update(alias.name for alias in sub.names)
     return names
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """Every name a subtree reads, as a bare name, an attribute or an import."""
+    return set(_references(node))
 
 
 def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
@@ -56,6 +66,27 @@ def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
             continue
         if not any(other is not node and name in _referenced(other) for _, other in statements):
             found.append(f"{module}: {name} (line {node.lineno})")
+    return found
+
+
+def unreferenced_public_definitions(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Module-level functions and classes of ``sources`` not named ``_x``, and
+    the methods and properties of those classes not named ``_x``, that no
+    part of ``readers`` other than their own definition refers to."""
+    read = sum((_references(ast.parse(source)) for source in readers.values()), Counter())
+    found = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            named = [(node, node.name)]
+            if isinstance(node, ast.ClassDef):
+                methods = [n for n in node.body if isinstance(n, ast.FunctionDef)]
+                named += [(method, f"{node.name}.{method.name}") for method in methods]
+            for definition, label in named:
+                name = definition.name
+                if not name.startswith("_") and read[name] <= _references(definition)[name]:
+                    found.append(f"{module}: {label} (line {definition.lineno})")
     return found
 
 
@@ -109,6 +140,33 @@ def test_the_check_sees_an_unreferenced_private_definition():
         "b.py": "from .a import _used\n\nclass _Kept:\n    pass\n\nx = [_Kept]\n",
     }
     assert unreferenced_private_definitions(sources) == ["a.py: _recursive (line 4)"]
+
+
+def test_the_check_sees_an_unreferenced_public_definition():
+    sources = {
+        "a.py": (
+            "def used():\n    pass\n\n"
+            "def recursive(n):\n    return recursive(n - 1)\n\n"
+            "def _private():\n    pass\n\n"
+            "class Kept:\n"
+            "    def method(self):\n        return self.other()\n\n"
+            "    def other(self):\n        pass\n\n"
+            "    @property\n    def stale(self):\n        return 1\n\n"
+            "    def __len__(self):\n        return 0\n"
+        ),
+    }
+    readers = {**sources, "bench/run.py": "from a import Kept, used\n\nKept().method()\n"}
+    assert unreferenced_public_definitions(sources, readers) == [
+        "a.py: recursive (line 4)",
+        "a.py: Kept.stale (line 18)",
+    ]
+
+
+def test_every_public_definition_has_a_caller():
+    # __init__.py re-exports every public name, so it neither defines nor reads one here
+    sources = {path.name: path.read_text() for path in MODULES}
+    bench = {f"bench/{path.name}": path.read_text() for path in sorted(ROOT.glob("bench/*.py"))}
+    assert unreferenced_public_definitions(sources, {**sources, **bench}) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -7,10 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import iv_bias_closed_forms, iv_efficient_scores, orthonormal_basis, read_csv
+from oracles import (
+    draw_sample,
+    iv_bias_closed_forms,
+    iv_efficient_scores,
+    orthonormal_basis,
+    read_csv,
+)
 
 from asymlab.config import build_experiment, build_instance, load_raw, validate_raw
-from asymlab.dist import Dataset, draw_sample, make_distribution
+from asymlab.dist import Dataset, make_distribution
 from asymlab.errors import (
     AsymlabError,
     NegativeSpectrumWarning,
@@ -93,11 +99,10 @@ class TestIVDataset:
         assert header == "y,x1_1,x2_1,z1_1"
         back, dims = read_csv(path)
         assert dims == iv1.model.dims
-        y, x1, _, z1 = iv1.model.split_rows(data.rows)
-        back_y, back_x1, _, back_z1 = iv1.model.split_rows(back.rows)
-        assert np.allclose(back_y, y)
-        assert np.allclose(back_x1, x1)
-        assert np.allclose(back_z1, z1)
+        for block, back_block in zip(
+            iv1.model.design_matrices(data.rows), iv1.model.design_matrices(back.rows)
+        ):
+            assert np.allclose(back_block, block)
         # a count sample is written one line per observation
         counts = np.array([3, 0, 1, 2, 0, 0, 4, 1])
         write_csv(Dataset(iv1.dist.support, counts), iv1.model, path)
@@ -389,12 +394,12 @@ class TestPopulationScores:
         x1, z1 = iv1.dist.column(1), iv1.dist.column(3)
         ref = math.sqrt(2.0) * (z1 - 0.5 * x1) * e
         gap = min(
-            np.max(np.abs(ScoreFunction(basis.dist, basis.matrix()[0]).values - ref)),
-            np.max(np.abs(ScoreFunction(basis.dist, basis.matrix()[0]).values + ref)),
+            np.max(np.abs(ScoreFunction(basis.dist, basis.values[0]).values - ref)),
+            np.max(np.abs(ScoreFunction(basis.dist, basis.values[0]).values + ref)),
         )
         assert gap < 1e-10
         t_basis, t_perp_m, m_perp = tangent_bases(iv1)
-        f = ScoreFunction(basis.dist, basis.matrix()[0])
+        f = ScoreFunction(basis.dist, basis.values[0])
         assert project(iv1.dist, f, t_basis).norm() < 1e-10
         assert (f - project(iv1.dist, f, t_perp_m)).norm() < 1e-10
 
@@ -432,7 +437,7 @@ class TestBiasChannels:
         score_span = orthonormal_basis(iv1.dist, list(ell_p))
         for _ in range(10):
             h = rng.standard_normal(2)
-            raw = ScoreFunction(iv1.dist, rng.standard_normal(t_basis.dim) @ t_basis.matrix())
+            raw = ScoreFunction(iv1.dist, rng.standard_normal(t_basis.dim) @ t_basis.values)
             nuisance = raw - project(iv1.dist, raw, score_span)
             g = h[0] * ell_p[0] + h[1] * ell_p[1] + nuisance
             biases = predicted_biases(iv1, g)
@@ -449,7 +454,7 @@ class TestBiasChannels:
         )
         for _ in range(10):
             coefs = rng.standard_normal(t_perp_m.dim)
-            g = ScoreFunction(iv1.dist, coefs @ t_perp_m.matrix())
+            g = ScoreFunction(iv1.dist, coefs @ t_perp_m.values)
             cross = np.array([inner_product(iv1.dist, a, g) for a in ell_m])
             h = np.linalg.solve(gram, cross)
             biases = predicted_biases(iv1, g)
@@ -458,7 +463,7 @@ class TestBiasChannels:
 
     def test_contrast_direction_moves_tsls_only(self, iv1):
         basis = iv1.design.statistic["dwh"]
-        g = ScoreFunction(basis.dist, basis.matrix()[0])
+        g = ScoreFunction(basis.dist, basis.values[0])
         biases = predicted_biases(iv1, g)
         assert np.max(np.abs(biases["ols"])) < 1e-10
         assert np.linalg.norm(biases["tsls"]) > 0.1

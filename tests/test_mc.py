@@ -23,7 +23,7 @@ from asymlab.iv import estimate_2sls, estimate_ols
 from asymlab.paths import LocalPath, path_distribution
 from asymlab.mc import ExperimentConfig, compare_to_theory, run_experiment
 from asymlab.predict import build_prediction
-from asymlab.scores import centered_score, zero_score
+from asymlab.scores import ScoreFunction, centered_score
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -38,7 +38,9 @@ def g1_config(g1, score=None, **kw):
         tests=("j",),
     )
     defaults.update(kw)
-    return ExperimentConfig(g1, score if score is not None else zero_score(g1.dist), **defaults)
+    if score is None:
+        score = ScoreFunction(g1.dist, np.zeros(5))
+    return ExperimentConfig(g1, score, **defaults)
 
 
 class TestConfigValidation:
@@ -50,6 +52,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             g1_config(g1, alpha=1.5)
 
+    def test_seed_outside_64_bits_refused(self, g1):
+        # reduced modulo 2^64, seed -1 ran seed 2^64 - 1's replications
+        for seed in (-1, 2**64, 2**64 + 5):
+            with pytest.raises(ConfigInvalid, match="2\\^64"):
+                g1_config(g1, master_seed=seed)
+        assert g1_config(g1, master_seed=2**64 - 1).master_seed == 2**64 - 1
+
     def test_estimator_test_compatibility(self, g1, iv1):
         with pytest.raises(ConfigInvalid):
             g1_config(g1, estimators=("ols",))
@@ -58,7 +67,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             ExperimentConfig(
                 iv1,
-                zero_score(iv1.dist),
+                ScoreFunction(iv1.dist, np.zeros(8)),
                 n=100,
                 reps=100,
                 alpha=0.05,
@@ -89,7 +98,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             ExperimentConfig(
                 flat,
-                zero_score(g1.dist),
+                ScoreFunction(g1.dist, np.zeros(5)),
                 n=100,
                 reps=100,
                 alpha=0.05,
@@ -100,7 +109,7 @@ class TestConfigValidation:
 
     def test_score_must_match_instance(self, g1, iv1):
         with pytest.raises(ConfigInvalid):
-            g1_config(g1, score=zero_score(iv1.dist))
+            g1_config(g1, score=ScoreFunction(iv1.dist, np.zeros(8)))
 
 
 class TestRunExperiment:
@@ -120,7 +129,7 @@ class TestRunExperiment:
     def test_iv_null_size(self, iv1):
         config = ExperimentConfig(
             iv1,
-            zero_score(iv1.dist),
+            ScoreFunction(iv1.dist, np.zeros(8)),
             n=500,
             reps=1000,
             alpha=0.05,
@@ -353,7 +362,8 @@ class TestCompareToTheory:
 
     def test_gross_mismatch_fails(self, g1):
         summary = run_experiment(g1_config(g1, n=1000, reps=400, master_seed=23))
-        pred = build_prediction(g1, zero_score(g1.dist), ["gmm"], ["j"], 0.05)
+        zero = ScoreFunction(g1.dist, np.zeros(5))
+        pred = build_prediction(g1, zero, ["gmm"], ["j"], 0.05)
         # tamper with the prediction: claim a rejection rate of one half
         from asymlab.predict import Prediction, TestPrediction
 
@@ -367,7 +377,8 @@ class TestCompareToTheory:
 
     def test_missing_keys_rejected(self, g1):
         summary = run_experiment(g1_config(g1, n=100, reps=100))
-        pred = build_prediction(g1, zero_score(g1.dist), ["gmm"], [], 0.05)
+        zero = ScoreFunction(g1.dist, np.zeros(5))
+        pred = build_prediction(g1, zero, ["gmm"], [], 0.05)
         with pytest.raises(ShapeMismatch):
             compare_to_theory(summary, pred)
 

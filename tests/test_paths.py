@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from asymlab.dist import Dataset, draw_indices, draw_sample, expectation, make_distribution
+from asymlab.dist import draw_indices, expectation, make_distribution
 from asymlab.errors import PositivityViolated
 from asymlab.paths import (
     LocalPath,
     hellinger_residual,
-    log_likelihood_ratio,
     numerical_score,
     path_distribution,
 )
-from asymlab.scores import centered_score, zero_score
+from asymlab.scores import ScoreFunction, centered_score
 
 
 def two_point_path():
@@ -27,7 +26,7 @@ class TestPathDistribution:
         assert path_distribution(path, 0.0) is g1.dist
 
     def test_zero_score_keeps_base(self, g1):
-        path = LocalPath(g1.dist, zero_score(g1.dist))
+        path = LocalPath(g1.dist, ScoreFunction(g1.dist, np.zeros(5)))
         probs = path_distribution(path, 0.3).probs
         assert np.max(np.abs(probs - g1.dist.probs)) < 1e-15
 
@@ -55,14 +54,14 @@ class TestPathDistribution:
             path_distribution(path, 0.5)
 
     def test_negative_t_rejected(self, g1):
-        path = LocalPath(g1.dist, zero_score(g1.dist))
+        path = LocalPath(g1.dist, ScoreFunction(g1.dist, np.zeros(5)))
         with pytest.raises(ValueError):
             path_distribution(path, -0.1)
 
 
 class TestHellingerResidual:
     def test_zero_score_has_zero_residual(self, g1):
-        path = LocalPath(g1.dist, zero_score(g1.dist))
+        path = LocalPath(g1.dist, ScoreFunction(g1.dist, np.zeros(5)))
         for t in (0.1, 0.05, 0.025):
             assert hellinger_residual(path, t) == pytest.approx(0.0, abs=1e-30)
 
@@ -121,35 +120,6 @@ class TestScoreRecovery:
 
 
 class TestLogLikelihoodRatio:
-    def test_matches_direct_computation(self, g1):
-        g = centered_score(g1.dist, g1.dist.column(0))
-        path = LocalPath(g1.dist, g)
-        t = 1.0 / math.sqrt(50)
-        data = draw_sample(path_distribution(path, t), 50, seed=3)
-        q = path_distribution(path, t).probs
-        direct = 0.0
-        for row in data.rows:
-            s = int(np.where(g1.dist.support[:, 0] == row[0])[0][0])
-            direct += math.log(q[s] / g1.dist.probs[s])
-        assert log_likelihood_ratio(path, t, data) == pytest.approx(direct, abs=1e-12)
-
-    def test_negative_zero_rows_are_the_zero_atom(self, g1):
-        g = centered_score(g1.dist, g1.dist.column(0))
-        path = LocalPath(g1.dist, g)
-        signed = Dataset(np.array([[-0.0], [1.0], [-0.0]]))
-        plain = Dataset(np.array([[0.0], [1.0], [0.0]]))
-        assert log_likelihood_ratio(path, 0.1, signed) == log_likelihood_ratio(path, 0.1, plain)
-
-    def test_rows_are_weighted_by_their_counts(self, g1):
-        g = centered_score(g1.dist, g1.dist.column(0))
-        path = LocalPath(g1.dist, g)
-        counts = np.array([3, 0, 5, 1, 2])
-        expanded = Dataset(np.repeat(g1.dist.support, counts, axis=0))
-        by_counts = Dataset(g1.dist.support[::-1], counts[::-1])
-        assert log_likelihood_ratio(path, 0.1, by_counts) == pytest.approx(
-            log_likelihood_ratio(path, 0.1, expanded), abs=1e-12
-        )
-
     def test_expansion_error_shrinks_with_n(self, g1):
         # the log likelihood ratio approaches (1/sqrt(n)) sum g - E[g^2] / 2;
         # the replication-average absolute gap must fall as n grows

@@ -27,7 +27,6 @@ from asymlab.instances import (
     linear_iv_moment_model,
     overidentified_mean_model,
     tangent_bases,
-    three_way_bases,
 )
 from asymlab.models import IVModel, MomentModel
 from asymlab.predict import build_prediction
@@ -43,7 +42,6 @@ from asymlab.scores import (
     iv_population_matrices,
     moment_design,
     project,
-    zero_score,
 )
 
 
@@ -65,7 +63,8 @@ class TestInnerProduct:
         assert oracle == pytest.approx(1.2, abs=1e-14)
 
     def test_with_zero_function(self, g1):
-        assert inner_product(g1.dist, x_score(g1.dist), zero_score(g1.dist)) == 0.0
+        zero = ScoreFunction(g1.dist, np.zeros(5))
+        assert inner_product(g1.dist, x_score(g1.dist), zero) == 0.0
 
     def test_odd_even_orthogonality(self, g1):
         # oracle: E[x^3] = 0 by symmetry
@@ -93,8 +92,8 @@ class TestOrthonormalBasis:
         assert basis.dim == 1
         expected = g1.dist.column(0) / math.sqrt(1.2)
         agree = min(
-            np.max(np.abs(ScoreFunction(basis.dist, basis.matrix()[0]).values - expected)),
-            np.max(np.abs(ScoreFunction(basis.dist, basis.matrix()[0]).values + expected)),
+            np.max(np.abs(ScoreFunction(basis.dist, basis.values[0]).values - expected)),
+            np.max(np.abs(ScoreFunction(basis.dist, basis.values[0]).values + expected)),
         )
         assert agree < 1e-12
 
@@ -111,20 +110,21 @@ class TestOrthonormalBasis:
         assert orthonormal_basis(g1.dist, [f, g]).dim == 2
 
     def test_zero_vector_empty_span(self, g1):
-        assert orthonormal_basis(g1.dist, [zero_score(g1.dist)]).dim == 0
+        zero = ScoreFunction(g1.dist, np.zeros(5))
+        assert orthonormal_basis(g1.dist, [zero]).dim == 0
 
     def test_output_orthonormal_for_random_spans(self, g1, rng):
         for _ in range(10):
             spanning = [centered_score(g1.dist, rng.standard_normal(5)) for _ in range(3)]
             basis = orthonormal_basis(g1.dist, spanning)
-            mat = basis.matrix()
+            mat = basis.values
             gram = (mat * g1.dist.probs) @ mat.T
             assert np.max(np.abs(gram - np.eye(basis.dim))) < 1e-12
 
     def test_sign_convention_deterministic(self, g1, rng):
         spanning = [centered_score(g1.dist, rng.standard_normal(5)) for _ in range(2)]
-        a = orthonormal_basis(g1.dist, spanning).matrix()
-        b = orthonormal_basis(g1.dist, spanning).matrix()
+        a = orthonormal_basis(g1.dist, spanning).values
+        b = orthonormal_basis(g1.dist, spanning).values
         assert np.array_equal(a, b)
         for row in a:
             lead = row[np.abs(row) > 1e-8 * np.max(np.abs(row))][0]
@@ -203,7 +203,7 @@ class TestBasesDoNotDependOnThreads:
                 "for seed in (1, 2, 3):\n"
                 "    instance = build_instance(iv_wide_design(seed)['instance'])\n"
                 "    for basis in tangent_bases(instance):\n"
-                "        out[f'{seed}_{basis.label}'] = basis.matrix()\n"
+                "        out[f'{seed}_{basis.label}'] = basis.values\n"
                 f"np.savez({str(path)!r}, **out)\n"
             )
             run_python(code, OPENBLAS_NUM_THREADS=threads)
@@ -317,7 +317,7 @@ def perturbed_instances(draw):
 
 def whitened_projectors(bases, dist):
     """Each basis's projector in whitened coordinates, (S, S) each."""
-    white = [b.matrix() * np.sqrt(dist.probs) for b in bases]
+    white = [b.values * np.sqrt(dist.probs) for b in bases]
     return [a.T @ a for a in white]
 
 
@@ -343,8 +343,8 @@ class TestBasesUnderPerturbation:
         (bases, dist), (bases_moved, dist_moved) = build(weights), build(moved)
         assert [b.dim for b in bases] == [b.dim for b in bases_moved]
         for basis, other in zip(bases, bases_moved):
-            a = basis.matrix() * np.sqrt(dist.probs)
-            b = other.matrix() * np.sqrt(dist_moved.probs)
+            a = basis.values * np.sqrt(dist.probs)
+            b = other.values * np.sqrt(dist_moved.probs)
             assert np.max(np.abs(a.T @ a - b.T @ b), initial=0.0) <= 1e-12, basis.label
 
     def test_ill_conditioned_design_moves_both_routes(self):
@@ -442,7 +442,7 @@ class TestProject:
     def test_identity_on_subspace_element(self, g1, rng):
         basis = tangent_bases(g1)[0]
         coefs = rng.standard_normal(basis.dim)
-        g = ScoreFunction(g1.dist, coefs @ basis.matrix())
+        g = ScoreFunction(g1.dist, coefs @ basis.values)
         assert (project(g1.dist, g, basis) - g).norm() < 1e-10
 
     def test_orthogonal_direction_killed(self, g1):
@@ -478,11 +478,11 @@ class TestGmmTangentBasis:
     def test_g1_dimensions_and_direction(self, g1):
         # oracle: null-space computation on the 4-dimensional mean-zero space
         # with Sigma = diag(1.2, 2.16)
-        t_basis, t_perp = g1.design.bases
-        assert t_basis.dim == 3 and t_perp.dim == 1
+        t_basis, t_perp, m_perp = g1.design.bases
+        assert (t_basis.dim, t_perp.dim, m_perp.dim) == (3, 1, 0)
         x = g1.dist.column(0)
         ref = centered_score(g1.dist, (x**2 - 1.2) / math.sqrt(2.16))
-        f = ScoreFunction(t_perp.dist, t_perp.matrix()[0])
+        f = ScoreFunction(t_perp.dist, t_perp.values[0])
         assert abs(abs(inner_product(g1.dist, ref, f)) - 1.0) < 1e-12
 
     def test_just_identified_spans_everything(self, g1):
@@ -495,7 +495,7 @@ class TestGmmTangentBasis:
             return np.full((len(theta), x.shape[0], 1, 1), -1.0)
 
         model = MomentModel(m=m, jac=jac, p=1, l=1)
-        t_basis, t_perp = moment_design(g1.dist, model, np.array([0.0])).bases
+        t_basis, t_perp, _ = moment_design(g1.dist, model, np.array([0.0])).bases
         assert t_basis.dim == g1.dist.n_atoms - 1
         assert t_perp.dim == 0
 
@@ -522,7 +522,7 @@ class TestGmmTangentBasis:
             return np.stack([-np.ones_like(d), -2.0 * d, -3.0 * d * d], axis=2)[..., None]
 
         model = MomentModel(m=m, jac=jac, p=1, l=3)
-        t_basis, t_perp = moment_design(dist, model, np.array([0.0])).bases
+        t_basis, t_perp, _ = moment_design(dist, model, np.array([0.0])).bases
         assert t_perp.dim == model.l - model.p
         assert t_basis.dim + t_perp.dim == dist.n_atoms - 1
 
@@ -530,13 +530,13 @@ class TestGmmTangentBasis:
         # the parameter score must be orthogonal to every nuisance direction:
         # check it against the tangent basis elements built from the
         # complement of the moment span
-        t_basis, _ = g1.design.bases
+        t_basis, _, _ = g1.design.bases
         x = g1.dist.column(0)
         ell = centered_score(g1.dist, x / 1.2)
         m_span = orthonormal_basis(
             g1.dist, [x_score(g1.dist), quad_score(g1.dist)], label="full"
         )
-        for row in t_basis.matrix():
+        for row in t_basis.values:
             f = ScoreFunction(t_basis.dist, row)
             leak = inner_product(g1.dist, ell, f - project(g1.dist, f, m_span))
             assert abs(leak) < 1e-10
@@ -619,7 +619,7 @@ class TestIvTangentBases:
         assert m_perp.dim == 1  # l - p = 3 - 2
         assert t_basis.dim + t_perp_m.dim + m_perp.dim == s - 1
         # nesting: every null tangent direction stays inside the maintained space
-        for row in t_basis.matrix():
+        for row in t_basis.values:
             f = ScoreFunction(t_basis.dist, row)
             assert project(dist, f, m_perp).norm() < 1e-10
 
@@ -628,15 +628,15 @@ class TestDecomposeScore:
     def test_tangent_score_has_trivial_parts(self, iv1, rng):
         bases = tangent_bases(iv1)
         coefs = rng.standard_normal(bases[0].dim)
-        g = ScoreFunction(iv1.dist, coefs @ bases[0].matrix())
+        g = ScoreFunction(iv1.dist, coefs @ bases[0].values)
         report = decompose_score(iv1, g)
         assert report.pi_TperpM.norm() < 1e-10
         assert report.pi_Mperp.norm() < 1e-10
 
     def test_unit_construction_variances(self, iv1):
         bases = tangent_bases(iv1)
-        g = ScoreFunction(bases[0].dist, bases[0].matrix()[0]) + ScoreFunction(
-            bases[1].dist, bases[1].matrix()[0]
+        g = ScoreFunction(bases[0].dist, bases[0].values[0]) + ScoreFunction(
+            bases[1].dist, bases[1].values[0]
         )
         report = decompose_score(iv1, g)
         assert np.allclose(report.variances, [1.0, 1.0, 0.0], atol=1e-10)
@@ -666,9 +666,9 @@ class TestDecomposeAgainstBases:
     @staticmethod
     def check(instance, g):
         report = decompose_score(instance, g)
-        bases = three_way_bases(instance)
+        bases = tangent_bases(instance)
         parts, variances = decompose_by_bases(
-            instance.dist.probs, g.values, [b.matrix() for b in bases]
+            instance.dist.probs, g.values, [b.values for b in bases]
         )
         got = (report.pi_T, report.pi_TperpM, report.pi_Mperp)
         for part, ref, basis in zip(got, parts, bases):
@@ -770,7 +770,7 @@ class TestInvariantsOnGeneratedInstances:
         # vectors, so C carries the influence's rounding: the bound scales
         # with its norm (13 where x1 is nearly collinear with the intercept).
         basis = instance.design.statistic[instance.tests[0]]
-        for b in (ScoreFunction(dist, row) for row in basis.matrix()):
+        for b in (ScoreFunction(dist, row) for row in basis.values):
             for nu in influence:
                 assert abs(inner_product(dist, b, nu)) <= 1e-12 * max(1.0, nu.norm())
 
@@ -853,7 +853,7 @@ def nesting_leak(instance):
     dist, design = instance.dist, instance.design
     xe = design.X * design.e[:, None]
     xe = xe - expectation(dist, xe)
-    m_perp = tangent_bases(instance)[2].matrix()
+    m_perp = tangent_bases(instance)[2].values
     part = np.linalg.norm(m_perp @ (dist.probs[:, None] * xe), axis=0)
     return np.max(part / np.sqrt(expectation(dist, xe * xe)))
 

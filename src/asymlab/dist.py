@@ -13,6 +13,7 @@ and the IV null model's (x1, z) cells are matched by one rule,
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -155,10 +156,14 @@ def expectation(dist: DiscreteDistribution, values) -> float | np.ndarray:
 
 
 def _checked_seed(seed: int) -> int:
-    """``seed`` as an int, refused outside [0, 2^64) with ``ValueError``: a
-    seed is one 64-bit word, and reducing a wider one modulo 2^64 would give
-    two seeds one stream."""
-    seed = int(seed)
+    """``seed`` as an int, refused with ``ValueError`` unless it is an
+    integer (``operator.index``: truncating 1.7 would run seed 1's stream)
+    in [0, 2^64): a seed is one 64-bit word, and reducing a wider one modulo
+    2^64 would give two seeds one stream."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     return seed

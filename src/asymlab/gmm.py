@@ -13,12 +13,12 @@ and moment-only evaluations for the line-search trials.  Where the residual
 is large, Gauss-Newton converges only linearly; Newton converges
 quadratically and stops at the exact minimiser up to rounding.  Each step
 records why it stopped (``GmmEstimate.stop_reasons``).  Every
-positive-definite solve here and in ``iv`` goes through ``_cholesky``, a
-Cholesky factorisation in Python floats: every system the shipped configs
-solve is 1 x 1 or 2 x 2, where it costs a few microseconds, and the run
-path does not import SciPy.  The population objects (efficient score,
-information, influence) live on the instance's design
-(``scores.moment_design``), not here.
+positive-definite system here (the Newton and Gauss-Newton steps, SigmaHat,
+the sample information and the dual Hessian of ``kl_projection``) is
+factored by ``linalg._cholesky``, whose pivot test is also the verdict: a
+system it cannot factor is refused, with no eigenvalue check beside it.  The
+population objects (efficient score, information, influence) live on the
+instance's design (``scores.moment_design``), not here.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .errors import (
     ShapeMismatch,
     SingularSigmaHat,
 )
+from .linalg import _cholesky
 from .models import MomentModel
-from .scores import _near_singular
 
 FIRST_ORDER_TOL = 1e-13
 DECREMENT_TOL = 1e-12
@@ -78,63 +78,6 @@ class GmmEstimate:
     l: int
     p: int
     stop_reasons: tuple[str, str]
-
-
-def _cholesky(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Solve a x = b by the Cholesky factor of the symmetric ``a``'s upper
-    triangle; None unless ``a`` is positive definite.
-
-    ``a`` is factored as U'U in Python floats, each row of U scaled by the
-    reciprocal of its pivot as OpenBLAS ``dpotrf`` does, and x comes from a
-    forward and a back substitution, which multiply by the same reciprocals.
-    Only the upper triangle is read (X'(c X) is symmetric only up to
-    rounding, so the triangle sets the bits).  On a 1 x 1 system the result
-    is bit-identical to LAPACK ``dpotrf``/``dpotrs``; on larger ones the
-    summation order differs and the two agree to rounding.  ``a`` is refused
-    when a pivot (the diagonal entry less the squares above it, before the
-    square root) is not above 1e-12 times its diagonal entry, a test that
-    NaN fails too.  A pivot is at least the smallest eigenvalue and a
-    diagonal entry at most the largest, so this rule never refuses a
-    matrix that ``scores._near_singular`` accepts.
-
-    The cost grows as n^3.  On a shared 2-core x86 machine it takes 2 to
-    3 us at 1 x 1 and 5 to 10 us at 2 x 2 with three right-hand sides, where
-    LAPACK through SciPy takes 1 to 3 us, and 110 us at 8 x 8 with nine,
-    where LAPACK takes 5 us.  Every system of the shipped configs is 1 x 1
-    or 2 x 2: G1's Newton steps are p x p with p = 1, its weight matrix
-    l x l with l = 2, and the IV designs' X'X, Z'Z and X'P_Z X are 2 x 2.
-    """
-    n = len(a)
-    u = a.tolist()  # overwritten by U on and above the diagonal
-    inv = [0.0] * n
-    for j in range(n):
-        row = u[j]
-        diag = row[j]
-        for i in range(j):
-            above = u[i]
-            f = above[j]
-            for c in range(j, n):
-                row[c] -= f * above[c]
-        if not row[j] > 1e-12 * diag:
-            return None
-        row[j] = math.sqrt(row[j])
-        r = inv[j] = 1.0 / row[j]
-        for c in range(j + 1, n):
-            row[c] *= r
-    cols = [b.tolist()] if b.ndim == 1 else b.T.tolist()
-    for x in cols:
-        for i in range(n):  # U'z = b
-            s = x[i]
-            for k in range(i):
-                s -= u[k][i] * x[k]
-            x[i] = s * inv[i]
-        for i in reversed(range(n)):  # U x = z
-            s = x[i]
-            row = u[i]
-            for k in range(i + 1, n):
-                s -= row[k] * x[k]
-            x[i] = s * inv[i]
-    return np.array(cols[0]) if b.ndim == 1 else np.array(cols).T
 
 
 def _jacobians(
@@ -273,11 +216,11 @@ def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
     Jacobian calls.  The overidentification value n * mbar' SigmaHat^{-1}
     mbar is computed with the same fixed weight.  SigmaHat and the sample
     information are refused (``SingularSigmaHat``, ``RankDeficientJacobian``)
-    by ``_near_singular``, the rule the population Sigma is held to: a matrix
-    that is singular in exact arithmetic may pass a Cholesky factorisation by
-    rounding.  A failed line search, a normal matrix that is not positive
-    definite or the iteration cap yields ``converged=False`` rather than an
-    exception; ``stop_reasons`` records which.
+    when ``_cholesky``, which also forms the weight, does not factor them: the
+    rule every positive-definite system in the library is held to.  A failed
+    line search, a normal matrix that is not positive definite or the
+    iteration cap yields ``converged=False`` rather than an exception;
+    ``stop_reasons`` records which.
     """
     theta_init = np.array(theta_init, dtype=float)
     if theta_init.shape != (model.p,):
@@ -289,16 +232,16 @@ def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
     first = _newton(model, pts, w, np.eye(model.l), theta_init, m_init, jac_init)
     sigma_hat = (first.m_vals.T * w) @ first.m_vals
     sigma_hat = 0.5 * (sigma_hat + sigma_hat.T)
-    if _near_singular(sigma_hat):
+    weight = _cholesky(sigma_hat, np.eye(model.l))
+    if weight is None:
         raise SingularSigmaHat("first-step moment variance is singular")
-    weight = _cholesky(sigma_hat, np.eye(model.l))  # not near singular, so not None
     weight = 0.5 * (weight + weight.T)
     second = _newton(model, pts, w, weight, first.theta, first.m_vals, first.jac)
     mbar, gbar = second.mbar, second.jac[0]
     j_stat = float(data.n * mbar @ weight @ mbar)
     info_hat = gbar.T @ weight @ gbar
     info_hat = 0.5 * (info_hat + info_hat.T)
-    if _near_singular(info_hat):
+    if _cholesky(info_hat, np.eye(model.p)) is None:
         raise RankDeficientJacobian("sample information matrix is singular")
     return GmmEstimate(
         theta_hat=second.theta,

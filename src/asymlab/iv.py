@@ -7,7 +7,9 @@ sandwich variances are deliberately out of scope.  A sample is a
 ``Dataset``: rows laid out as (y, x1, x2, z1) with integer counts, and every
 cross-product and residual sum weights a row by its count, so a sample on a
 finite support can be passed as the support and its count vector.  X'X,
-Z'Z and X'P_Z X are solved by ``gmm._cholesky``, as every GMM system is.
+Z'Z and X'P_Z X are each factored once by ``linalg._cholesky``, as every GMM
+system is, and a matrix it cannot factor is refused by its named error: the
+verdict does not change when a regressor or an instrument is rescaled.
 The population influence functions of OLS and 2SLS and the DWH statistic
 basis live on the instance's design (``scores.iv_design``), not here.
 """
@@ -29,9 +31,8 @@ from .errors import (
     SingularDesign,
     SingularInstrumentGram,
 )
-from .gmm import _cholesky
+from .linalg import _cholesky
 from .models import IVModel
-from .scores import _near_singular
 
 RANK_TOL = 1e-8  # relative spectral cutoff for the generalized inverse
 
@@ -97,8 +98,7 @@ def estimate_ols(data: Dataset, model: IVModel) -> LinearEstimate:
 
 
 def estimate_2sls(data: Dataset, model: IVModel) -> LinearEstimate:
-    """Two-stage least squares with instruments Z = [z1, x2]; X'P_Z X is held
-    to ``scores._near_singular``, the rule of GMM's SigmaHat and information."""
+    """Two-stage least squares with instruments Z = [z1, x2]."""
     y, X, Z = _design(data, model)
     cZ = Z * data.counts[:, None]
     ztx = cZ.T @ X
@@ -108,11 +108,9 @@ def estimate_2sls(data: Dataset, model: IVModel) -> LinearEstimate:
         raise SingularInstrumentGram("Z'Z is singular")
     xpx = ztx.T @ first[:, :-1]  # X' P_Z X
     xpy = ztx.T @ first[:, -1]
-    if _near_singular(xpx):
-        raise RankDeficientFirstStage("instruments do not span the regressors")
     solved = _cholesky(xpx, np.column_stack([xpy, np.eye(X.shape[1])]))
     if solved is None:
-        raise RankDeficientFirstStage("X'P_Z X is singular")
+        raise RankDeficientFirstStage("instruments do not span the regressors")
     return _fit(data, y, X, solved)
 
 

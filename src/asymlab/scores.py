@@ -17,7 +17,11 @@ its population objects: each estimator's influence function, whose inner
 products with a score are its bias (``bias``), and each test's statistic
 basis, whose coordinates of a score are the test's limit drift (``drift``;
 J: the moment functions orthogonal to the efficient score; DWH: the
-OLS/2SLS influence differences).  A score's three-way split, and the
+OLS/2SLS influence differences).  Every inverse a design takes (Sigma, the
+information, E[ZZ'], E[XX'] and E[XZ'] E[ZZ']^{-1} E[ZX']) is a
+``linalg._cholesky`` solve, refused by the design's named error when the
+factorisation fails; the mean Jacobian and E[ZX'] are held to
+``linalg._full_column_rank``.  A score's three-way split, and the
 tangent bases, are read from the small side: every orthocomplement is
 spanned by a few explicit functions (the J basis; the IV design's cell-wise
 errors, over the (x1, z) cells that ``dist._row_groups`` finds, and
@@ -42,8 +46,12 @@ from .errors import (
     NullModelViolated,
     RankDeficientFirstStage,
     RankDeficientJacobian,
+    ShapeMismatch,
+    SingularDesign,
+    SingularInstrumentGram,
     SingularSigma,
 )
+from .linalg import PIVOT_TOL, RANK_RATIO, _cholesky, _full_column_rank
 from .models import IVModel, MomentModel
 
 MEAN_ZERO_TOL = 1e-10
@@ -218,13 +226,6 @@ def _span_part(dist: DiscreteDistribution, cols: np.ndarray, values: np.ndarray)
 # --- population designs ----------------------------------------------------------
 
 
-def _near_singular(a: np.ndarray) -> bool:
-    """True when the smallest eigenvalue of the symmetric ``a`` is at most
-    1e-12 times its largest."""
-    evals = np.linalg.eigvalsh(a)
-    return bool(evals[0] <= 1e-12 * max(evals[-1], 1e-300))
-
-
 @dataclass(frozen=True)
 class PopulationDesign:
     """What every prediction and score split of one instance reads:
@@ -296,13 +297,18 @@ class MomentDesign(PopulationDesign):
 
 
 def moment_design(dist: DiscreteDistribution, model: MomentModel, theta0) -> MomentDesign:
-    """The design of ``model`` at ``theta0`` once the Jacobian agrees with
-    finite differences, E[m] = 0, Sigma and gbar have full rank, and the
-    efficient influence lies in the tangent space (|C(gmm, j)| <= 1e-8).
+    """The design of ``model`` at ``theta0`` once theta0 has shape (p,) (else
+    ``ShapeMismatch``), the Jacobian agrees with finite differences,
+    E[m] = 0, Sigma and the information factor by ``_cholesky`` (else
+    ``SingularSigma``, naming the failing pivot, and ``RankDeficientJacobian``),
+    gbar has full column rank (``_full_column_rank``), and the efficient
+    influence lies in the tangent space (|C(gmm, j)| <= 1e-8).
     The frame is ``_split_span`` of the moments and ell: its first p rows
     span ell, the rest span(m) minus span(ell); with l = p, J has no rows.
     """
     theta0 = np.asarray(theta0, dtype=float)
+    if theta0.shape != (model.p,):
+        raise ShapeMismatch(f"theta0 has shape {theta0.shape}, expected ({model.p},)")
     model.check_jacobian(theta0, dist.support)
     m_vals = model.moments_at(theta0, dist.support)
     mbar = expectation(dist, m_vals)
@@ -312,18 +318,26 @@ def moment_design(dist: DiscreteDistribution, model: MomentModel, theta0) -> Mom
         )
     sigma = (m_vals.T * dist.probs) @ m_vals
     sigma = 0.5 * (sigma + sigma.T)
-    if _near_singular(sigma):
-        evals = np.linalg.eigvalsh(sigma)
-        raise SingularSigma(f"moment second-moment matrix is singular (eigs {evals})")
     gbar = expectation(dist, model.jacobians_at(theta0, dist.support))
-    svals = np.linalg.svd(gbar, compute_uv=False)
-    if svals[-1] <= 1e-10 * svals[0]:
-        raise RankDeficientJacobian(f"mean Jacobian singular values {svals}")
-    weighted = np.linalg.solve(sigma, gbar)
+    weighted = _cholesky(sigma, gbar)
+    if weighted is None:  # a leading block's factor is the leading part of the whole one
+        blocks = (sigma[: j + 1, : j + 1] for j in range(model.l))
+        j = next(j for j, block in enumerate(blocks) if _cholesky(block, block[0]) is None)
+        raise SingularSigma(
+            f"moment second-moment matrix is singular: its Cholesky pivot for moment {j} "
+            f"(counting from 0) is not above {PIVOT_TOL:g} times its diagonal entry"
+        )
+    if not _full_column_rank(gbar):
+        raise RankDeficientJacobian(
+            f"mean Jacobian: smallest singular value at most {RANK_RATIO:g} times its largest"
+        )
     info = gbar.T @ weighted
     info = 0.5 * (info + info.T)
     ell = -m_vals @ weighted
-    nu = ell @ np.linalg.inv(info)
+    info_inv = _cholesky(info, np.eye(model.p))
+    if info_inv is None:
+        raise RankDeficientJacobian("the information matrix is singular")
+    nu = ell @ info_inv
     frame = _split_span(_white(dist, m_vals), _white(dist, ell)).T / np.sqrt(dist.probs)
     frame = SubspaceBasis(dist, frame)
     j_basis = SubspaceBasis(dist, frame.values[model.p :], "T_perp")
@@ -430,8 +444,12 @@ class IvDesign(PopulationDesign):
 
 
 def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
-    """The design of the IV null model once the conditional null holds and
-    E[ZX'] has full rank.
+    """The design of the IV null model once the conditional null holds,
+    E[ZX'] has full column rank (``_full_column_rank``, else
+    ``RankDeficientFirstStage``), and E[ZZ'], E[XX'] and
+    E[XZ'] E[ZZ']^{-1} E[ZX'] factor by ``_cholesky`` (else
+    ``SingularInstrumentGram``, ``SingularDesign`` and
+    ``RankDeficientFirstStage``).
 
     The null tangent space then nests in the maintained one: x and z are
     functions of the (x1, z) cell and E[e^2 | cell] = sigma0^2, so
@@ -449,14 +467,26 @@ def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
     cell, e = _null_cells(dist, model, 1e-10)
     _, X, Z = model.design_matrices(dist.support)
     exx, exz, ezz = iv_population_matrices(dist, model)
-    if np.linalg.matrix_rank(exz, tol=1e-10 * max(np.linalg.norm(exz), 1e-300)) < model.n_params:
-        raise RankDeficientFirstStage("E[ZX'] does not have full rank")
-    ell_m = (Z @ (exz @ np.linalg.inv(ezz)).T) * (e / model.sigma0_sq)[:, None]
-    first = np.linalg.solve(ezz, exz.T)
-    ols = (X @ np.linalg.inv(exx)) * e[:, None]
-    tsls = (Z @ first @ np.linalg.inv(exz @ first)) * e[:, None]
+    p, eye = model.n_params, np.eye(model.n_params)
+    if not _full_column_rank(exz.T):
+        raise RankDeficientFirstStage(
+            f"E[ZX']: smallest singular value at most {RANK_RATIO:g} times its largest"
+        )
+    first = _cholesky(ezz, exz.T)  # E[ZZ']^{-1} E[ZX']
+    if first is None:
+        raise SingularInstrumentGram("E[ZZ'] is singular")
+    exx_inv = _cholesky(exx, eye)
+    if exx_inv is None:
+        raise SingularDesign("E[XX'] is singular")
+    projected = exz @ first
+    projected_inv = _cholesky(0.5 * (projected + projected.T), eye)
+    if projected_inv is None:
+        raise RankDeficientFirstStage("E[XZ'] E[ZZ']^{-1} E[ZX'] is singular")
+    ell_m = (Z @ first) * (e / model.sigma0_sq)[:, None]
+    ols = (X @ exx_inv) * e[:, None]
+    tsls = (Z @ first @ projected_inv) * e[:, None]
     ols, tsls = (v - expectation(dist, v) for v in (ols, tsls))
-    p, fitted = model.n_params, _white(dist, (Z @ first[:, : model.k1]) * e[:, None])
+    fitted = _white(dist, (Z @ first[:, : model.k1]) * e[:, None])
     q, r = np.linalg.qr(np.hstack([_white(dist, X * e[:, None]), fitted]))
     u, sv, _ = np.linalg.svd(r[p:, p:])
     keep = sv > DROP_TOL * np.max(np.linalg.norm(fitted, axis=0))

@@ -276,6 +276,17 @@ class TestCliCommands:
         out, err = capsys.readouterr()
         assert out == "" and "singular" in err
 
+    def test_predict_refuses_collinear_instruments(self, tmp_path, capsys):
+        # IV1 with a second instrument z2 = 2 z1: E[ZZ'] is singular, and
+        # predict once died in numpy's LinAlgError instead of exiting 2
+        doc = inline_config("iv")
+        rows = doc["instance"]["distribution"]["support"]
+        doc["instance"]["distribution"]["support"] = [row + [2.0 * row[3]] for row in rows]
+        doc["instance"]["model"]["dims"] = [1, 1, 2]
+        assert execute(["predict", "--config", str(write_config(tmp_path, doc))]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "E[ZZ'] is singular" in err
+
     def test_predict_reads_negative_zero_as_zero(self, tmp_path, capsys):
         # IV1 written inline, once as is and once with x1 = -0.0 on two of
         # the four atoms of its x1 = 0 cells: the same distribution and cells

@@ -211,6 +211,14 @@ class TestReplicationSeeds:
             with pytest.raises(ValueError, match="2\\^64"):
                 draw_indices(dist, 10, seed)
 
+    @pytest.mark.parametrize("seed", [1.7, 1.0, "1", None])
+    def test_a_seed_that_is_not_an_integer_is_refused(self, seed):
+        # truncated by int(), 1.7 ran seed 1's stream
+        with pytest.raises(ValueError, match="integer"):
+            replication_seed(seed, 1)
+        with pytest.raises(ValueError, match="integer"):
+            draw_indices(make_distribution(SUPPORT5, PROBS5), 10, seed)
+
     def test_seeds_in_range_keep_their_streams(self):
         for master in (0, 5, 2**63 + 12345, 2**64 - 1):
             for rep in (1, 7):

@@ -32,7 +32,6 @@ from asymlab.errors import (
     SingularSigmaHat,
 )
 from asymlab.gmm import (
-    _cholesky,
     _jacobians,
     _newton,
     estimate_gmm,
@@ -46,6 +45,7 @@ from asymlab.instances import (
     overidentified_mean_model,
     tangent_bases,
 )
+from asymlab.linalg import _cholesky
 from asymlab.models import MomentModel
 from asymlab.paths import LocalPath, path_distribution
 from asymlab.predict import hall_split
@@ -65,6 +65,12 @@ def mean_model():
 
 
 class TestEfficientInfluence:
+    @pytest.mark.parametrize("theta0", [[0.0, 0.0, 0.0], [], 0.0, [[0.0]]])
+    def test_theta0_of_another_shape_is_refused(self, g1, theta0):
+        # a (3,) theta0 once built a design with a (5, 1) influence
+        with pytest.raises(ShapeMismatch, match=r"expected \(1,\)"):
+            moment_design(g1.dist, g1.model, theta0)
+
     def test_g1_hand_algebra(self, g1):
         # oracle: E[grad m] = (-1, 0)', Sigma = diag(1.2, 2.16), so the
         # efficient score is x / 1.2, the information 1/1.2, the influence x
@@ -159,6 +165,16 @@ class TestEstimateGmm:
         # a (3,) start once returned three copies of the p = 1 estimate
         with pytest.raises(ShapeMismatch, match=r"expected \(1,\)"):
             estimate_gmm(draw_sample(g1.dist, 500, seed=3), g1.model, theta_init)
+
+    def test_a_rescaled_moment_leaves_the_estimate(self, g1):
+        # efficient GMM does not depend on the units of a moment; with the
+        # second scaled by 1e-7 the eigenvalue ratio of SigmaHat (about
+        # 1e-14) once refused the sample with SingularSigmaHat
+        data = count_sample(g1.dist, 1000, seed=3)
+        scaled = _rescaled(g1.model, [1.0, 1e-7])
+        want = estimate_gmm(data, g1.model, g1.theta0)
+        got = estimate_gmm(data, scaled, g1.theta0)
+        assert got.converged and abs(got.theta_hat[0] - want.theta_hat[0]) <= 1e-8
 
     def test_sigma_hat_positive_definite(self, g1):
         data = draw_sample(g1.dist, 500, seed=5)
@@ -550,6 +566,17 @@ def _flat_direction_model():
     return MomentModel(m=m, jac=jac, p=2, l=2)
 
 
+def _rescaled(model, factors):
+    """``model`` with moment j multiplied by ``factors[j]``."""
+    c = np.asarray(factors)
+    return MomentModel(
+        m=lambda t, x: model.m(t, x) * c,
+        jac=lambda t, x: model.jac(t, x) * c[:, None],
+        p=model.p,
+        l=model.l,
+    )
+
+
 def _sign_flipped(model):
     """The same moments with the Jacobian negated: every step goes uphill."""
     return MomentModel(m=model.m, jac=lambda t, x: -model.jac(t, x), p=model.p, l=model.l)
@@ -810,62 +837,6 @@ class TestNewtonOnRandomSupports:
         assert abs(r) <= 1e-13 * scale + floor
         exact = overidentified_mean_two_step(data.rows[:, 0], data.counts, v)
         assert abs(a.theta_hat[0] - exact) <= 1e-12
-
-
-class TestCholesky:
-    """``_cholesky`` against LAPACK ``dpotrf``/``dpotrs`` on the upper triangle."""
-
-    @staticmethod
-    def lapack(a, b):
-        from scipy.linalg.lapack import dpotrf, dpotrs
-
-        factor, info = dpotrf(a, lower=0)
-        return dpotrs(factor, b, lower=0)[0] if info == 0 else None
-
-    @staticmethod
-    def spd(rng, n):
-        """A random symmetric positive definite n x n matrix with condition
-        number at most 1e3 and scale between e^-5 and e^5.  Its lower
-        triangle is perturbed by 1e-9 relative, which neither solve reads."""
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        a = (q * np.exp(rng.uniform(0.0, math.log(1e3), n))) @ q.T
-        a = np.triu(a) + np.tril(a, -1) * (1.0 + 1e-9 * rng.standard_normal((n, n)))
-        return a * math.exp(rng.uniform(-5.0, 5.0))
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_matches_lapack(self, n):
-        rng = np.random.default_rng(100 + n)
-        for _ in range(200):
-            a = self.spd(rng, n)
-            for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-                got, want = _cholesky(a, b), self.lapack(a, b)
-                assert got.shape == want.shape == b.shape
-                if n == 1:
-                    assert np.array_equal(got, want)
-                else:
-                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize(
-        "a",
-        [
-            [[-1.0]],
-            [[0.0]],
-            [[1.0, 2.0], [2.0, 1.0]],  # indefinite
-            [[1.0, 1.0], [1.0, 1.0]],  # singular: its second pivot is exactly 0
-            [[3.0, 1.0], [1.0, 1.0 / 3.0]],  # singular: its second pivot is rounding noise
-            [[1.0, 0.0, 0.0], [0.0, 2.0, 2.0], [0.0, 2.0, 2.0]],
-        ],
-    )
-    def test_refuses_a_matrix_that_is_not_positive_definite(self, a):
-        a = np.array(a)
-        assert _cholesky(a, np.ones(len(a))) is None
-        assert _cholesky(a, np.eye(len(a))) is None
-
-    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 1)])
-    def test_refuses_nan(self, where):
-        a = np.array([[2.0, 0.5], [0.5, 1.0]])
-        a[where] = math.nan
-        assert _cholesky(a, np.ones(2)) is None
 
 
 def test_the_run_path_imports_no_scipy(run_python, tmp_path):

@@ -2,10 +2,12 @@
 private module-level function or class and every module-level constant is
 used somewhere in the library, every public function, class, method and
 property is used in the library or the benchmark (re-exports from
-``__init__.py`` do not count), and every error class is named outside
-``errors.py``."""
+``__init__.py`` do not count), every error class is named outside
+``errors.py``, and no module solves or inverts a matrix around
+``linalg._cholesky``."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -127,6 +129,41 @@ def unnamed_error_classes(errors_source: str, others: dict[str, str]) -> list[st
         for node in ast.parse(errors_source).body
         if isinstance(node, ast.ClassDef) and node.name not in named
     ]
+
+
+# a positive-definite solve or singularity test beside ``linalg._cholesky``
+OTHER_SOLVES = re.compile(
+    r"linalg\.(inv|pinv|solve|cholesky|lstsq)\b|eigvalsh|cho_solve|_near_singular"
+)
+
+
+def other_solves(source: str) -> list[str]:
+    """Lines of ``source`` that name a matrix solve, inverse or eigenvalue
+    test other than ``_cholesky``."""
+    return [
+        f"line {number}: {line.strip()}"
+        for number, line in enumerate(source.splitlines(), 1)
+        if OTHER_SOLVES.search(line)
+    ]
+
+
+def test_the_check_sees_another_solve():
+    source = (
+        "import numpy as np\n\n"
+        "x = np.linalg.solve(a, b)\n"
+        "y = _cholesky(a, b)\n"
+        "z = np.linalg.inv(a) @ np.linalg.eigvalsh(a)\n"
+        "q, r = np.linalg.qr(a)\n"
+    )
+    assert other_solves(source) == [
+        "line 3: x = np.linalg.solve(a, b)",
+        "line 5: z = np.linalg.inv(a) @ np.linalg.eigvalsh(a)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_positive_definite_solve_is_the_cholesky_helper(path):
+    assert other_solves(path.read_text()) == []
 
 
 def test_the_check_sees_an_unused_import():

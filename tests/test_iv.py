@@ -16,7 +16,7 @@ from oracles import (
 )
 
 from asymlab.config import build_experiment, build_instance, load_raw, validate_raw
-from asymlab.dist import Dataset, make_distribution
+from asymlab.dist import Dataset, draw_indices, make_distribution
 from asymlab.errors import (
     AsymlabError,
     NegativeSpectrumWarning,
@@ -160,6 +160,18 @@ class TestTsls:
         data, model = synthetic(X @ beta, x1, x2, z)
         est = estimate_2sls(data, model)
         assert np.max(np.abs(est.beta - beta)) < 1e-12
+
+    def test_a_rescaled_regressor_rescales_its_coefficient(self, iv1):
+        # OLS and 2SLS do not depend on the units of x1; scaled by 1e-7,
+        # X'P_Z X once failed its eigenvalue-ratio test (about 1e-14) and
+        # 2SLS raised RankDeficientFirstStage while OLS went through
+        counts = np.bincount(draw_indices(iv1.dist, 2000, 7), minlength=iv1.dist.n_atoms)
+        rows = iv1.dist.support.copy()
+        rows[:, 1] *= 1e-7
+        for estimate in (estimate_ols, estimate_2sls):
+            want = estimate(Dataset(iv1.dist.support, counts), iv1.model).beta
+            got = estimate(Dataset(rows, counts), iv1.model).beta * [1e-7, 1.0]
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
     @pytest.mark.parametrize("c", range(1, 11))
     def test_constant_instrument_refused(self, iv1, c):

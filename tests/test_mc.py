@@ -59,6 +59,12 @@ class TestConfigValidation:
                 g1_config(g1, master_seed=seed)
         assert g1_config(g1, master_seed=2**64 - 1).master_seed == 2**64 - 1
 
+    @pytest.mark.parametrize("seed", [1.7, 42.0])
+    def test_seed_that_is_not_an_integer_refused(self, g1, seed):
+        # truncated by int(), master_seed=1.7 ran seed 1's replications
+        with pytest.raises(ConfigInvalid, match="integer"):
+            g1_config(g1, master_seed=seed)
+
     def test_estimator_test_compatibility(self, g1, iv1):
         with pytest.raises(ConfigInvalid):
             g1_config(g1, estimators=("ols",))

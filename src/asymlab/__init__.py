@@ -16,13 +16,7 @@ from .dist import (
     replication_seed,
     same_distribution,
 )
-from .gmm import (
-    GmmEstimate,
-    estimate_gmm,
-    j_statistic,
-    kl_projection,
-    population_dataset,
-)
+from .gmm import GmmEstimate, estimate_gmm, kl_projection, population_dataset
 from .instances import (
     GmmInstance,
     IvInstance,

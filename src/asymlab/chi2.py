@@ -16,6 +16,8 @@ is absolute: each central CDF in the mixture is 1 - Q, so a noncentral CDF
 below about 1e-16 reads 0.  Below its mean the central CDF is the lower
 series of P = 1 - Q, accurate relative to P, and so are its quantiles, which
 come from bisection on this CDF, one source of truth for sizes and powers.
+A ``TestStatistic`` with no degrees of freedom never rejects; whether a
+configured test has any is for the population design (``PopulationDesign.dof``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DegenerateDof, DomainError
+from .errors import DomainError
 
 _POISSON_TAIL = 1e-14
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -161,13 +163,7 @@ class TestStatistic:
         if self.value < 0 or self.dof < 0:
             raise ValueError(f"need value >= 0 and dof >= 0, got {self.value}, {self.dof}")
 
-    def critical_value(self, alpha: float) -> float:
-        if self.dof == 0:
-            raise DegenerateDof("test has zero degrees of freedom")
-        return chisq_quantile(self.dof, 1.0 - alpha)
-
     def reject(self, alpha: float) -> bool:
-        """True when the statistic exceeds the central upper-alpha quantile."""
-        if self.dof == 0:
-            return False
-        return self.value > self.critical_value(alpha)
+        """True when the statistic exceeds the central upper-alpha quantile; a
+        statistic with no degrees of freedom never rejects."""
+        return self.dof > 0 and self.value > chisq_quantile(self.dof, 1.0 - alpha)

@@ -4,11 +4,14 @@ The schema is versioned and closed: a top-level ``"schema": 1`` is required
 and unknown keys anywhere are rejected, because a silently ignored typo in
 an experiment file is the main reproducibility hazard.  Overrides
 (``key.path=value``) are merged into the raw document before validation.
+Every parse passes ``_finite_number`` as its constant and float hook, so the
+NaN and Infinity that Python's parser accepts, and 1e999, are refused.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .dist import make_distribution
 from .errors import AsymlabError, ConfigInvalid
@@ -44,10 +47,17 @@ _RUN_KEYS = ("n", "reps", "alpha", "seed", "estimators", "tests")
 _NUMBER_KEYS = {"n": int, "reps": int, "seed": int, "alpha": (int, float)}
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigInvalid(f"{text} is not a finite number: config numbers must be finite")
+    return value
+
+
 def load_raw(path) -> dict:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_finite_number, parse_float=_finite_number)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -69,7 +79,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
             raise ConfigInvalid(f"override {item!r} is not of the form key=value")
         dotted, text = item.split("=", 1)
         try:
-            value = json.loads(text)
+            value = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
         except json.JSONDecodeError:
             value = text
         node = raw

@@ -46,10 +46,6 @@ class RankDeficientJacobian(AsymlabError):
     """The mean moment Jacobian does not have full column rank."""
 
 
-class DegenerateDof(AsymlabError):
-    """A chi-square test was requested with zero degrees of freedom."""
-
-
 class Infeasible(AsymlabError):
     """Zero is not interior to the convex hull of the moment values."""
 

@@ -1,4 +1,4 @@
-"""Two-step GMM estimation, the overidentification statistic, and the
+"""Two-step GMM estimation with its overidentification test, and the
 information-projection of a reference distribution onto a moment constraint set.
 
 A sample is a ``Dataset``: rows with integer counts, most cheaply the
@@ -31,7 +31,6 @@ import numpy as np
 from .chi2 import TestStatistic
 from .dist import Dataset, DiscreteDistribution, make_distribution
 from .errors import (
-    DegenerateDof,
     Infeasible,
     NoConvergence,
     RankDeficientJacobian,
@@ -60,7 +59,8 @@ CONVERGED_REASONS = frozenset({FIRST_ORDER, STEP, DECREMENT})
 
 @dataclass(frozen=True)
 class GmmEstimate:
-    """Result of two-step GMM: parameter, moment variance, information, J value.
+    """Result of two-step GMM: parameter, moment variance, information, and
+    ``j``, Hansen's (1982) overidentification test with l - p dof.
 
     ``stop_reasons`` says why step one and step two stopped, each one of
     the reason strings of this module; ``converged`` holds when both are in
@@ -71,12 +71,9 @@ class GmmEstimate:
     theta_hat: np.ndarray
     sigma_hat: np.ndarray
     info_hat: np.ndarray
-    j_stat: float
+    j: TestStatistic
     converged: bool
     iterations: int
-    n: int
-    l: int
-    p: int
     stop_reasons: tuple[str, str]
 
 
@@ -207,20 +204,20 @@ def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
     """Classic two-step GMM.
 
     Step one minimizes the identity-weighted moment norm from ``theta_init``,
-    which must have shape (p,) (else ``ShapeMismatch``);
-    the moment variance is estimated there and held fixed while step two
-    minimizes the efficiently weighted objective from the step-one
-    estimate.  Both steps run ``_newton``, which hands back the moments and
-    the Jacobian evaluation at its minimiser: step two starts from them, and
-    neither is evaluated again, so an estimate makes ``iterations + 1``
-    Jacobian calls.  The overidentification value n * mbar' SigmaHat^{-1}
-    mbar is computed with the same fixed weight.  SigmaHat and the sample
-    information are refused (``SingularSigmaHat``, ``RankDeficientJacobian``)
-    when ``_cholesky``, which also forms the weight, does not factor them: the
-    rule every positive-definite system in the library is held to.  A failed
-    line search, a normal matrix that is not positive definite or the
-    iteration cap yields ``converged=False`` rather than an exception;
-    ``stop_reasons`` records which.
+    which must have shape (p,) (else ``ShapeMismatch``); the moment variance
+    is estimated there and held fixed while step two minimizes the
+    efficiently weighted objective from the step-one estimate.  Both steps
+    run ``_newton``, which hands back the moments and the Jacobian evaluation
+    at its minimiser: step two starts from them, and neither is evaluated
+    again, so an estimate makes ``iterations + 1`` Jacobian calls.  The J
+    test, n * mbar' SigmaHat^{-1} mbar (at least 0) with the same fixed
+    weight, has l - p dof (none, never rejecting, at l = p).  SigmaHat and
+    the sample information are refused (``SingularSigmaHat``,
+    ``RankDeficientJacobian``) when ``_cholesky``, which also forms the
+    weight, does not factor them: the rule every positive-definite system in
+    the library is held to.  A failed line search, a normal matrix that is
+    not positive definite or the iteration cap yields ``converged=False``
+    rather than an exception; ``stop_reasons`` records which.
     """
     theta_init = np.array(theta_init, dtype=float)
     if theta_init.shape != (model.p,):
@@ -238,7 +235,7 @@ def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
     weight = 0.5 * (weight + weight.T)
     second = _newton(model, pts, w, weight, first.theta, first.m_vals, first.jac)
     mbar, gbar = second.mbar, second.jac[0]
-    j_stat = float(data.n * mbar @ weight @ mbar)
+    j_value = float(data.n * mbar @ weight @ mbar)
     info_hat = gbar.T @ weight @ gbar
     info_hat = 0.5 * (info_hat + info_hat.T)
     if _cholesky(info_hat, np.eye(model.p)) is None:
@@ -247,24 +244,11 @@ def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
         theta_hat=second.theta,
         sigma_hat=sigma_hat,
         info_hat=info_hat,
-        j_stat=max(j_stat, 0.0),
+        j=TestStatistic(value=max(j_value, 0.0), dof=model.l - model.p),
         converged=first.reason in CONVERGED_REASONS and second.reason in CONVERGED_REASONS,
         iterations=first.steps + second.steps,
-        n=data.n,
-        l=model.l,
-        p=model.p,
         stop_reasons=(first.reason, second.reason),
     )
-
-
-def j_statistic(data: Dataset, model: MomentModel, est: GmmEstimate) -> TestStatistic:
-    """Overidentification test with l - p degrees of freedom."""
-    if est.l != model.l or est.p != model.p or est.n != data.n:
-        raise ValueError("estimate does not match the supplied data and model")
-    dof = model.l - model.p
-    if dof == 0:
-        raise DegenerateDof("just-identified model: the J statistic has 0 dof")
-    return TestStatistic(value=est.j_stat, dof=dof)
 
 
 # --- information projection -----------------------------------------------------

@@ -6,15 +6,16 @@ no matter how replications would be scheduled; replications are executed
 sequentially here.  Every replication's sample, GMM or IV, is the count
 vector of its draws over the support (a sufficient statistic on a finite
 support for every estimator and test run here).  Its estimates and test
-results fill one row of the run's record, from which both the summary and
-the raw CSV are read.  Replications whose estimator fails are counted and
-excluded from the moments, never retried (retrying would distort the
-sampling distribution).
+results (GMM's J test is ``GmmEstimate.j``) fill one row of the run's record,
+from which both the summary and the raw CSV are read.  Replications whose
+estimator fails are counted and excluded from the moments, never retried
+(retrying would distort the sampling distribution).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .dist import Dataset, DiscreteDistribution, _checked_seed, draw_indices, replication_seed
 from .errors import AsymlabError, ConfigInvalid, NoConvergence, ShapeMismatch, TooManyFailures
-from .gmm import estimate_gmm, j_statistic
+from .gmm import estimate_gmm
 from .instances import GmmInstance, Instance
 from .iv import dwh_statistic, estimate_2sls, estimate_ols
 from .paths import LocalPath, path_distribution
@@ -34,7 +35,8 @@ Z_PASS_BOUND = 4.0  # family-wise slack for dozens of simultaneous checks
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment, refused on construction
+    (``ConfigInvalid``) where it could not run, as where a test has no dof."""
 
     instance: Instance
     score: ScoreFunction
@@ -46,6 +48,12 @@ class ExperimentConfig:
     tests: tuple[str, ...]
 
     def __post_init__(self):
+        for key in ("n", "reps"):
+            value = getattr(self, key)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ConfigInvalid(f"{key} must be an integer, got {value!r}") from None
         if self.n < 50:
             raise ConfigInvalid(f"need n >= 50, got {self.n}")
         if self.reps < 100:
@@ -65,10 +73,11 @@ class ExperimentConfig:
         bad = set(self.tests) - set(inst.tests)
         if bad:
             raise ConfigInvalid(f"tests {sorted(bad)} unavailable for a {kind} instance")
-        if kind == "gmm" and "j" in self.tests and inst.model.l == inst.model.p:
-            raise ConfigInvalid("the overidentification test is degenerate when l == p")
+        design = inst.design  # derived once, here; a design refused keeps its named error
         try:
-            _require_same_dist(self.instance.dist, self.score)
+            _require_same_dist(inst.dist, self.score)
+            for name in self.tests:
+                design.dof(name)
         except AsymlabError as exc:
             raise ConfigInvalid(str(exc)) from None
 
@@ -153,15 +162,14 @@ def _replication(config: ExperimentConfig, sample: Dataset) -> np.ndarray:
         est = estimate_gmm(sample, inst.model, inst.theta0)
         if not est.converged:
             raise NoConvergence(f"two-step GMM stopped on {est.stop_reasons}")
-        estimates = {"gmm": est.theta_hat}
-        stat = j_statistic(sample, inst.model, est) if config.tests else None
+        estimates, stat = {"gmm": est.theta_hat}, est.j
     else:
         ols = estimate_ols(sample, inst.model)
         tsls = estimate_2sls(sample, inst.model)
         estimates = {"ols": ols.beta, "tsls": tsls.beta}
         stat = dwh_statistic(sample, ols, tsls) if config.tests else None
     row = [estimates[name] for name in config.estimators]
-    if stat is not None:  # an instance kind has one test
+    if config.tests:  # an instance kind has one test
         row.append([stat.value, stat.dof, stat.reject(config.alpha)])
     return np.concatenate(row)
 

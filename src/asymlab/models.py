@@ -102,8 +102,8 @@ class IVModel:
         beta = np.asarray(self.beta0, dtype=float)
         if beta.shape != (k1 + k2,):
             raise ShapeMismatch(f"beta0 has shape {beta.shape}, expected ({k1 + k2},)")
-        if not self.sigma0_sq > 0:
-            raise ValueError(f"sigma0_sq must be positive, got {self.sigma0_sq}")
+        if not 0.0 < self.sigma0_sq < np.inf:  # inf would pass any relative tolerance
+            raise ValueError(f"sigma0_sq must be positive and finite, got {self.sigma0_sq}")
         object.__setattr__(self, "beta0", beta)
         # Z = (z1, x2) in the row layout (y, x1, x2, z1)
         object.__setattr__(

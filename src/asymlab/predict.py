@@ -100,8 +100,8 @@ def build_prediction(
     for name in tests:
         if name not in design.statistic:
             raise ShapeMismatch(f"test {name!r} does not apply to a {instance.kind} instance")
-        mu = design.drift(name, g)
-        ncp, dof = float(mu @ mu), mu.size
+        dof, mu = design.dof(name), design.drift(name, g)
+        ncp = float(mu @ mu)
         test_preds[name] = TestPrediction(dof, ncp, local_power(dof, ncp, alpha))
     report = decompose_score(instance, g)
     decomposition = {

@@ -74,6 +74,8 @@ class ScoreFunction:
             raise DistributionMismatch(
                 f"score has {v.shape} values for {self.dist.n_atoms} support points"
             )
+        if not np.isfinite(v).all():
+            raise ValueError(f"score values must be finite, got {v[~np.isfinite(v)][0]}")
         mean = expectation(self.dist, v)
         scale = max(1.0, float(np.max(np.abs(v))))
         if abs(mean) > MEAN_ZERO_TOL * scale:
@@ -250,6 +252,14 @@ class PopulationDesign:
         _require_same_dist(self.dist, g)
         return expectation(self.dist, self.influence[estimator] * g.values[:, None])
 
+    def dof(self, test: str) -> int:
+        """k, the dimension of the test's statistic basis; ``ShapeMismatch`` when
+        0, where the test cannot be run (J with l = p, DWH where 2SLS is OLS)."""
+        k = self.statistic[test].dim
+        if k == 0:
+            raise ShapeMismatch(f"the {test} test has no degrees of freedom on this instance")
+        return k
+
     def drift(self, test: str, g: ScoreFunction) -> np.ndarray:
         """mu (k,), the test's limit drift along ``g``: g's coordinates on
         its statistic basis (noncentrality |mu|^2, dof k)."""
@@ -363,11 +373,12 @@ def _null_cells(dist: DiscreteDistribution, model: IVModel, tol: float) -> tuple
     cell, count = _row_groups(dist.support[:, 1:])
     mass, m1, m2 = (np.bincount(cell, dist.probs * v, count) for v in (1.0, e, e * e))
     m1, m2 = m1 / mass, m2 / mass
-    bad = (np.abs(m1) > tol) | (np.abs(m2 - model.sigma0_sq) > tol * max(1.0, model.sigma0_sq))
-    if bad.any():
-        c = int(np.argmax(bad))
+    tol_m2 = tol * max(1.0, model.sigma0_sq)
+    good = (np.abs(m1) <= tol) & (np.abs(m2 - model.sigma0_sq) <= tol_m2)
+    if not good.all():  # a NaN moment is a violation too
+        c = int(np.argmin(good))
         at = f"(x1, x2, z1) = {tuple(dist.support[cell == c][0, 1:].tolist())}"
-        if abs(m1[c]) > tol:
+        if not abs(m1[c]) <= tol:
             raise NullModelViolated(f"E[e | {at}] = {m1[c]:.3e} != 0")
         raise NullModelViolated(f"E[e^2 | {at}] = {m2[c]:.6g} != sigma0^2 = {model.sigma0_sq}")
     return cell, e

@@ -20,7 +20,7 @@ from asymlab.config import (
     prediction_fields,
     validate_raw,
 )
-from asymlab.errors import AsymlabError, ConfigInvalid
+from asymlab.errors import AsymlabError, ConfigInvalid, ShapeMismatch
 from asymlab.instances import iv1_instance
 from asymlab.iv import estimate_ols
 from asymlab.mc import ComparisonEntry, ComparisonReport, compare_to_theory, run_experiment
@@ -189,6 +189,27 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "alpha = 1e-300" in err
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("command", ["predict", "decompose"])
+    def test_non_finite_numbers_are_refused_by_name(self, tmp_path, capsys, command, constant):
+        # a G1 score of [NaN, 0, 0, 0, 0] once made decompose print NaN and
+        # exit 0; an inline IV1 with beta0 [NaN, 0] passed the null-model
+        # check and predict died in numpy's "SVD did not converge"
+        score = minimal_config()["score"]
+        score["values"][0] = constant
+        doc = inline_config("iv")
+        doc["instance"]["model"]["beta0"][0] = constant
+        for config in (minimal_config(score=score), doc):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config).replace(f'"{constant}"', constant))
+            assert execute([command, "--config", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: {constant} ")
+        override = f"score.values=[{constant}, 0, 0, 0, 0]"
+        code = execute([command, "--config", str(CONFIG_DIR / "g1_perp.json"), "--set", override])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {constant} ")
+
     def test_override_injecting_unknown_key_is_caught(self):
         raw = minimal_config()
         apply_overrides(raw, ["instants=G1"])
@@ -201,6 +222,50 @@ class TestShippedConfigs:
         for name in ("g1_perp", "g1_tangent", "iv1_bias_equal", "iv1_power"):
             raw = validate_raw(load_raw(CONFIG_DIR / f"{name}.json"))
             build_experiment(raw)
+
+
+def no_dof_config(test):
+    """A config whose one test has no degrees of freedom on its instance: the
+    j test of a just-identified linear IV moment model (dims [1, 0, 1]), or
+    the dwh test of an IV design whose x1 is its own instrument (2SLS is
+    OLS, so the DWH basis is empty)."""
+    if test == "j":
+        rows = [[0.5 * z + e, z, z] for z in (-1.0, 1.0) for e in (-1.0, 1.0)]
+        model = {"name": "linear_iv_moments", "dims": [1, 0, 1]}
+        instance = {"kind": "gmm", "model": model, "theta0": [0.5]}
+        probs, estimators = [0.25] * 4, ["gmm"]
+    else:
+        rows = [[0.7 * z + 0.3 + e, z, 1.0, z] for z in (-1.0, 0.5, 2.0) for e in (-1.0, 1.0)]
+        model = {"beta0": [0.7, 0.3], "sigma0_sq": 1.0, "dims": [1, 1, 1]}
+        instance = {"kind": "iv", "model": model}
+        probs, estimators = [0.1, 0.1, 0.15, 0.15, 0.25, 0.25], ["ols", "tsls"]
+    instance["distribution"] = {"support": rows, "probs": probs}
+    score = {"kind": "values", "values": [0.0] * len(rows)}
+    return minimal_config(instance=instance, score=score, estimators=estimators, tests=[test])
+
+
+class TestTestsWithNoDegreesOfFreedom:
+    # predict once died in chi2's "need k >= 1" on both, and run accepted the
+    # dwh case; each is now refused by name
+    @pytest.mark.parametrize("test", ["j", "dwh"])
+    def test_library_refuses_by_name(self, test):
+        raw = validate_raw(no_dof_config(test))
+        message = f"the {test} test has no degrees of freedom on this instance"
+        with pytest.raises(ConfigInvalid, match=message):
+            build_experiment(raw)
+        instance, score = build_instance_and_score(raw)
+        with pytest.raises(ShapeMismatch, match=message):
+            build_prediction(instance, score, raw["estimators"], [test], 0.05)
+        assert build_prediction(instance, score, raw["estimators"], [], 0.05).tests == {}
+
+    @pytest.mark.parametrize("command", ["predict", "run"])
+    @pytest.mark.parametrize("test", ["j", "dwh"])
+    def test_cli_refuses_by_name(self, tmp_path, capsys, command, test):
+        path = write_config(tmp_path, no_dof_config(test))
+        assert execute([command, "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: the {test} test has no degrees of freedom on this instance\n"
 
 
 class TestCliCommands:

@@ -23,7 +23,6 @@ from asymlab.dist import (
     replication_seed,
 )
 from asymlab.errors import (
-    DegenerateDof,
     Infeasible,
     MomentNotSatisfied,
     RankDeficientJacobian,
@@ -35,7 +34,6 @@ from asymlab.gmm import (
     _jacobians,
     _newton,
     estimate_gmm,
-    j_statistic,
     kl_projection,
     population_dataset,
 )
@@ -126,13 +124,13 @@ class TestEstimateGmm:
         est = estimate_gmm(data, g1.model, np.array([0.6]))
         assert est.converged
         assert abs(est.theta_hat[0]) < 1e-8
-        assert est.j_stat < 1e-12
+        assert est.j.value < 1e-12
 
     def test_just_identified_equals_sample_mean(self, g1):
         data = draw_sample(g1.dist, 200, seed=11)
         est = estimate_gmm(data, mean_model(), np.array([0.3]))
         assert est.theta_hat[0] == pytest.approx(float(np.mean(data.rows)), abs=1e-10)
-        assert est.j_stat < 1e-10
+        assert est.j.value < 1e-10
 
     def test_null_sampling_distribution(self, g1):
         # oracle: chi-square(1) has mean one under the null; the scaled
@@ -143,7 +141,7 @@ class TestEstimateGmm:
             data = draw_sample(g1.dist, n, seed=42 + rep)
             est = estimate_gmm(data, g1.model, g1.theta0)
             assert est.converged
-            j_values.append(est.j_stat)
+            j_values.append(est.j.value)
             devs.append(math.sqrt(n) * est.theta_hat[0])
         assert abs(np.mean(j_values) - 1.0) < 4.0 * math.sqrt(2.0 / reps)
         assert abs(np.mean(devs)) < 4.0 * math.sqrt(1.2 / reps)
@@ -213,29 +211,19 @@ class TestEstimateGmm:
 
 
 class TestJStatistic:
-    def test_degenerate_dof_refused(self, g1):
+    def test_just_identified_has_no_dof_and_never_rejects(self, g1):
         data = draw_sample(g1.dist, 100, seed=2)
         est = estimate_gmm(data, mean_model(), np.array([0.0]))
-        with pytest.raises(DegenerateDof):
-            j_statistic(data, mean_model(), est)
+        assert est.j.dof == 0 and not est.j.reject(0.05)
 
     def test_dof_is_overidentification_count(self, g1):
         data = draw_sample(g1.dist, 100, seed=3)
-        est = estimate_gmm(data, g1.model, g1.theta0)
-        assert j_statistic(data, g1.model, est).dof == 1
+        assert estimate_gmm(data, g1.model, g1.theta0).j.dof == 1
 
     def test_population_data_never_rejects(self, g1):
         data = population_dataset(g1.dist, 10)
         est = estimate_gmm(data, g1.model, g1.theta0)
-        stat = j_statistic(data, g1.model, est)
-        assert not stat.reject(0.05)
-
-    def test_estimate_must_match_data(self, g1):
-        data = draw_sample(g1.dist, 100, seed=3)
-        est = estimate_gmm(data, g1.model, g1.theta0)
-        other = draw_sample(g1.dist, 120, seed=3)
-        with pytest.raises(ValueError):
-            j_statistic(other, g1.model, est)
+        assert not est.j.reject(0.05)
 
 
 class TestKlProjection:
@@ -610,7 +598,7 @@ class TestStopReasons:
         # the first-order test from passing, and the search ends after its
         # FINAL_STEPS unsearched Newton steps
         est = estimate_gmm(count_sample(g1.dist, 100, seed=71), g1.model, g1.theta0)
-        assert est.j_stat < 1e-5
+        assert est.j.value < 1e-5
         assert est.stop_reasons == (gmm.DECREMENT, gmm.DECREMENT)
         assert est.converged
 
@@ -772,7 +760,7 @@ class TestExactTwoStep:
         data = g1_perp_sample(7, 411)
         est = estimate_gmm(data, g1.model, g1.theta0)
         exact = overidentified_mean_two_step(data.rows[:, 0], data.counts, G1_V)
-        assert est.j_stat > 20.0
+        assert est.j.value > 20.0
         assert abs(est.theta_hat[0] - exact) <= 1e-12
 
     def test_two_starts_give_the_same_estimate(self, g1, g1_perp_sample):

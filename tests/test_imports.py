@@ -3,8 +3,8 @@ private module-level function or class and every module-level constant is
 used somewhere in the library, every public function, class, method and
 property is used in the library or the benchmark (re-exports from
 ``__init__.py`` do not count), every error class is named outside
-``errors.py``, and no module solves or inverts a matrix around
-``linalg._cholesky``."""
+``errors.py``, no module solves or inverts a matrix around
+``linalg._cholesky``, and every JSON parse refuses non-finite numbers."""
 
 import ast
 import re
@@ -164,6 +164,52 @@ def test_the_check_sees_another_solve():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_positive_definite_solve_is_the_cholesky_helper(path):
     assert other_solves(path.read_text()) == []
+
+
+# the hook with which ``config`` refuses NaN, Infinity and overflowing numbers
+STRICT_JSON_HOOKS = {"parse_constant": "_finite_number", "parse_float": "_finite_number"}
+
+
+def lax_json_parses(source: str) -> list[str]:
+    """Calls of ``json.load`` or ``json.loads`` in ``source`` that do not pass
+    the strict hook by keyword, as both the constant and the float hook, and
+    imports of those functions from ``json``, which would let a call go
+    unseen."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            names = [alias.name for alias in node.names if alias.name in ("load", "loads")]
+            found += [f"line {node.lineno}: from json import {name}" for name in names]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            if func.attr in ("load", "loads") and getattr(func.value, "id", None) == "json":
+                hooks = {kw.arg: getattr(kw.value, "id", None) for kw in node.keywords}
+                if any(hooks.get(key) != hook for key, hook in STRICT_JSON_HOOKS.items()):
+                    found.append(f"line {node.lineno}: json.{func.attr}")
+    return found
+
+
+def test_the_check_sees_a_lax_json_parse():
+    source = (
+        "import json\n"
+        "from json import loads\n\n"
+        "a = json.load(fh, parse_constant=_finite_number, parse_float=_finite_number)\n"
+        "b = json.loads(text)\n"
+        "c = json.loads(text, parse_constant=_finite_number)\n"
+        "d = json.loads(text, parse_constant=print, parse_float=_finite_number)\n"
+        "e = json.dumps(a)\n"
+    )
+    assert lax_json_parses(source) == [
+        "line 2: from json import loads",
+        "line 5: json.loads",
+        "line 6: json.loads",
+        "line 7: json.loads",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_json_parse_refuses_non_finite_numbers(path):
+    assert lax_json_parses(path.read_text()) == []
 
 
 def test_the_check_sees_an_unused_import():

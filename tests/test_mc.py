@@ -65,6 +65,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match="integer"):
             g1_config(g1, master_seed=seed)
 
+    @pytest.mark.parametrize("field, value", [("n", 1000.5), ("reps", 150.5), ("n", "1000")])
+    def test_n_and_reps_must_be_integers(self, g1, field, value):
+        # n = 1000.5 once passed and every replication died in numpy's
+        # TypeError, outside the failure accounting; reps = 150.5 in range()
+        with pytest.raises(ConfigInvalid, match=f"{field} must be an integer"):
+            replace(g1_config(g1), **{field: value})
+        assert getattr(replace(g1_config(g1), **{field: np.int64(200)}), field) == 200
+
     def test_estimator_test_compatibility(self, g1, iv1):
         with pytest.raises(ConfigInvalid):
             g1_config(g1, estimators=("ols",))
@@ -101,7 +109,7 @@ class TestConfigValidation:
             model=MomentModel(m=m, jac=jac, p=1, l=1),
             theta0=np.array([0.0]),
         )
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ConfigInvalid, match="the j test has no degrees of freedom"):
             ExperimentConfig(
                 flat,
                 ScoreFunction(g1.dist, np.zeros(5)),

@@ -18,6 +18,7 @@ from asymlab.errors import (
     DistributionMismatch,
     MomentNotSatisfied,
     NullModelViolated,
+    SingularInstrumentGram,
     SingularSigma,
 )
 from asymlab.instances import (
@@ -80,6 +81,13 @@ class TestInnerProduct:
     def test_score_must_be_mean_zero(self, g1):
         with pytest.raises(ValueError):
             ScoreFunction(g1.dist, np.ones(5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_score_must_be_finite(self, g1, bad):
+        # a NaN mean once passed the mean-zero check, and NaN scores reached
+        # every prediction
+        with pytest.raises(ValueError, match="finite"):
+            ScoreFunction(g1.dist, [bad, 0.0, 0.0, 0.0, 0.0])
 
 
 class TestOrthonormalBasis:
@@ -245,6 +253,18 @@ def iv_grid_design(seed, z_counts, w_count, zero_level=False):
     return np.array(rows), np.repeat(cells, 2), bump, model
 
 
+def refused(rows, weights, model) -> bool:
+    """Whether ``iv_design`` refuses the grid design: two nearly equal levels
+    of an instrument make E[ZZ'] singular to its Cholesky rule
+    (``test_nearly_equal_instrument_levels_are_refused``).  The strategies
+    below skip such a design."""
+    try:
+        iv_design(make_distribution(rows, weights), model)
+    except SingularInstrumentGram:
+        return True
+    return False
+
+
 @st.composite
 def random_instances(draw):
     """A builder of a random instance from its probabilities, the
@@ -274,6 +294,7 @@ def random_instances(draw):
     else:
         z_counts = [draw(st.integers(2, 4)) for _ in range(draw(st.integers(1, 2)))]
         rows, weights, bump, model = iv_grid_design(seed, z_counts, draw(st.integers(2, 4)))
+        assume(not refused(rows, weights, model))
 
         def make(w):
             return IvInstance(name="random", dist=make_distribution(rows, w), model=model)
@@ -572,6 +593,20 @@ class TestIvTangentBases:
         with pytest.raises(NullModelViolated):
             iv_design(skewed, iv1.model)
 
+    def test_non_finite_conditional_moment_is_a_violation(self, iv1):
+        # NaN errors once passed the check, which compared with ">", and the
+        # design then died in numpy's "SVD did not converge"
+        model = IVModel(beta0=np.array([math.nan, 0.0]), sigma0_sq=1.0, dims=iv1.model.dims)
+        with pytest.raises(NullModelViolated, match="nan"):
+            check_iv_null_model(iv1.dist, model)
+
+    @pytest.mark.parametrize("sigma0_sq", [math.inf, math.nan, 0.0])
+    def test_error_variance_must_be_positive_and_finite(self, iv1, sigma0_sq):
+        # an infinite sigma0^2 once passed the null-model check on IV1, whose
+        # E[e^2 | cell] is 1, because |1 - inf| <= 1e-10 * inf
+        with pytest.raises(ValueError, match="positive and finite"):
+            IVModel(beta0=iv1.model.beta0, sigma0_sq=sigma0_sq, dims=iv1.model.dims)
+
     def test_negative_zero_stays_in_its_cell(self, iv1):
         # x1 = -0.0 on one atom of an x1 = 0 cell: the same cells, the same
         # null model and the same prediction as IV1
@@ -591,6 +626,14 @@ class TestIvTangentBases:
         dist = make_distribution(rows, [0.1, 0.1, 0.15, 0.15, 0.25, 0.25])
         design = iv_design(dist, IVModel(beta0=np.array([0.7, 0.3]), sigma0_sq=1.0, dims=(1, 1, 1)))
         assert design.statistic["dwh"].dim == 0
+
+    def test_nearly_equal_instrument_levels_are_refused(self):
+        # levels -0.11049085 and -0.11049072: cond(E[ZZ']) = 2.6e14
+        rows, weights, _, model = iv_grid_design(167771629, [2], 2)
+        assert np.ptp(np.unique(rows[:, 3])) < 2e-7
+        with pytest.raises(SingularInstrumentGram, match="E\\[ZZ'\\] is singular"):
+            iv_design(make_distribution(rows, weights), model)
+        assert refused(rows, weights, model)
 
     def test_wrong_sigma_rejected(self, iv1):
         model = IVModel(beta0=iv1.model.beta0, sigma0_sq=2.0, dims=iv1.model.dims)
@@ -714,6 +757,25 @@ def prediction_numbers(instance, g):
     return np.concatenate([*pred.biases.values(), ncps, list(pred.decomposition.values())])
 
 
+# cond(E[XZ'] E[ZZ']^{-1} E[ZX']) up to which an absolute 1e-12 bounds the
+# rounding of the prediction numbers of a permuted instance (of size <= 1)
+PERMUTATION_COND = 1e3
+
+
+def permutation_bound(instance, numbers):
+    """How far ``prediction_numbers`` may move when the atoms are permuted:
+    1e-12, scaled up by the numbers' size and, on an IV instance, by the
+    condition number of 2SLS's normal matrix over ``PERMUTATION_COND``.  The
+    2SLS bias rounds by about eps times both: on 7500 generated IV designs
+    the gap stayed below 0.16 times this bound, and on 3000 moment instances
+    below 3.2e-14."""
+    scale = max(1.0, np.max(np.abs(numbers)))
+    if instance.kind == "iv":
+        _, exz, ezz = iv_population_matrices(instance.dist, instance.model)
+        scale *= max(1.0, np.linalg.cond(exz @ np.linalg.solve(ezz, exz.T)) / PERMUTATION_COND)
+    return 1e-12 * scale
+
+
 def efficient_influence_of(instance):
     """The influence functions of the estimator efficient under the null model."""
     influence = instance.design.influence[instance.estimators[0]]  # GMM or OLS
@@ -729,6 +791,7 @@ def signed_zero_iv_designs(draw):
     z_counts = [draw(st.integers(2, 4)) for _ in range(draw(st.integers(1, 2)))]
     seed = draw(st.integers(0, 2**32 - 1))
     rows, weights, _, model = iv_grid_design(seed, z_counts, draw(st.integers(2, 3)), True)
+    assume(not refused(rows, weights, model))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     signed = rows.copy()
     zeros = np.flatnonzero(rows[:, 3] == 0.0)
@@ -786,7 +849,8 @@ class TestInvariantsOnGeneratedInstances:
         perm = rng.permutation(instance.dist.n_atoms)
         shuffled = permuted(instance, perm)
         moved = prediction_numbers(shuffled, ScoreFunction(shuffled.dist, g.values[perm]))
-        assert np.max(np.abs(moved - prediction_numbers(instance, g))) <= 1e-12
+        numbers = prediction_numbers(instance, g)
+        assert np.max(np.abs(moved - numbers)) <= permutation_bound(instance, numbers)
 
     @settings(max_examples=40, deadline=None)
     @given(case=signed_zero_iv_designs(), seed=st.integers(0, 2**32 - 1))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -167,8 +168,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_check_path(args) -> int:
     raw = _load(args)
     instance, score = cfg.build_instance_and_score(raw)
-    if not 0 < args.ratio < 1 or args.t0 <= 0 or args.count < 1:
-        raise ConfigInvalid("need t0 > 0, 0 < ratio < 1, count >= 1")
+    if not (0 < args.ratio < 1 and 0 < args.t0 < math.inf) or args.count < 1:
+        raise ConfigInvalid("need finite t0 > 0, 0 < ratio < 1, count >= 1")
     path = LocalPath(instance.dist, score)
     lines = ["t,residual"]
     t = args.t0

@@ -3,9 +3,10 @@ the three-way split of a score.
 
 Each instance holds one population design (``design``), derived with all of
 its checks on first use; predictions, score splits and tangent bases read it.
-The tangent bases come from a Householder QR of the few functions that span
-each orthocomplement (``scores._split_span``), so a basis vector, and a
-score given by basis coefficients, is the same under any BLAS thread count.
+The tangent bases and a score's split come from the same Householder QR of
+the few functions that span each orthocomplement (``scores._split_span``),
+so a basis vector, and a score given by basis coefficients, is the same
+under any BLAS thread count.
 
 Two built-ins cover the full verification surface:
 
@@ -166,18 +167,19 @@ def instance_by_name(name: str) -> Instance:
 def tangent_bases(instance: Instance) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis]:
     """(T, T_perp, M_perp) for a moment instance, M_perp empty because the
     maintained model is everything; (T, T_perp_cap_M, M_perp) for an IV
-    one: built from the small side on the first call and held on the
-    instance's design.  Only a score given by basis coefficients needs them."""
+    one: built from the design's two small spans on the first call and held
+    on the design.  Only a score given by basis coefficients needs them."""
     return instance.design.bases
 
 
 def decompose_score(instance: Instance, g: ScoreFunction) -> DecompositionReport:
     """Split ``g`` into its parts in T, in T_perp_cap_M and in M_perp.
 
-    p = P_{T_perp} g and pi_Mperp = P_{M_perp} g are read from the small side
-    of each split (``orthocomplement_parts`` of the instance's design);
-    pi_TperpM = p - pi_Mperp and pi_T = g - p.  Each variance is taken from
-    its own part, so an empty part reads at rounding level.
+    p = P_{T_perp} g and pi_Mperp = P_{M_perp} g are projections on the
+    design's two small spans (``orthocomplement_parts``), the same ones its
+    ``bases`` are built from; pi_TperpM = p - pi_Mperp and pi_T = g - p.
+    Each variance is taken from its own part, so an empty part reads at
+    rounding level.
     """
     dist = instance.dist
     _require_same_dist(dist, g)

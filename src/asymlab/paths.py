@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import DiscreteDistribution, make_distribution
-from .errors import PositivityViolated
+from .errors import DomainError, PositivityViolated
 from .scores import ScoreFunction, _require_same_dist
 
 TILTS = ("exponential", "linear")
@@ -44,21 +44,29 @@ class LocalPath:
 
 
 def path_distribution(path: LocalPath, t: float) -> DiscreteDistribution:
-    """The distribution at parameter ``t`` along the path."""
+    """The distribution at parameter ``t`` along the path; ``DomainError``
+    where the tilted weights are not finite (an overflowing exponential
+    tilt, or a non-finite t)."""
     if t < 0:
         raise ValueError(f"path parameter must be >= 0, got {t}")
     if t == 0.0:
         return path.base
     g = path.score.values
-    if path.tilt == "exponential":
-        weights = path.base.probs * np.exp(t * g)
-    else:
-        factors = 1.0 + t * g
-        if np.min(factors) <= 0.0 or t >= path.positivity_bound:
-            raise PositivityViolated(
-                f"linear tilt needs t * max|g| < 1; got t = {t}, max|g| = {np.max(np.abs(g))}"
-            )
-        weights = path.base.probs * factors
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by name below
+        if path.tilt == "exponential":
+            weights = path.base.probs * np.exp(t * g)
+        else:
+            factors = 1.0 + t * g
+            if np.min(factors) <= 0.0 or t >= path.positivity_bound:
+                raise PositivityViolated(
+                    f"linear tilt needs t * max|g| < 1; got t = {t}, max|g| = {np.max(np.abs(g))}"
+                )
+            weights = path.base.probs * factors
+    if not np.isfinite(weights).all():
+        raise DomainError(
+            f"the {path.tilt} tilt's weights are not finite at t = {t}, max|g| = "
+            f"{np.max(np.abs(g))}"
+        )
     return make_distribution(path.base.support, weights)
 
 

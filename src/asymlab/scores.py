@@ -6,10 +6,10 @@ distribution; the inner product is <f, g> = E[f g].  Subspaces are held as
 explicit orthonormal bases, one (k, S) array each, so projections are matrix
 products.  Every basis comes from a Householder QR in whitened coordinates
 (f -> sqrt(p) f): ``_split_span`` turns a few spanning columns A and B into
-orthonormal columns for span(A) minus span(B).  No step pivots or drops a
-column, so a basis is a fixed sequence of LAPACK calls on its inputs, the
-same bits under any BLAS thread count, and its signs are fixed by its first
-non-negligible coordinate.
+orthonormal columns for span(A) minus the projection of span(B) on it.  No
+step pivots or drops a column, so a basis is a fixed sequence of LAPACK
+calls on its inputs, the same bits under any BLAS thread count, and its
+signs are fixed by its first non-negligible coordinate.
 
 Each instance has one population design (``moment_design`` or
 ``iv_design``), derived once with all of its checks, and the only route to
@@ -21,14 +21,15 @@ OLS/2SLS influence differences).  Every inverse a design takes (Sigma, the
 information, E[ZZ'], E[XX'] and E[XZ'] E[ZZ']^{-1} E[ZX']) is a
 ``linalg._cholesky`` solve, refused by the design's named error when the
 factorisation fails; the mean Jacobian and E[ZX'] are held to
-``linalg._full_column_rank``.  A score's three-way split, and the
-tangent bases, are read from the small side: every orthocomplement is
-spanned by a few explicit functions (the J basis; the IV design's cell-wise
-errors, over the (x1, z) cells that ``dist._row_groups`` finds, and
-instrument errors), and T is the complement of the constant and T_perp.
-Each design's ``bases`` is the same (T, T_perp or T_perp_cap_M, M_perp)
-triple, M_perp empty for a moment design.  The bases (T has nearly S
-dimensions) are built only for a score given by basis coefficients.
+``linalg._full_column_rank``.  A score's three-way split and the tangent
+bases are read from the same two small spans of each design (``_spans``):
+T_perp (the J basis; the IV design's cell-wise errors, over the (x1, z)
+cells that ``dist._row_groups`` finds, minus x e) and M_perp (empty for a
+moment design; the instrument errors z e minus the projection of x e on
+them).  T is the complement of the constant and T_perp.  ``bases`` gives
+the same (T, T_perp or T_perp_cap_M, M_perp) triple for both kinds; the
+bases (T has nearly S dimensions) are built only for a score given by basis
+coefficients.
 """
 
 from __future__ import annotations
@@ -170,11 +171,12 @@ def _white(dist: DiscreteDistribution, cols: np.ndarray) -> np.ndarray:
 
 def _split_span(a: np.ndarray | None, b: np.ndarray) -> np.ndarray:
     """Orthonormal columns (S, i) spanning span(a), in whitened coordinates:
-    the first j span the columns of ``b`` (S, j), the rest span(a) minus
-    span(b).  A Householder QR of ``a`` (S, i), which must have full column
-    rank and contain span(b), rotated by a complete QR of b's coordinates in
-    it; ``a`` None is the whole space.  No step pivots or drops a column, so
-    the output is a fixed sequence of LAPACK calls on the inputs."""
+    the first j span the projection of the columns of ``b`` (S, j) on
+    span(a), the rest span(a) minus that projection.  A Householder QR of
+    ``a`` (S, i), which must have full column rank, rotated by a complete QR
+    of b's coordinates in it; ``a`` None is the whole space.  No step pivots
+    or drops a column, so the output is a fixed sequence of LAPACK calls on
+    the inputs."""
     if a is None:
         return np.linalg.qr(b, mode="complete")[0]
     q, _ = np.linalg.qr(a)
@@ -213,18 +215,6 @@ def project(dist: DiscreteDistribution, g: ScoreFunction, onto: SubspaceBasis) -
     return ScoreFunction(dist, coordinates(dist, g, onto) @ onto.values)
 
 
-def _span_part(dist: DiscreteDistribution, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Projection of per-atom ``values`` (S,) or (S, j) on the span of the
-    columns of ``cols`` (S, k), centered exactly, which must have full
-    column rank.  The whitened columns are orthonormalized by a Householder
-    QR, so the error grows with their condition number, not with its square
-    as a Gram-matrix solve's would."""
-    sqp = np.sqrt(dist.probs)[:, None]
-    q, _ = np.linalg.qr(_white(dist, cols))
-    v = values.reshape(dist.n_atoms, -1) * sqp
-    return ((q @ (q.T @ v)) / sqp).reshape(values.shape)
-
-
 # --- population designs ----------------------------------------------------------
 
 
@@ -234,7 +224,11 @@ class PopulationDesign:
     ``influence`` maps each estimator to its centered influence values
     (S, p), whose inner products with g are its bias along g; ``statistic``
     maps each test to its statistic basis, orthonormal rows (k, S) whose
-    coordinates of g are the test's limit drift mu (dof k, ncp |mu|^2)."""
+    coordinates of g are the test's limit drift mu (dof k, ncp |mu|^2).
+
+    A score's three-way split is read from each kind's ``_spans``: whitened
+    orthonormal columns (S, k) for its two small spans, T_perp and M_perp.
+    The middle space, T_perp minus M_perp, is labelled ``middle_label``."""
 
     dist: DiscreteDistribution
     influence: dict[str, np.ndarray]
@@ -272,6 +266,27 @@ class PopulationDesign:
         nu = self.influence[estimator]
         return self.statistic[test].values @ (self.dist.probs[:, None] * nu)
 
+    @cached_property
+    def bases(self) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis]:
+        """(T, the middle space, M_perp).  The middle is T_perp minus M_perp,
+        and T, the tangent space, is the orthocomplement of the constant and
+        T_perp.  T has nearly S dimensions, so the bases are built only for
+        a score given by basis coefficients."""
+        dist, (t_perp, m_perp) = self.dist, self._spans
+        middle = _split_span(t_perp, m_perp)[:, m_perp.shape[1] :]
+        return (
+            _tangent_basis(dist, t_perp),
+            _basis(dist, middle, self.middle_label),
+            _basis(dist, m_perp, "M_perp"),
+        )
+
+    def orthocomplement_parts(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(part of per-atom ``values`` (S,) in T_perp, part in M_perp), each
+        projected on its whitened columns; an empty M_perp gives exact zeros."""
+        sqp = np.sqrt(self.dist.probs)
+        white = values * sqp
+        return tuple((span @ (span.T @ white)) / sqp for span in self._spans)
+
 
 @dataclass(frozen=True)
 class MomentDesign(PopulationDesign):
@@ -287,23 +302,17 @@ class MomentDesign(PopulationDesign):
 
     estimators = ("gmm",)
     tests = ("j",)
+    middle_label = "T_perp"
 
     @cached_property
-    def bases(self) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis]:
-        """(T, T_perp, M_perp): T_perp is spanned by the J statistic basis, and
-        T, the efficient score plus the nuisance scores (every direction
-        uncorrelated with m), is its orthocomplement.  The maintained model
-        is everything, so M_perp is empty."""
+    def _spans(self) -> tuple[np.ndarray, np.ndarray]:
+        """T_perp, spanned by the J statistic basis; its orthocomplement T is
+        the efficient score plus the nuisance scores (every direction
+        uncorrelated with m).  The maintained model is everything, so M_perp
+        is empty."""
         dist = self.dist
         t_perp = self.statistic["j"].values.T * np.sqrt(dist.probs)[:, None]
-        empty = SubspaceBasis(dist, np.zeros((0, dist.n_atoms)), "M_perp")
-        return _tangent_basis(dist, t_perp), _basis(dist, t_perp, "T_perp"), empty
-
-    def orthocomplement_parts(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(part of per-atom ``values`` (S,) in T_perp, on the J basis; part in
-        M_perp, zero because the maintained model is everything)."""
-        b = self.statistic["j"].values
-        return (b @ (self.dist.probs * values)) @ b, np.zeros(self.dist.n_atoms)
+        return t_perp, np.zeros((dist.n_atoms, 0))
 
 
 def moment_design(dist: DiscreteDistribution, model: MomentModel, theta0) -> MomentDesign:
@@ -397,61 +406,33 @@ def iv_population_matrices(
 
 @dataclass(frozen=True)
 class IvDesign(PopulationDesign):
-    """The linear IV null model: X, Z, errors e and (x1, z) cell of each atom,
-    and the maintained efficient score ``ell_m`` = E[XZ'] E[ZZ']^{-1} z e /
-    sigma0^2.  The DWH basis spans the OLS/2SLS influence differences."""
+    """The linear IV null model: X, Z, errors e and (x1, z) cell of each
+    atom.  The DWH basis spans the OLS/2SLS influence differences."""
 
     model: IVModel
     X: np.ndarray
     Z: np.ndarray
     e: np.ndarray
     cell: np.ndarray
-    ell_m: np.ndarray
 
     estimators = ("ols", "tsls")
     tests = ("dwh",)
+    middle_label = "T_perp_cap_M"
 
     @cached_property
-    def bases(self) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis]:
-        """(T, T_perp_cap_M, M_perp): the null-model tangent space, the part of
-        the maintained (instrument-validity) one orthogonal to it, and the
-        orthocomplement of the maintained one.  Each is read from the small
-        side: T_perp is the span of the cell-wise errors 1_c e, one per (x1, z)
-        cell, minus the span of x e; M_perp is span(z e) minus span(ell_m);
-        T_perp_cap_M is T_perp minus M_perp, and T the orthocomplement of
-        T_perp.  x e and z e lie in the span of the 1_c e because x and z are
-        functions of the cell, and M_perp lies in T_perp (see ``iv_design``).
-        """
+    def _spans(self) -> tuple[np.ndarray, np.ndarray]:
+        """T_perp, the orthocomplement of the null-model tangent space: the
+        span of the cell-wise errors 1_c e, one per (x1, z) cell, minus the
+        span of x e.  M_perp, the orthocomplement of the maintained
+        (instrument-validity) one: span(z e) minus the projection of x e on
+        it, which has q - k1 dimensions.  x e and z e lie in the span of the
+        1_c e because x and z are functions of the cell, and M_perp lies in
+        T_perp (see ``iv_design``)."""
         dist, e, cell = self.dist, self.e, self.cell
         on_cells = np.where(cell[:, None] == np.arange(cell.max() + 1), e[:, None], 0.0)
-        xe, p = self.X * e[:, None], self.X.shape[1]
-        t_perp = _split_span(_white(dist, on_cells), _white(dist, xe))[:, p:]
-        m_perp = self._m_perp()
-        cap = _split_span(t_perp, m_perp)[:, m_perp.shape[1] :]
-        return (
-            _tangent_basis(dist, t_perp),
-            _basis(dist, cap, "T_perp_cap_M"),
-            _basis(dist, m_perp, "M_perp"),
-        )
-
-    def _m_perp(self) -> np.ndarray:
-        """Whitened orthonormal columns (S, q - k1) for M_perp: span(z e)
-        minus span(ell_m); none when q = k1."""
-        ze = _white(self.dist, self.Z * self.e[:, None])
-        return _split_span(ze, _white(self.dist, self.ell_m))[:, self.X.shape[1] :]
-
-    def orthocomplement_parts(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(part of per-atom ``values`` in T_perp, part in M_perp).  T_perp is
-        the span of the cell-wise errors 1_c e, one ratio per disjoint cell
-        (E[g e 1_c] / E[e^2 1_c] times e), minus the span of x e.  M_perp has
-        q - k1 dimensions and is exactly empty when q = k1."""
-        dist, e, cell = self.dist, self.e, self.cell
-        we = dist.probs * e
-        on_cells = e * (np.bincount(cell, we * values) / np.bincount(cell, we * e))[cell]
-        xe = self.X * e[:, None]
-        t_perp = on_cells - expectation(dist, on_cells) - _span_part(dist, xe, values)
-        sqp, m_perp = np.sqrt(dist.probs), self._m_perp()
-        return t_perp, (m_perp @ (m_perp.T @ (values * sqp))) / sqp
+        xe, p = _white(dist, self.X * e[:, None]), self.X.shape[1]
+        t_perp = _split_span(_white(dist, on_cells), xe)[:, p:]
+        return t_perp, _split_span(_white(dist, self.Z * e[:, None]), xe)[:, p:]
 
 
 def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
@@ -462,10 +443,13 @@ def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
     ``SingularInstrumentGram``, ``SingularDesign`` and
     ``RankDeficientFirstStage``).
 
-    The null tangent space then nests in the maintained one: x and z are
-    functions of the (x1, z) cell and E[e^2 | cell] = sigma0^2, so
-    E[x e (z e)'] = sigma0^2 E[xz'], the projection of x e on span(z e) is
-    sigma0^2 ell_m, and x e has no part in M_perp.
+    The null tangent space then nests in the maintained one.  The
+    maintained efficient score is E[XZ'] E[ZZ']^{-1} z e / sigma0^2, and
+    x and z are functions of the (x1, z) cell with E[e^2 | cell] =
+    sigma0^2, so E[x e (z e)'] = sigma0^2 E[xz'] and that score spans the
+    projection of x e on span(z e).  M_perp is therefore span(z e) minus
+    that projection, read without E[ZZ']^{-1}: x e has no part in it, by
+    construction, and it lies in T_perp.
 
     The DWH basis spans the OLS/2SLS influence differences, which are
     uncorrelated with OLS's influence (Hausman 1978), so span(x1_hat e)
@@ -493,7 +477,6 @@ def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
     projected_inv = _cholesky(0.5 * (projected + projected.T), eye)
     if projected_inv is None:
         raise RankDeficientFirstStage("E[XZ'] E[ZZ']^{-1} E[ZX'] is singular")
-    ell_m = (Z @ first) * (e / model.sigma0_sq)[:, None]
     ols = (X @ exx_inv) * e[:, None]
     tsls = (Z @ first @ projected_inv) * e[:, None]
     ols, tsls = (v - expectation(dist, v) for v in (ols, tsls))
@@ -504,7 +487,7 @@ def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
     dwh = _basis(dist, q[:, p:] @ u[:, keep], "T_perp_cap_M")
     influence = dict(zip(IvDesign.estimators, [ols, tsls]))
     statistic = dict(zip(IvDesign.tests, [dwh]))
-    return IvDesign(dist, influence, statistic, model, X, Z, e, cell, ell_m)
+    return IvDesign(dist, influence, statistic, model, X, Z, e, cell)
 
 
 # --- three-way decomposition -------------------------------------------------------

@@ -119,7 +119,8 @@ def _check_iv1_structure():
         abs(report.var_TperpM - inner_product(iv1.dist, g_det, g_det)) < 1e-10,
         "the detectable direction is not all in T_perp_cap_M",
     )
-    # the split read from the small side against projections on the explicit bases
+    # the split read from the two small spans against projections on the
+    # explicit bases, T among them, built as the complement of T_perp
     for g in (g_det, _random_score(iv1.dist, np.random.default_rng(17))):
         report = decompose_score(iv1, g)
         parts = (report.pi_T, report.pi_TperpM, report.pi_Mperp)

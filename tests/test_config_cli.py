@@ -501,6 +501,30 @@ class TestCliCommands:
         assert len(residuals) == 4
         assert all(a > b for a, b in zip(residuals, residuals[1:]))
 
+    @pytest.mark.parametrize("t0", ["nan", "inf"])
+    def test_check_path_refuses_a_non_finite_t0(self, capsys, t0):
+        # nan passed the t0 > 0 check and died in hellinger_residual, inf
+        # in make_distribution, both with a traceback and exit 1
+        config = str(CONFIG_DIR / "g1_perp.json")
+        assert execute(["check-path", "--config", config, "--t0", t0]) == 2
+        assert "need finite t0 > 0" in capsys.readouterr().err
+
+    def test_check_path_refuses_an_overflowing_tilt(self, capsys):
+        # exp(800 * max|g|) overflows; the error names t and max|g|
+        config = str(CONFIG_DIR / "g1_perp.json")
+        assert execute(["check-path", "--config", config, "--t0", "800"]) == 2
+        err = capsys.readouterr().err
+        assert "weights are not finite at t = 800.0, max|g| = 3.81" in err
+
+    def test_run_refuses_an_overflowing_tilt(self, capsys):
+        # at t = 1/sqrt(1000) the exponential tilt of this score overflows
+        config = str(CONFIG_DIR / "g1_tangent.json")
+        values = "score.values=[200000,-100000,0,0,0]"
+        code = execute(["run", "--config", config, "--set", values, "--set", "tests=[]"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "weights are not finite at t = 0.0316" in err and "max|g| = 200000.0" in err
+
     def test_selftest_passes(self, capsys):
         assert execute(["selftest"]) == 0
         out = capsys.readouterr().out
@@ -616,12 +640,11 @@ import asymlab.scores as scores
 from asymlab.cli import execute
 
 built = []
-for cls in (scores.MomentDesign, scores.IvDesign):
-    def counted(design, real=cls.__dict__["bases"].func, name=cls.__name__):
-        built.append(name)
-        return real(design)
-    cls.bases = cached_property(counted)
-    cls.bases.__set_name__(cls, "bases")
+def counted(design, real=scores.PopulationDesign.bases.func):
+    built.append(type(design).__name__)
+    return real(design)
+scores.PopulationDesign.bases = cached_property(counted)
+scores.PopulationDesign.bases.__set_name__(scores.PopulationDesign, "bases")
 seen = []
 real_build = cfg.build_experiment
 def capture(raw):

@@ -4,7 +4,8 @@ used somewhere in the library, every public function, class, method and
 property is used in the library or the benchmark (re-exports from
 ``__init__.py`` do not count), every error class is named outside
 ``errors.py``, no module solves or inverts a matrix around
-``linalg._cholesky``, and every JSON parse refuses non-finite numbers."""
+``linalg._cholesky``, only ``PopulationDesign`` splits a score three ways,
+and every JSON parse refuses non-finite numbers."""
 
 import ast
 import re
@@ -164,6 +165,54 @@ def test_the_check_sees_another_solve():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_positive_definite_solve_is_the_cholesky_helper(path):
     assert other_solves(path.read_text()) == []
+
+
+# the methods that split a score three ways; ``PopulationDesign`` alone defines them
+SPLIT_METHODS = ("bases", "orthocomplement_parts")
+
+
+def split_definitions(sources: dict[str, str]) -> list[str]:
+    """Every class-level definition or assignment of a name in
+    ``SPLIT_METHODS`` in ``sources``, as "module: Class.name"."""
+    found = []
+    for module, source in sources.items():
+        for cls in (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    names = []
+                found += [f"{module}: {cls.name}.{n}" for n in names if n in SPLIT_METHODS]
+    return found
+
+
+def test_the_check_sees_a_second_split_route():
+    source = (
+        "class PopulationDesign:\n"
+        "    def bases(self):\n        pass\n\n"
+        "    def orthocomplement_parts(self, values):\n        pass\n\n"
+        "class IvDesign(PopulationDesign):\n"
+        "    @cached_property\n    def bases(self):\n        pass\n\n"
+        "    def _spans(self):\n        pass\n\n"
+        "class Other:\n    orthocomplement_parts = staticmethod(split)\n"
+    )
+    assert split_definitions({"a.py": source}) == [
+        "a.py: PopulationDesign.bases",
+        "a.py: PopulationDesign.orthocomplement_parts",
+        "a.py: IvDesign.bases",
+        "a.py: Other.orthocomplement_parts",
+    ]
+
+
+def test_one_split_route():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert split_definitions(sources) == [
+        "scores.py: PopulationDesign.bases",
+        "scores.py: PopulationDesign.orthocomplement_parts",
+    ]
 
 
 # the hook with which ``config`` refuses NaN, Infinity and overflowing numbers

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from asymlab.dist import draw_indices, expectation, make_distribution
-from asymlab.errors import PositivityViolated
+from asymlab.errors import DomainError, PositivityViolated
 from asymlab.paths import (
     LocalPath,
     hellinger_residual,
@@ -52,6 +52,21 @@ class TestPathDistribution:
         path_distribution(path, 0.49)
         with pytest.raises(PositivityViolated):
             path_distribution(path, 0.5)
+
+    @pytest.mark.parametrize(
+        "tilt, t",
+        [
+            ("exponential", 800.0),
+            ("exponential", math.inf),
+            ("exponential", math.nan),
+            ("linear", math.nan),
+        ],
+    )
+    def test_non_finite_weights_refused_by_name(self, g1, tilt, t):
+        # these once reached make_distribution's bare "must be finite" ValueError
+        path = LocalPath(g1.dist, centered_score(g1.dist, g1.dist.column(0)), tilt=tilt)
+        with pytest.raises(DomainError, match=f"not finite at t = {t}, max\\|g\\| = 2.0"):
+            path_distribution(path, t)
 
     def test_negative_t_rejected(self, g1):
         path = LocalPath(g1.dist, ScoreFunction(g1.dist, np.zeros(5)))

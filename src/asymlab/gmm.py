@@ -1,5 +1,6 @@
 """Two-step GMM estimation with its overidentification test, and the
-information-projection of a reference distribution onto a moment constraint set.
+information projection of a reference distribution onto a moment constraint
+set, once an exact LP in numpy (``_hull_interior_margin``) finds it feasible.
 
 A sample is a ``Dataset``: rows with integer counts, most cheaply the
 support with its count vector.  Sample moments are count-weighted sums of
@@ -254,31 +255,63 @@ def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
 # --- information projection -----------------------------------------------------
 
 
+SIMPLEX_PIVOT_TOL = 1e-12  # a pivot exceeds it; an entering reduced cost is below minus it
+SIMPLEX_FEASIBILITY_TOL = 1e-9  # the largest phase-one residual of a feasible system
+
+
+def _pivot(tab: np.ndarray, basis: list[int], i: int, j: int) -> None:
+    """Make column j of the tableau basic in row i, in place."""
+    tab[i] /= tab[i, j]
+    tab -= np.outer(tab[:, j] - np.eye(len(tab))[i], tab[i])
+    basis[i] = j
+
+
+def _bland(tab: np.ndarray, basis: list[int], columns: int) -> None:
+    """Pivot by Bland's rule (Bland 1977), which cannot cycle, until no
+    reduced cost (last row) among the first ``columns`` improves.  Both LPs
+    are bounded below, so an improving column with no pivot is rounding."""
+    while True:
+        improving = np.flatnonzero(tab[-1, :columns] < -SIMPLEX_PIVOT_TOL)
+        j = next((j for j in improving if np.max(tab[:-1, j]) > SIMPLEX_PIVOT_TOL), None)
+        if j is None:
+            return
+        rows = np.flatnonzero(tab[:-1, j] > SIMPLEX_PIVOT_TOL)
+        ratios = tab[rows, -1] / tab[rows, j]
+        ties = rows[ratios <= ratios.min() + SIMPLEX_PIVOT_TOL]
+        _pivot(tab, basis, min(ties, key=basis.__getitem__), j)
+
+
 def _hull_interior_margin(m_vals: np.ndarray) -> float:
-    """LP margin for 0 being interior to the convex hull of the rows of m_vals.
+    """LP margin for 0 being interior to the convex hull of the rows of m_vals:
+    max t subject to sum_s a_s m_s = 0, sum_s a_s = 1, a_s >= t, positive
+    exactly when a strictly positive mixture of the rows hits zero.
 
-    Maximizes t subject to sum_s a_s m_s = 0, sum_s a_s = 1, a_s >= t; the
-    optimum is positive exactly when some strictly positive mixture of the
-    moment values hits zero.
+    With b = a - t 1 it is (1 - min 1'b) / S over b >= 0 with
+    sum_s b_s (m_s - mbar) = -mbar, or -1 where no such b exists.  Each row
+    is divided by its largest entry, right side included (rescaling a moment
+    leaves the verdict), and signed so the right side is >= 0.  Phase one of
+    the simplex drives l artificial columns to zero and pivots out those
+    still basic where their row allows; phase two minimises 1'b.
     """
-    from scipy.optimize import linprog  # deferred: scipy.optimize costs 0.2 s to import
-
     s, l = m_vals.shape
-    # variables: (a_1..a_s, t); minimize -t
-    c = np.zeros(s + 1)
-    c[-1] = -1.0
-    a_eq = np.zeros((l + 1, s + 1))
-    a_eq[:l, :s] = m_vals.T
-    a_eq[l, :s] = 1.0
-    b_eq = np.zeros(l + 1)
-    b_eq[l] = 1.0
-    a_ub = np.hstack([-np.eye(s), np.ones((s, 1))])  # t - a_s <= 0
-    b_ub = np.zeros(s)
-    bounds = [(0.0, 1.0)] * s + [(-1.0, 1.0)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if not res.success:
+    mbar = m_vals.mean(axis=0)
+    tab = np.zeros((l + 1, s + l + 1))  # constraint rows, then reduced costs; right side last
+    tab[:l, :s], tab[:l, -1] = (m_vals - mbar).T, -mbar
+    scale = np.max(np.abs(tab[:l]), axis=1)
+    tab[:l] /= np.copysign(np.where(scale > 0.0, scale, 1.0), tab[:l, -1])[:, None]
+    tab[:l, s:-1] = np.eye(l)
+    tab[-1] = np.r_[np.zeros(s), np.ones(l), 0.0] - tab[:l].sum(axis=0)
+    basis = list(range(s, s + l))
+    _bland(tab, basis, s + l)
+    if -tab[-1, -1] > SIMPLEX_FEASIBILITY_TOL:
         return -1.0
-    return float(res.x[-1])
+    for i in range(l):  # an artificial column left basic marks a redundant row
+        pivots = np.flatnonzero(np.abs(tab[i, :s]) > SIMPLEX_PIVOT_TOL)
+        if basis[i] >= s and pivots.size:
+            _pivot(tab, basis, i, pivots[0])
+    tab[-1] = np.r_[np.ones(s), np.zeros(l + 1)] - (np.array(basis) < s) @ tab[:l]
+    _bland(tab, basis, s)
+    return float((1.0 + tab[-1, -1]) / s)
 
 
 def kl_projection(
@@ -289,8 +322,8 @@ def kl_projection(
     The projection minimizes the Kullback-Leibler divergence to ``eta`` and has
     the exponential-tilt form eta * exp(lambda' m) / normalizer, with lambda
     minimizing the convex potential integral exp(lambda' m) d eta; Newton with
-    a halving line search solves the dual.  Requires zero to be interior to
-    the convex hull of the moment values on the support.
+    a halving line search solves the dual.  Raises ``Infeasible`` unless zero
+    is interior to the hull of the moment values, an LP margin above 1e-12.
     """
     theta = np.asarray(theta, dtype=float)
     m_vals = model.moments_at(theta, eta.support)

@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import ShapeMismatch
 
+JACOBIAN_TOL = 1e-6  # largest entry by which jac may differ from central differences of m
+
 
 @dataclass(frozen=True)
 class MomentModel:
@@ -65,14 +67,14 @@ class MomentModel:
             )
         return out if theta.ndim == 2 else out[0]
 
-    def check_jacobian(self, theta: np.ndarray, points: np.ndarray, tol: float = 1e-6) -> None:
-        """Check ``jac`` against central differences of one ``m`` call at theta +/- 1e-6 e_j."""
+    def check_jacobian(self, theta: np.ndarray, points: np.ndarray) -> None:
+        """Check ``jac`` to JACOBIAN_TOL against central differences of one ``m`` call."""
         theta, shift = np.asarray(theta, dtype=float), 1e-6 * np.eye(self.p)
         shifted = self.moments_at(np.vstack((theta + shift, theta - shift)), points)
         fd = (shifted[: self.p] - shifted[self.p :]) / 2e-6  # (p, S, l)
         analytic = np.moveaxis(self.jacobians_at(theta, points), 2, 0)
         errs = np.max(np.abs(fd - analytic), axis=(1, 2))
-        for j in np.flatnonzero(errs > tol)[:1]:  # the first column that disagrees
+        for j in np.flatnonzero(errs > JACOBIAN_TOL)[:1]:  # the first column that disagrees
             raise ShapeMismatch(
                 f"jacobian column {j} disagrees with finite differences by {errs[j]:.2e}"
             )

@@ -19,6 +19,7 @@ from .errors import DomainError, PositivityViolated
 from .scores import ScoreFunction, _require_same_dist
 
 TILTS = ("exponential", "linear")
+SCORE_STEP = 1e-5  # numerical_score's step in t
 
 
 @dataclass(frozen=True)
@@ -86,15 +87,15 @@ def hellinger_residual(path: LocalPath, t: float) -> float:
     return math.fsum(terms)
 
 
-def numerical_score(path: LocalPath, step: float = 1e-5) -> np.ndarray:
+def numerical_score(path: LocalPath) -> np.ndarray:
     """Central difference of log dP_t at t = 0, one value per support point.
 
     The path at -t equals the path at +t with the score negated (for either
     tilt), which gives the central difference without leaving the t >= 0
-    domain.  Step 1e-5 balances truncation against rounding at the 1e-6
+    domain.  SCORE_STEP balances truncation against rounding at the 1e-6
     comparison tolerance.
     """
     mirrored = LocalPath(path.base, -path.score, path.tilt)
-    up = np.log(path_distribution(path, step).probs)
-    dn = np.log(path_distribution(mirrored, step).probs)
-    return (up - dn) / (2.0 * step)
+    up = np.log(path_distribution(path, SCORE_STEP).probs)
+    dn = np.log(path_distribution(mirrored, SCORE_STEP).probs)
+    return (up - dn) / (2.0 * SCORE_STEP)

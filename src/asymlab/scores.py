@@ -58,8 +58,9 @@ from .models import IVModel, MomentModel
 MEAN_ZERO_TOL = 1e-10
 ORTHO_TOL = 1e-10
 DROP_TOL = 1e-9  # DWH rank cutoff on singular values, relative to the fitted regressors
+NULL_MODEL_TOL = 1e-10  # on E[e | cell] and, times max(1, sigma0^2), on E[e^2 | cell]
 
-SUBSPACE_LABELS = ("T", "T_perp", "T_perp_cap_M", "M_perp", "M", "full")
+SUBSPACE_LABELS = ("T", "T_perp", "T_perp_cap_M", "M_perp", "full")
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ class SubspaceBasis:
     ``values`` holds the basis functions as the rows of one read-only
     (dim, S) array, each row mean-zero and the rows orthonormal under the
     distribution.  ``label`` names which subspace of the tangent
-    decomposition this is ("T", "T_perp", "T_perp_cap_M", "M_perp", "M", or
+    decomposition this is ("T", "T_perp", "T_perp_cap_M", "M_perp", or
     "full").  A (0, S) array represents the trivial subspace.
     """
 
@@ -290,12 +291,11 @@ class PopulationDesign:
 
 @dataclass(frozen=True)
 class MomentDesign(PopulationDesign):
-    """A moment model at theta0: moments ``m_vals`` (S, l), efficient score
-    ``ell`` = -m Sigma^{-1} gbar (S, p), information, and ``frame``, orthonormal
-    moment functions whose first p rows span ell and last l - p (the J
-    statistic basis) span T_perp."""
+    """A moment model at theta0: efficient score ``ell`` = -m Sigma^{-1} gbar
+    (S, p), information, and ``frame``, orthonormal moment functions whose
+    first p rows span ell and last l - p (the J statistic basis) span
+    T_perp."""
 
-    m_vals: np.ndarray
     ell: np.ndarray
     info: np.ndarray
     frame: SubspaceBasis
@@ -362,19 +362,19 @@ def moment_design(dist: DiscreteDistribution, model: MomentModel, theta0) -> Mom
     j_basis = SubspaceBasis(dist, frame.values[model.p :], "T_perp")
     influence = dict(zip(MomentDesign.estimators, [nu - expectation(dist, nu)]))
     statistic = dict(zip(MomentDesign.tests, [j_basis]))
-    design = MomentDesign(dist, influence, statistic, m_vals, ell, info, frame)
+    design = MomentDesign(dist, influence, statistic, ell, info, frame)
     escape = np.linalg.norm(design.covariance("gmm", "j"), axis=0).max()
     if escape > 1e-8:
         raise RankDeficientJacobian(f"the influence escapes the tangent space by {escape:.2e}")
     return design
 
 
-def check_iv_null_model(dist: DiscreteDistribution, model: IVModel, tol: float = 1e-10) -> None:
-    """Verify the conditional null on the support: E[e | x1, z] = 0, E[e^2 | x1, z] = sigma0^2."""
-    _null_cells(dist, model, tol)
+def check_iv_null_model(dist: DiscreteDistribution, model: IVModel) -> None:
+    """Verify E[e | x1, z] = 0, E[e^2 | x1, z] = sigma0^2 on the support, to NULL_MODEL_TOL."""
+    _null_cells(dist, model)
 
 
-def _null_cells(dist: DiscreteDistribution, model: IVModel, tol: float) -> tuple[np.ndarray, ...]:
+def _null_cells(dist: DiscreteDistribution, model: IVModel) -> tuple[np.ndarray, ...]:
     """(cell of each atom, errors e) once ``check_iv_null_model`` passes.  The
     cells are the ``_row_groups`` of (x1, z) = (x1, x2, z1), the rows less y,
     numbered in support order; a bincount sums p, p e and p e^2 per cell."""
@@ -382,12 +382,12 @@ def _null_cells(dist: DiscreteDistribution, model: IVModel, tol: float) -> tuple
     cell, count = _row_groups(dist.support[:, 1:])
     mass, m1, m2 = (np.bincount(cell, dist.probs * v, count) for v in (1.0, e, e * e))
     m1, m2 = m1 / mass, m2 / mass
-    tol_m2 = tol * max(1.0, model.sigma0_sq)
-    good = (np.abs(m1) <= tol) & (np.abs(m2 - model.sigma0_sq) <= tol_m2)
+    tol_m2 = NULL_MODEL_TOL * max(1.0, model.sigma0_sq)
+    good = (np.abs(m1) <= NULL_MODEL_TOL) & (np.abs(m2 - model.sigma0_sq) <= tol_m2)
     if not good.all():  # a NaN moment is a violation too
         c = int(np.argmin(good))
         at = f"(x1, x2, z1) = {tuple(dist.support[cell == c][0, 1:].tolist())}"
-        if not abs(m1[c]) <= tol:
+        if not abs(m1[c]) <= NULL_MODEL_TOL:
             raise NullModelViolated(f"E[e | {at}] = {m1[c]:.3e} != 0")
         raise NullModelViolated(f"E[e^2 | {at}] = {m2[c]:.6g} != sigma0^2 = {model.sigma0_sq}")
     return cell, e
@@ -409,7 +409,6 @@ class IvDesign(PopulationDesign):
     """The linear IV null model: X, Z, errors e and (x1, z) cell of each
     atom.  The DWH basis spans the OLS/2SLS influence differences."""
 
-    model: IVModel
     X: np.ndarray
     Z: np.ndarray
     e: np.ndarray
@@ -459,7 +458,7 @@ def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
     vectors of R's trailing block; its singular values above ``DROP_TOL``
     times the largest column norm of x1_hat e set the rank.
     """
-    cell, e = _null_cells(dist, model, 1e-10)
+    cell, e = _null_cells(dist, model)
     _, X, Z = model.design_matrices(dist.support)
     exx, exz, ezz = iv_population_matrices(dist, model)
     p, eye = model.n_params, np.eye(model.n_params)
@@ -487,7 +486,7 @@ def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
     dwh = _basis(dist, q[:, p:] @ u[:, keep], "T_perp_cap_M")
     influence = dict(zip(IvDesign.estimators, [ols, tsls]))
     statistic = dict(zip(IvDesign.tests, [dwh]))
-    return IvDesign(dist, influence, statistic, model, X, Z, e, cell)
+    return IvDesign(dist, influence, statistic, X, Z, e, cell)
 
 
 # --- three-way decomposition -------------------------------------------------------

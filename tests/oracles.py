@@ -4,11 +4,12 @@ These deliberately avoid the code paths they are used to check: the
 noncentral chi-square CDF oracle integrates the Bessel-form density by
 adaptive quadrature, with no Poisson mixture and no incomplete gamma, and
 its second oracle keeps the mixture but takes the incomplete gamma from
-SciPy; the
-score-space oracles sum one support point at a time with ``math.fsum``
-instead of forming whole-array products, and split a score by projecting it
-on explicit tangent bases instead of on the small spanning sets the library
-uses; the moment-model oracles evaluate
+SciPy; the hull-interior margin of the information projection comes from
+SciPy's ``linprog`` (HiGHS) on the original LP, not from the library's
+simplex on the substituted one; the score-space oracles sum one support
+point at a time with ``math.fsum`` instead of forming whole-array products,
+and split a score by projecting it on explicit tangent bases instead of on
+the small spanning sets the library uses; the moment-model oracles evaluate
 one observation at a time.
 """
 
@@ -17,6 +18,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import linprog
 from scipy.special import gamma, gammainc, iv
 
 from asymlab.dist import Dataset, draw_indices
@@ -65,6 +67,27 @@ def noncentral_chisq_cdf_by_gammainc(x: float, k: int, lam: float) -> float:
         cum += weights[-1]
     central = gammainc(0.5 * k + np.arange(len(weights)), 0.5 * x)
     return min(max(math.fsum(np.array(weights) * central), 0.0), 1.0)
+
+
+def hull_interior_margin_by_linprog(m_vals) -> float:
+    """max t subject to sum_s a_s m_s = 0, sum_s a_s = 1, a_s >= t, with
+    0 <= a_s <= 1 and -1 <= t <= 1, by ``linprog``; -1 where HiGHS finds no
+    such a.  Zero is interior to the hull of the rows of ``m_vals`` exactly
+    when the margin is positive."""
+    s, l = m_vals.shape
+    c = np.zeros(s + 1)
+    c[-1] = -1.0  # variables (a_1 .. a_S, t); maximise t
+    a_eq = np.zeros((l + 1, s + 1))
+    a_eq[:l, :s] = np.asarray(m_vals, dtype=float).T
+    a_eq[l, :s] = 1.0
+    b_eq = np.zeros(l + 1)
+    b_eq[l] = 1.0
+    a_ub = np.hstack([-np.eye(s), np.ones((s, 1))])  # t - a_s <= 0
+    bounds = [(0.0, 1.0)] * s + [(-1.0, 1.0)]
+    res = linprog(
+        c, A_ub=a_ub, b_ub=np.zeros(s), A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
+    )
+    return float(res.x[-1]) if res.success else -1.0
 
 
 def expectation_per_atom(probs, values) -> np.ndarray:

@@ -655,6 +655,8 @@ cfg.build_experiment = capture
 code = execute(["run", "--config", sys.argv[1], "--reps", "100", "--out", sys.argv[2]])
 print(json.dumps({
     "code": code,
+    "reps_failed": json.load(open(sys.argv[2]))["summary"]["reps_failed"],
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "built": built,
     "held": ["bases" in vars(instance.design) for instance in seen],
     "numpy_ma": "numpy.ma" in sys.modules,
@@ -694,6 +696,8 @@ class TestBasesStayOffTheRunPath:
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         assert report["code"] == 0, proc.stderr
+        assert report["reps_failed"] == 0
+        assert report["scipy"] == []
         assert report["built"] == built
         assert report["held"] == [bool(built)]
         assert not report["numpy_ma"]

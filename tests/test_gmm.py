@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     draw_sample,
+    hull_interior_margin_by_linprog,
     linear_iv_per_row,
     overidentified_mean_per_row,
     overidentified_mean_two_step,
@@ -272,6 +273,7 @@ class TestKlProjection:
         )
         with pytest.raises(Infeasible):
             kl_projection(eta, model, np.array([0.0]))
+        assert hull_interior_margin_by_linprog(np.array(points)) <= 1e-12
 
     def test_feasibility_matches_the_angular_gaps(self, rng):
         # oracle: for l = 2, zero is interior to the hull of the moment points
@@ -286,6 +288,7 @@ class TestKlProjection:
             angles = np.sort(np.arctan2(points[:, 1], points[:, 0]))
             gap = np.max(np.diff(angles, append=angles[0] + 2.0 * math.pi))
             assert abs(gap - math.pi) > 1e-6  # no design on the boundary
+            assert (hull_interior_margin_by_linprog(points) > 1e-12) == (gap < math.pi)
             eta = make_distribution(support, probs)
             try:
                 projected, _ = kl_projection(eta, model, theta)
@@ -309,6 +312,73 @@ class TestKlProjection:
             m_vals = g1.model.moments_at(theta, eta.support)
             weights = eta.probs * np.exp(m_vals @ lam)
             assert np.max(np.abs(projected.probs - weights / weights.sum())) < 1e-10
+
+
+def random_design(rng) -> np.ndarray:
+    """S = 2..12 moment values in l = 1..4 dimensions, Gaussian about a random offset."""
+    l, s = int(rng.integers(1, 5)), int(rng.integers(2, 13))
+    return rng.normal(size=(s, l)) + rng.normal(size=l) * rng.uniform(0.0, 2.0)
+
+
+def boundary_design(rng) -> np.ndarray:
+    """Zero on a face of the hull: the centroid of k <= l face points in d's
+    orthocomplement, every other point with d'x > 0, in shuffled order."""
+    l = int(rng.integers(1, 5))
+    k = int(rng.integers(1, l + 1))
+    s = int(rng.integers(k + 1, 13))
+    d = rng.normal(size=l)
+    d /= np.linalg.norm(d)
+    perp = np.eye(l) - np.outer(d, d)
+    face = rng.normal(size=(k, l)) @ perp
+    face -= face.mean(axis=0)
+    others = rng.normal(size=(s - k, l)) @ perp + rng.uniform(0.1, 2.0, (s - k, 1)) * d
+    return rng.permutation(np.vstack([face, others]))
+
+
+def grid_design(rng) -> np.ndarray:
+    """S = 2..12 moment values in l = 1..4 dimensions with entries in {-2, ..., 2}."""
+    l, s = int(rng.integers(1, 5)), int(rng.integers(2, 13))
+    return rng.integers(-2, 3, size=(s, l)).astype(float)
+
+
+class TestHullInteriorMargin:
+    # generator seeds fixed before the first run; a disagreement with
+    # linprog is a finding, not a reason to draw other designs
+    @pytest.mark.parametrize(
+        "generate, seed, count",
+        [(random_design, 20241, 2000), (boundary_design, 20242, 500), (grid_design, 20243, 1000)],
+        ids=["random", "boundary", "grid"],
+    )
+    def test_the_simplex_gives_linprogs_verdict(self, generate, seed, count):
+        rng = np.random.default_rng(seed)
+        feasible = 0
+        for _ in range(count):
+            m_vals = generate(rng)
+            got, want = gmm._hull_interior_margin(m_vals), hull_interior_margin_by_linprog(m_vals)
+            assert (got > 1e-12) == (want > 1e-12), m_vals
+            if want > 1e-12:
+                feasible += 1
+                assert abs(got - want) <= 1e-12, m_vals
+            for factors in (1e-6, 1e6, rng.choice([1e-6, 1e6], m_vals.shape[1])):
+                rescaled = gmm._hull_interior_margin(m_vals * factors)
+                assert (rescaled > 1e-12) == (got > 1e-12), (m_vals, factors)
+        if generate is boundary_design:
+            assert feasible == 0
+        else:
+            assert 0 < feasible < count
+
+    def test_redundant_and_constant_moments(self, rng):
+        m_vals = rng.normal(size=(6, 2))
+        margin = gmm._hull_interior_margin(m_vals)
+        assert margin > 0.0
+        # an identically zero moment is a redundant row: its artificial column stays basic
+        assert gmm._hull_interior_margin(np.zeros((4, 3))) == pytest.approx(0.25, abs=1e-15)
+        with_zero = np.column_stack([m_vals, np.zeros(6)])
+        assert gmm._hull_interior_margin(with_zero) == pytest.approx(margin, abs=1e-15)
+        # a moment of 1e-300 everywhere keeps zero off the hull: the row is
+        # scaled by its largest entry, right side included
+        tiny = np.column_stack([m_vals, np.full(6, 1e-300)])
+        assert gmm._hull_interior_margin(tiny) == -1.0
 
 
 class TestProjectionMatrixIdentity:
@@ -825,20 +895,3 @@ class TestNewtonOnRandomSupports:
         assert abs(r) <= 1e-13 * scale + floor
         exact = overidentified_mean_two_step(data.rows[:, 0], data.counts, v)
         assert abs(a.theta_hat[0] - exact) <= 1e-12
-
-
-def test_the_run_path_imports_no_scipy(run_python, tmp_path):
-    # SciPy is needed only by kl_projection's linprog (the selftest) and by
-    # the test oracles; importing it costs 0.15-0.35 s of every cold start
-    out = run_python(
-        "import json, sys\n"
-        "import asymlab.cli, asymlab.config, asymlab.predict, asymlab.mc\n"
-        "for name in ('g1_perp', 'iv1_power'):\n"
-        f"    path = {str(tmp_path)!r} + '/' + name\n"
-        f"    argv = ['run', '--config', {str(CONFIG_DIR)!r} + '/' + name + '.json',\n"
-        "            '--reps', '100', '--out', path + '.json', '--raw-csv', path + '.csv']\n"
-        "    assert asymlab.cli.execute(argv) in (0, 1), name\n"
-        "    assert json.load(open(path + '.json'))['summary']['reps_failed'] == 0, name\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    assert out.strip() == "[]"

@@ -5,7 +5,7 @@ property is used in the library or the benchmark (re-exports from
 ``__init__.py`` do not count), every error class is named outside
 ``errors.py``, no module solves or inverts a matrix around
 ``linalg._cholesky``, only ``PopulationDesign`` splits a score three ways,
-and every JSON parse refuses non-finite numbers."""
+every JSON parse refuses non-finite numbers, and no module imports SciPy."""
 
 import ast
 import re
@@ -259,6 +259,45 @@ def test_the_check_sees_a_lax_json_parse():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_json_parse_refuses_non_finite_numbers(path):
     assert lax_json_parses(path.read_text()) == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Every ``import scipy...`` and ``from scipy... import`` in ``source``,
+    at any depth, a function body included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    return found
+
+
+def test_the_check_sees_a_scipy_import():
+    source = (
+        "import numpy as np\n"
+        "import math, scipy.optimize as opt\n"
+        "from scipy.linalg import solve\n"
+        "from . import scipy_free\n"
+        "import scipyx\n\n"
+        "def margin(m):\n"
+        "    from scipy.optimize import linprog  # scipy in a comment\n"
+        "    return linprog\n"
+    )
+    assert scipy_imports(source) == [
+        "line 2: scipy.optimize",
+        "line 3: scipy.linalg",
+        "line 8: scipy.optimize",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # numpy is the one runtime dependency; SciPy serves the test oracles only
+    assert scipy_imports(path.read_text()) == []
 
 
 def test_the_check_sees_an_unused_import():

@@ -265,32 +265,40 @@ def refused(rows, weights, model) -> bool:
     return False
 
 
+def moment_instance(seed, n_atoms):
+    """(make, probabilities, bump) of an overidentified-mean instance on
+    ``n_atoms`` random support points: ``make`` builds the instance from its
+    probabilities, with theta0 and the variance restriction recomputed for
+    each probability vector, so the model stays exactly true whatever the
+    bump (one factor per atom) moves them by."""
+    rng = np.random.default_rng(seed)
+    support = np.sort(rng.uniform(-3.0, 3.0, n_atoms))
+    weights = rng.uniform(0.05, 1.0, n_atoms)
+    bump = rng.uniform(-1.0, 1.0, n_atoms)
+
+    def make(w):
+        dist = make_distribution(support, w)
+        theta0 = expectation(dist, dist.column(0))
+        v = expectation(dist, (dist.column(0) - theta0) ** 2)
+        model, theta0 = overidentified_mean_model(v), np.array([theta0])
+        return GmmInstance(name="random", dist=dist, model=model, theta0=theta0)
+
+    return make, weights, bump
+
+
 @st.composite
 def random_instances(draw):
     """A builder of a random instance from its probabilities, the
     probabilities as drawn, and a direction (one factor per atom) in which
     they can be moved while the model stays exactly true.
 
-    Half are overidentified-mean instances on a random support, with theta0
-    and the variance restriction recomputed for each probability vector.
-    Half are IV designs from ``iv_grid_design`` with q = 1 or 2 instruments
-    and two to four levels of each instrument and of w.
+    Half are overidentified-mean instances (``moment_instance``) on 3 to 12
+    atoms.  Half are IV designs from ``iv_grid_design`` with q = 1 or 2
+    instruments and two to four levels of each instrument and of w.
     """
     seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.booleans()):
-        rng = np.random.default_rng(seed)
-        n_atoms = draw(st.integers(3, 12))
-        support = np.sort(rng.uniform(-3.0, 3.0, n_atoms))
-        weights = rng.uniform(0.05, 1.0, n_atoms)
-        bump = rng.uniform(-1.0, 1.0, n_atoms)
-
-        def make(w):
-            dist = make_distribution(support, w)
-            theta0 = expectation(dist, dist.column(0))
-            v = expectation(dist, (dist.column(0) - theta0) ** 2)
-            model, theta0 = overidentified_mean_model(v), np.array([theta0])
-            return GmmInstance(name="random", dist=dist, model=model, theta0=theta0)
-
+        make, weights, bump = moment_instance(seed, draw(st.integers(3, 12)))
     else:
         z_counts = [draw(st.integers(2, 4)) for _ in range(draw(st.integers(1, 2)))]
         rows, weights, bump, model = iv_grid_design(seed, z_counts, draw(st.integers(2, 4)))
@@ -312,23 +320,66 @@ def perturbed_instances(draw):
     return make, weights, weights * (1.0 + 1e-14 * bump)
 
 
-def assert_projectors_move_by_rounding(make, weights, moved):
-    """Every tangent basis of ``make(weights)`` and of ``make(moved)`` has
-    the same dimension, and its whitened projector moves by at most 1e-12."""
+def largest_projector_move(make, weights, moved):
+    """``make(weights)``, and the largest entry by which a whitened projector
+    of its tangent bases moves from ``make(weights)`` to ``make(moved)``,
+    once every basis has the same dimension in both."""
     pair = [make(w) for w in (weights, moved)]
     bases, bases_moved = (tangent_bases(instance) for instance in pair)
     assert [b.dim for b in bases] == [b.dim for b in bases_moved]
+    moves = [0.0]
     for basis, other in zip(bases, bases_moved):
         a = basis.values * np.sqrt(pair[0].dist.probs)
         b = other.values * np.sqrt(pair[1].dist.probs)
-        assert np.max(np.abs(a.T @ a - b.T @ b), initial=0.0) <= 1e-12, basis.label
+        moves.append(np.max(np.abs(a.T @ a - b.T @ b), initial=0.0))
+    return pair[0], max(moves)
+
+
+# the condition number of an instance's whitened spanning moments up to which
+# an absolute 1e-12 bounds how far a projector moves when every probability
+# moves by a relative 1e-14
+PROJECTOR_COND = 1e3
+
+
+def spanning_cond(instance):
+    """The condition number of the moment columns, whitened by sqrt(p), that
+    the tangent bases are split from: m at theta0 on a moment instance, and
+    the larger of those of x e and z e on an IV instance."""
+    sqp = np.sqrt(instance.dist.probs)[:, None]
+    if instance.kind == "gmm":
+        columns = [instance.model.moments_at(instance.theta0, instance.dist.support)]
+    else:
+        _, x, z = instance.model.design_matrices(instance.dist.support)
+        e = instance.model.errors_on(instance.dist.support)[:, None]
+        columns = [x * e, z * e]
+    return max(np.linalg.cond(sqp * c) for c in columns)
+
+
+def projector_bound(instance):
+    """How far a projector of ``largest_projector_move`` may move: 1e-12,
+    scaled up by ``spanning_cond`` over ``PROJECTOR_COND``, the instance's
+    first-order sensitivity to its probabilities.  Over 3000 generated
+    moment instances and 3000 IV designs the move stayed below 0.064 and
+    0.021 of this bound, and a projector entry moved by 1e-10 exceeded it
+    on all of them."""
+    return 1e-12 * max(1.0, spanning_cond(instance) / PROJECTOR_COND)
 
 
 class TestBasesUnderPerturbation:
     @settings(max_examples=40, deadline=None)
     @given(case=perturbed_instances())
     def test_projectors_move_no_more_than_the_instance(self, case):
-        assert_projectors_move_by_rounding(*case)
+        instance, move = largest_projector_move(*case)
+        assert move <= projector_bound(instance)
+
+    def test_nearly_coincident_support_points(self):
+        # Hypothesis seed 101 drew this instance: support 2.5317, 2.97195579
+        # and 2.97195846, so spanning_cond = 4.6e5 (cond(E[mm']) = 2.1e11);
+        # the T projector moves by 5.7e-12, 0.012 of its bound
+        make, weights, bump = moment_instance(21575, 3)
+        instance, move = largest_projector_move(make, weights, weights * (1.0 + 1e-14 * bump))
+        assert spanning_cond(instance) > 1e5
+        assert 1e-12 < move <= projector_bound(instance)
 
     def test_ill_conditioned_design_moves_the_projectors_by_rounding(self):
         # instrument levels 1.9433 and 1.9490, cond(E[ZZ']) = 2.9e6: with
@@ -341,7 +392,8 @@ class TestBasesUnderPerturbation:
         def make(w):
             return IvInstance("ill", make_distribution(rows, w), model)
 
-        assert_projectors_move_by_rounding(make, weights, weights * (1.0 + 1e-14 * bump))
+        moved = weights * (1.0 + 1e-14 * bump)
+        assert largest_projector_move(make, weights, moved)[1] <= 1e-12
 
 
 class TestTangentBasesCache:

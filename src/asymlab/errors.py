@@ -108,8 +108,5 @@ class ShapeMismatch(AsymlabError):
 
 
 class NegativeSpectrumWarning(UserWarning):
-    """The estimated variance difference had an eigenvalue below -tol * lambda_max.
-
-    Finite samples can invert the efficiency ordering; the statistic is still
-    computed on the positive part of the spectrum.
-    """
+    """No longer raised (the DWH contrast variance is positive semidefinite
+    by construction); kept because ``bench/tracing.py`` counts it."""

@@ -9,32 +9,24 @@ cross-product and residual sum weights a row by its count, so a sample on a
 finite support can be passed as the support and its count vector.  X'X,
 Z'Z and X'P_Z X are each factored once by ``linalg._cholesky``, as every GMM
 system is, and a matrix it cannot factor is refused by its named error: the
-verdict does not change when a regressor or an instrument is rescaled.
-The population influence functions of OLS and 2SLS and the DWH statistic
+verdict does not change when a regressor or an instrument is rescaled,
+and the DWH rank is that rule too (``linalg._contrast_solve``).  The
+population influence functions of OLS and 2SLS and the DWH statistic
 basis live on the instance's design (``scores.iv_design``), not here.
 """
 
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chi2 import TestStatistic
 from .dist import Dataset
-from .errors import (
-    NegativeSpectrumWarning,
-    RankDeficientFirstStage,
-    ShapeMismatch,
-    SingularDesign,
-    SingularInstrumentGram,
-)
-from .linalg import _cholesky
+from .errors import RankDeficientFirstStage, ShapeMismatch, SingularDesign, SingularInstrumentGram
+from .linalg import _cholesky, _contrast_solve
 from .models import IVModel
-
-RANK_TOL = 1e-8  # relative spectral cutoff for the generalized inverse
 
 
 def write_csv(data: Dataset, model: IVModel, path) -> None:
@@ -114,38 +106,24 @@ def estimate_2sls(data: Dataset, model: IVModel) -> LinearEstimate:
     return _fit(data, y, X, solved)
 
 
-def dwh_statistic(data: Dataset, ols: LinearEstimate, tsls: LinearEstimate) -> TestStatistic:
-    """Contrast test n * (b_ols - b_2sls)' V^- (b_ols - b_2sls).
-
-    V estimates the asymptotic variance of the scaled contrast by the
-    difference of the two variance matrices, both scaled to the 2SLS residual
-    variance (a single variance scale keeps the difference exactly singular
-    in the directions where the estimators coincide, so the spectral cutoff
-    identifies the rank cleanly).  Eigenvalues below RANK_TOL times the scale
-    of the two variance matrices (their largest entry) are zeroed, so a
-    difference made only of rounding has rank zero; the dof is the retained
-    rank.  Eigenvalues below the negative of the cutoff raise
-    ``NegativeSpectrumWarning`` and are dropped.
-    """
+def dwh_statistic(
+    data: Dataset, model: IVModel, ols: LinearEstimate, tsls: LinearEstimate
+) -> TestStatistic:
+    """Contrast test n d' (V_2sls - V_ols)^{-1} d with k1 dof, d the x1
+    part of b_ols - b_2sls (both residuals are orthogonal to x2, so the x2
+    part is a fixed map of it) and V the x1 blocks of the two variances at
+    the 2SLS residual variance, whose difference is then positive
+    semidefinite.  Where ``linalg._contrast_solve`` (the population DWH
+    basis's rule) finds it not positive definite, the statistic is 0 with
+    no dof."""
     if ols.beta.shape != tsls.beta.shape:
         raise ShapeMismatch("estimates have different parameter dimensions")
-    delta = ols.beta - tsls.beta
+    k1 = model.k1
+    delta = (ols.beta - tsls.beta)[:k1]
     # rescale the OLS variance to the 2SLS residual variance; with an exact
     # fit (zero residual variance) both variance estimates are zero already
     ratio = tsls.sigma_sq_hat / ols.sigma_sq_hat if ols.sigma_sq_hat > 0.0 else 1.0
-    vdiff = tsls.vcov - ratio * ols.vcov
-    vdiff = 0.5 * (vdiff + vdiff.T)
-    evals, evecs = np.linalg.eigh(vdiff)
-    scale = max(tsls.vcov.max(), ratio * ols.vcov.max())  # PSD: the largest |entry|
-    cutoff = RANK_TOL * scale
-    if evals[0] < -cutoff:
-        warnings.warn(
-            f"variance difference has negative eigenvalue {evals[0]:.3e}; "
-            "keeping the positive part",
-            NegativeSpectrumWarning,
-            stacklevel=2,
-        )
-    keep = evals > cutoff
-    coords = evecs[:, keep].T @ delta
-    value = float(data.n * np.sum(coords**2 / evals[keep]))
-    return TestStatistic(value=value, dof=int(keep.sum()))
+    solved = _contrast_solve(ratio * ols.vcov[:k1, :k1], tsls.vcov[:k1, :k1], delta)
+    if solved is None:
+        return TestStatistic(value=0.0, dof=0)
+    return TestStatistic(value=max(float(data.n * delta @ solved), 0.0), dof=k1)

@@ -5,9 +5,9 @@ population, is solved by ``_cholesky``, and its pivot test is the only rule
 that decides positive-definiteness: a system whose factorisation fails is
 refused, by the caller's named error, with no separate check before it.
 The rule compares each pivot with its own diagonal entry, so it does not
-change when a regressor, an instrument or a moment is rescaled.  The one
-rule for a rectangular population matrix (the mean Jacobian, E[ZX']) is
-``_full_column_rank``.
+change when a regressor, an instrument or a moment is rescaled; it also
+decides the DWH rank (``_contrast_solve``).  The one rule for a rectangular
+population matrix (the mean Jacobian, E[ZX']) is ``_full_column_rank``.
 """
 
 from __future__ import annotations
@@ -77,6 +77,20 @@ def _cholesky(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
                 s -= row[k] * x[k]
             x[i] = s * inv[i]
     return np.array(cols[0]) if b.ndim == 1 else np.array(cols).T
+
+
+def _contrast_solve(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray | None:
+    """Solve (b - a) x = r, ``a`` an efficient estimator's variance and ``b``
+    a consistent one's; None unless every pivot of b - a exceeds PIVOT_TOL
+    times b's diagonal entry.  ``_cholesky`` of their joint variance
+    [[a, a], [a, b]] (Hausman 1978) factors a, which must be positive
+    definite, and leaves b - a as the Schur complement; x is the trailing
+    half of the joint solution for (0, r)."""
+    k = len(a)
+    joint = np.tile(a, (2, 2))
+    joint[k:, k:] = b
+    solved = _cholesky(joint, np.concatenate([np.zeros(k), r]))
+    return None if solved is None else solved[k:]
 
 
 def _full_column_rank(a: np.ndarray) -> bool:

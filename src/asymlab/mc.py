@@ -167,7 +167,7 @@ def _replication(config: ExperimentConfig, sample: Dataset) -> np.ndarray:
         ols = estimate_ols(sample, inst.model)
         tsls = estimate_2sls(sample, inst.model)
         estimates = {"ols": ols.beta, "tsls": tsls.beta}
-        stat = dwh_statistic(sample, ols, tsls) if config.tests else None
+        stat = dwh_statistic(sample, inst.model, ols, tsls) if config.tests else None
     row = [estimates[name] for name in config.estimators]
     if config.tests:  # an instance kind has one test
         row.append([stat.value, stat.dof, stat.reject(config.alpha)])

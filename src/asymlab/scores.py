@@ -21,7 +21,8 @@ OLS/2SLS influence differences).  Every inverse a design takes (Sigma, the
 information, E[ZZ'], E[XX'] and E[XZ'] E[ZZ']^{-1} E[ZX']) is a
 ``linalg._cholesky`` solve, refused by the design's named error when the
 factorisation fails; the mean Jacobian and E[ZX'] are held to
-``linalg._full_column_rank``.  A score's three-way split and the tangent
+``linalg._full_column_rank``, and the DWH rank, as the sample's, to
+``linalg._contrast_solve``.  A score's three-way split and the tangent
 bases are read from the same two small spans of each design (``_spans``):
 T_perp (the J basis; the IV design's cell-wise errors, over the (x1, z)
 cells that ``dist._row_groups`` finds, minus x e) and M_perp (empty for a
@@ -52,12 +53,11 @@ from .errors import (
     SingularInstrumentGram,
     SingularSigma,
 )
-from .linalg import PIVOT_TOL, RANK_RATIO, _cholesky, _full_column_rank
+from .linalg import PIVOT_TOL, RANK_RATIO, _cholesky, _contrast_solve, _full_column_rank
 from .models import IVModel, MomentModel
 
 MEAN_ZERO_TOL = 1e-10
 ORTHO_TOL = 1e-10
-DROP_TOL = 1e-9  # DWH rank cutoff on singular values, relative to the fitted regressors
 NULL_MODEL_TOL = 1e-10  # on E[e | cell] and, times max(1, sigma0^2), on E[e^2 | cell]
 
 SUBSPACE_LABELS = ("T", "T_perp", "T_perp_cap_M", "M_perp", "full")
@@ -248,11 +248,14 @@ class PopulationDesign:
         return expectation(self.dist, self.influence[estimator] * g.values[:, None])
 
     def dof(self, test: str) -> int:
-        """k, the dimension of the test's statistic basis; ``ShapeMismatch`` when
-        0, where the test cannot be run (J with l = p, DWH where 2SLS is OLS)."""
+        """k, the dimension of the test's statistic basis; ``ShapeMismatch``
+        naming ``no_dof_cause`` when 0, where the test cannot be run (J with
+        l = p; DWH where 2SLS equals OLS along some combination of x1)."""
         k = self.statistic[test].dim
         if k == 0:
-            raise ShapeMismatch(f"the {test} test has no degrees of freedom on this instance")
+            raise ShapeMismatch(
+                f"the {test} test has no degrees of freedom on this instance: {self.no_dof_cause}"
+            )
         return k
 
     def drift(self, test: str, g: ScoreFunction) -> np.ndarray:
@@ -303,6 +306,7 @@ class MomentDesign(PopulationDesign):
     estimators = ("gmm",)
     tests = ("j",)
     middle_label = "T_perp"
+    no_dof_cause = "the moments just identify the parameters (l = p)"
 
     @cached_property
     def _spans(self) -> tuple[np.ndarray, np.ndarray]:
@@ -417,6 +421,7 @@ class IvDesign(PopulationDesign):
     estimators = ("ols", "tsls")
     tests = ("dwh",)
     middle_label = "T_perp_cap_M"
+    no_dof_cause = "2SLS equals OLS along some combination of x1"
 
     @cached_property
     def _spans(self) -> tuple[np.ndarray, np.ndarray]:
@@ -452,11 +457,11 @@ def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
 
     The DWH basis spans the OLS/2SLS influence differences, which are
     uncorrelated with OLS's influence (Hausman 1978), so span(x1_hat e)
-    minus span(x e), x1_hat the projection of x1 on z.  It is read from a
-    Householder QR of [x e, x1_hat e], which does not cancel where 2SLS is
-    close to OLS: the k1 trailing columns, rotated by the left singular
-    vectors of R's trailing block; its singular values above ``DROP_TOL``
-    times the largest column norm of x1_hat e set the rank.
+    minus span(x e), x1_hat the projection of x1 on z: the k1 trailing
+    columns of a Householder QR of [x e, x1_hat e], which does not cancel
+    where 2SLS is close to OLS, or none unless ``linalg._contrast_solve``
+    (the sample statistic's rule) finds the x1 blocks of E[XX']^{-1} and
+    (E[XZ'] E[ZZ']^{-1} E[ZX'])^{-1} a positive definite contrast.
     """
     cell, e = _null_cells(dist, model)
     _, X, Z = model.design_matrices(dist.support)
@@ -479,11 +484,11 @@ def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
     ols = (X @ exx_inv) * e[:, None]
     tsls = (Z @ first @ projected_inv) * e[:, None]
     ols, tsls = (v - expectation(dist, v) for v in (ols, tsls))
-    fitted = _white(dist, (Z @ first[:, : model.k1]) * e[:, None])
-    q, r = np.linalg.qr(np.hstack([_white(dist, X * e[:, None]), fitted]))
-    u, sv, _ = np.linalg.svd(r[p:, p:])
-    keep = sv > DROP_TOL * np.max(np.linalg.norm(fitted, axis=0))
-    dwh = _basis(dist, q[:, p:] @ u[:, keep], "T_perp_cap_M")
+    k1, dwh = model.k1, np.zeros((dist.n_atoms, 0))
+    if _contrast_solve(exx_inv[:k1, :k1], projected_inv[:k1, :k1], np.zeros(k1)) is not None:
+        fitted = _white(dist, (Z @ first[:, :k1]) * e[:, None])
+        dwh = np.linalg.qr(np.hstack([_white(dist, X * e[:, None]), fitted]))[0][:, p:]
+    dwh = _basis(dist, dwh, "T_perp_cap_M")
     influence = dict(zip(IvDesign.estimators, [ols, tsls]))
     statistic = dict(zip(IvDesign.tests, [dwh]))
     return IvDesign(dist, influence, statistic, X, Z, e, cell)

@@ -197,7 +197,7 @@ def _check_estimators():
         np.max(np.abs(tsls.beta - iv1.model.beta0)) < 1e-10,
         "2SLS at the population is not exact",
     )
-    _require(dwh_statistic(ivdata, ols, tsls).dof == 1, "DWH degrees of freedom")
+    _require(dwh_statistic(ivdata, iv1.model, ols, tsls).dof == 1, "DWH degrees of freedom")
 
 
 def _check_moment_contract():

@@ -10,7 +10,9 @@ simplex on the substituted one; the score-space oracles sum one support
 point at a time with ``math.fsum`` instead of forming whole-array products,
 and split a score by projecting it on explicit tangent bases instead of on
 the small spanning sets the library uses; the moment-model oracles evaluate
-one observation at a time.
+one observation at a time; the DWH oracle inverts the whole variance
+difference by its spectrum, where the library solves the x1 block through
+the joint variance's Cholesky factor.
 """
 
 import csv
@@ -201,6 +203,22 @@ def fsum_moment(probs, a, b) -> np.ndarray:
             for i in range(a.shape[1])
         ]
     )
+
+
+def dwh_by_eigh(n: int, ols, tsls, rank_tol: float = 1e-8) -> tuple[float, int]:
+    """(statistic, dof) of the DWH contrast n d' V^- d by a spectral
+    generalized inverse: d = b_ols - b_2sls over all coefficients, V the
+    difference of the two variance matrices with OLS's rescaled to the 2SLS
+    residual variance, and V^- keeps the eigenvalues above ``rank_tol``
+    times the largest entry of the two variance matrices, dropping the rest,
+    negative ones among them."""
+    delta = ols.beta - tsls.beta
+    ratio = tsls.sigma_sq_hat / ols.sigma_sq_hat if ols.sigma_sq_hat > 0.0 else 1.0
+    vdiff = tsls.vcov - ratio * ols.vcov
+    evals, evecs = np.linalg.eigh(0.5 * (vdiff + vdiff.T))
+    keep = evals > rank_tol * max(tsls.vcov.max(), ratio * ols.vcov.max())
+    coords = evecs[:, keep].T @ delta
+    return float(n * np.sum(coords**2 / evals[keep])), int(keep.sum())
 
 
 def iv_blocks(rows, model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -224,6 +224,13 @@ class TestShippedConfigs:
             build_experiment(raw)
 
 
+# what the message of each refusal names as its cause
+NO_DOF_CAUSES = {
+    "j": "the moments just identify the parameters (l = p)",
+    "dwh": "2SLS equals OLS along some combination of x1",
+}
+
+
 def no_dof_config(test):
     """A config whose one test has no degrees of freedom on its instance: the
     j test of a just-identified linear IV moment model (dims [1, 0, 1]), or
@@ -265,7 +272,8 @@ class TestTestsWithNoDegreesOfFreedom:
         assert execute([command, "--config", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: the {test} test has no degrees of freedom on this instance\n"
+        message = f"the {test} test has no degrees of freedom on this instance"
+        assert err == f"error: {message}: {NO_DOF_CAUSES[test]}\n"
 
 
 class TestCliCommands:

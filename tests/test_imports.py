@@ -2,10 +2,12 @@
 private module-level function or class and every module-level constant is
 used somewhere in the library, every public function, class, method and
 property is used in the library or the benchmark (re-exports from
-``__init__.py`` do not count), every error class is named outside
-``errors.py``, no module solves or inverts a matrix around
-``linalg._cholesky``, only ``PopulationDesign`` splits a score three ways,
-every JSON parse refuses non-finite numbers, and no module imports SciPy."""
+``__init__.py`` do not count), every error class is named in the library
+outside ``errors.py`` or in the benchmark, no module solves or inverts a
+matrix around ``linalg._cholesky`` or takes an eigendecomposition, only
+``linalg.py`` takes a singular value decomposition, only
+``PopulationDesign`` splits a score three ways, every JSON parse refuses
+non-finite numbers, and no module imports SciPy."""
 
 import ast
 import re
@@ -132,19 +134,25 @@ def unnamed_error_classes(errors_source: str, others: dict[str, str]) -> list[st
     ]
 
 
-# a positive-definite solve or singularity test beside ``linalg._cholesky``
+# a positive-definite solve, singularity test or rank cut-off beside
+# ``linalg._cholesky``: any eigendecomposition, and outside ``linalg.py``
+# (whose ``_full_column_rank`` is the one rank rule for a rectangular
+# matrix) any singular value decomposition
 OTHER_SOLVES = re.compile(
-    r"linalg\.(inv|pinv|solve|cholesky|lstsq)\b|eigvalsh|cho_solve|_near_singular"
+    r"linalg\.(inv|pinv|solve|cholesky|lstsq)\b|\beig(h|vals|valsh)?\b|cho_solve|_near_singular"
 )
+OTHER_RANK_RULES = re.compile(r"\bsvd(vals)?\b")
 
 
-def other_solves(source: str) -> list[str]:
-    """Lines of ``source`` that name a matrix solve, inverse or eigenvalue
-    test other than ``_cholesky``."""
+def other_solves(source: str, name: str) -> list[str]:
+    """Lines of ``source``, the module file ``name``, that name a matrix
+    solve, inverse, eigenvalue or (outside ``linalg.py``) singular value
+    routine other than ``_cholesky``."""
+    patterns = [OTHER_SOLVES] if name == "linalg.py" else [OTHER_SOLVES, OTHER_RANK_RULES]
     return [
         f"line {number}: {line.strip()}"
         for number, line in enumerate(source.splitlines(), 1)
-        if OTHER_SOLVES.search(line)
+        if any(pattern.search(line) for pattern in patterns)
     ]
 
 
@@ -155,16 +163,24 @@ def test_the_check_sees_another_solve():
         "y = _cholesky(a, b)\n"
         "z = np.linalg.inv(a) @ np.linalg.eigvalsh(a)\n"
         "q, r = np.linalg.qr(a)\n"
+        "w, v = np.linalg.eigh(a)  # weighted eigenvalues\n"
+        "e = scipy.linalg.eig(a) + np.linalg.eigvals(a)\n"
+        "s = np.linalg.svd(a, compute_uv=False)\n"
     )
-    assert other_solves(source) == [
+    assert other_solves(source, "iv.py") == [
         "line 3: x = np.linalg.solve(a, b)",
         "line 5: z = np.linalg.inv(a) @ np.linalg.eigvalsh(a)",
+        "line 7: w, v = np.linalg.eigh(a)  # weighted eigenvalues",
+        "line 8: e = scipy.linalg.eig(a) + np.linalg.eigvals(a)",
+        "line 9: s = np.linalg.svd(a, compute_uv=False)",
     ]
+    # linalg.py's one singular value decomposition is its rank rule
+    assert other_solves(source, "linalg.py") == other_solves(source, "iv.py")[:-1]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_positive_definite_solve_is_the_cholesky_helper(path):
-    assert other_solves(path.read_text()) == []
+    assert other_solves(path.read_text(), path.name) == []
 
 
 # the methods that split a score three ways; ``PopulationDesign`` alone defines them
@@ -369,11 +385,13 @@ def test_the_check_sees_an_unnamed_error_class():
     errors = (
         "class BaseError(Exception):\n    pass\n\n"
         "class Raised(BaseError):\n    pass\n\n"
-        "class Stale(BaseError):\n    pass\n"
+        "class Stale(BaseError):\n    pass\n\n"
+        "class Counted(UserWarning):\n    pass\n"
     )
     others = {
         "a.py": "from .errors import BaseError, Raised\n",
         "b.py": "from . import errors\n\nraise errors.Raised('x')\n",
+        "bench/tracing.py": "from asymlab.errors import Counted\n",
     }
     assert unnamed_error_classes(errors, others) == ["Stale (line 7)"]
 
@@ -384,5 +402,8 @@ def test_every_constant_is_read():
 
 
 def test_every_error_class_is_named_outside_errors():
+    # the readers of ``test_every_public_definition_has_a_caller``: the
+    # library and the benchmark
     others = {p.name: p.read_text() for p in PACKAGE.glob("*.py") if p.name != "errors.py"}
-    assert unnamed_error_classes((PACKAGE / "errors.py").read_text(), others) == []
+    bench = {f"bench/{path.name}": path.read_text() for path in sorted(ROOT.glob("bench/*.py"))}
+    assert unnamed_error_classes((PACKAGE / "errors.py").read_text(), {**others, **bench}) == []

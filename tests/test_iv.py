@@ -1,6 +1,7 @@
 import importlib.util
+import itertools
+import json
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,17 +10,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     draw_sample,
+    dwh_by_eigh,
     iv_bias_closed_forms,
     iv_efficient_scores,
     orthonormal_basis,
     read_csv,
 )
 
+from asymlab.chi2 import TestStatistic
+from asymlab.cli import execute
 from asymlab.config import build_experiment, build_instance, load_raw, validate_raw
-from asymlab.dist import Dataset, draw_indices, make_distribution
+from asymlab.dist import Dataset, draw_indices, make_distribution, replication_seed
 from asymlab.errors import (
     AsymlabError,
-    NegativeSpectrumWarning,
+    ConfigInvalid,
     NullModelViolated,
     RankDeficientFirstStage,
     ShapeMismatch,
@@ -35,6 +39,8 @@ from asymlab.iv import (
     estimate_ols,
     write_csv,
 )
+from asymlab.linalg import PIVOT_TOL
+from asymlab.mc import local_distribution
 from asymlab.models import IVModel
 from asymlab.predict import build_prediction
 from asymlab.scores import (
@@ -199,23 +205,21 @@ class TestDwh:
         beta = np.array([1.0, 0.1])
         ols = LinearEstimate(beta=beta, vcov=np.diag([0.5, 1.0]), sigma_sq_hat=1.0)
         tsls = LinearEstimate(beta=beta.copy(), vcov=np.diag([1.0, 1.0]), sigma_sq_hat=1.0)
-        stat = dwh_statistic(data, ols, tsls)
-        assert stat.value == 0.0
+        stat = dwh_statistic(data, iv1.model, ols, tsls)
+        assert stat.value == 0.0 and stat.dof == 1
 
     def test_iv1_rank_one(self, iv1):
         # oracle: the population variance difference has rank k1 = 1
         assert iv1.design.statistic["dwh"].dim == 1
         data = iv1_sample(iv1, n=500, seed=31)
-        stat = dwh_statistic(data, estimate_ols(data, iv1.model), estimate_2sls(data, iv1.model))
-        assert stat.dof == 1
+        ols, tsls = estimate_ols(data, iv1.model), estimate_2sls(data, iv1.model)
+        assert dwh_statistic(data, iv1.model, ols, tsls).dof == 1
 
     def test_row_reordering_invariance(self, iv1, rng):
         data = iv1_sample(iv1, n=200, seed=12)
-        stat = dwh_statistic(data, estimate_ols(data, iv1.model), estimate_2sls(data, iv1.model))
-        perm = rng.permutation(200)
-        shuffled = Dataset(data.rows[perm])
-        stat2 = dwh_statistic(
-            shuffled, estimate_ols(shuffled, iv1.model), estimate_2sls(shuffled, iv1.model)
+        stat, stat2 = (
+            dwh_statistic(d, iv1.model, estimate_ols(d, iv1.model), estimate_2sls(d, iv1.model))
+            for d in (data, Dataset(data.rows[rng.permutation(200)]))
         )
         assert stat2.value == pytest.approx(stat.value, rel=1e-12)
         assert stat2.dof == stat.dof
@@ -229,11 +233,10 @@ class TestDwh:
             Dataset(iv1.dist.support, counts),
             Dataset(np.repeat(iv1.dist.support, counts, axis=0)[::-1]),
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", NegativeSpectrumWarning)
-            for data in samples:
-                ols, tsls = estimate_ols(data, iv1.model), estimate_2sls(data, iv1.model)
-                assert dwh_statistic(data, ols, tsls).dof == 0
+        for data in samples:
+            ols, tsls = estimate_ols(data, iv1.model), estimate_2sls(data, iv1.model)
+            stat = dwh_statistic(data, iv1.model, ols, tsls)
+            assert stat.dof == 0 and stat.value == 0.0
 
     def test_null_rejection_rate(self, iv1):
         # oracle: central chi-square(1) calibration under the null
@@ -241,22 +244,23 @@ class TestDwh:
         for rep in range(reps):
             data = iv1_sample(iv1, n=n, seed=5000 + rep)
             ols, tsls = estimate_ols(data, iv1.model), estimate_2sls(data, iv1.model)
-            if dwh_statistic(data, ols, tsls).reject(0.05):
+            if dwh_statistic(data, iv1.model, ols, tsls).reject(0.05):
                 hits += 1
         rate = hits / reps
         assert abs(rate - 0.05) < 4.0 * math.sqrt(0.05 * 0.95 / reps)
 
-    def test_negative_spectrum_warns(self, iv1):
+    @pytest.mark.parametrize("v_tsls", [0.5, 1.0])
+    def test_no_efficiency_gain_gives_no_dof(self, iv1, v_tsls):
+        # V_2sls,11 <= V_ols,11: the contrast variance is not positive
+        # definite, so the statistic has no dof and never rejects, however
+        # far apart the estimates are (the x2 block is not contrasted)
         data = iv1_sample(iv1, n=100, seed=3)
-        ols = LinearEstimate(
-            beta=np.array([1.0, 0.0]), vcov=np.diag([0.5, 1.0]), sigma_sq_hat=1.0
-        )
+        ols = LinearEstimate(beta=np.array([1.0, 0.0]), vcov=np.diag([1.0, 0.5]), sigma_sq_hat=1.0)
         tsls = LinearEstimate(
-            beta=np.array([1.1, 0.0]), vcov=np.diag([1.0, 0.5]), sigma_sq_hat=1.0
+            beta=np.array([1.5, 0.0]), vcov=np.diag([v_tsls, 1.0]), sigma_sq_hat=1.0
         )
-        with pytest.warns(NegativeSpectrumWarning):
-            stat = dwh_statistic(data, ols, tsls)
-        assert stat.dof == 1  # only the positive direction is kept
+        stat = dwh_statistic(data, iv1.model, ols, tsls)
+        assert stat.dof == 0 and stat.value == 0.0 and not stat.reject(0.05)
 
     def test_population_variance_ordering(self, iv1):
         # efficiency under the null: the 2SLS variance dominates the OLS one
@@ -304,16 +308,30 @@ def _fit_or_error(data, model):
         return type(exc)
 
 
-def _contrast_is_determined(ols, tsls):
-    """True when every eigenvalue of the variance difference the DWH statistic
-    inverts is far from its rank cutoff, so rounding cannot change the dof."""
+def _contrast_margin(ols, tsls, k1):
+    """The smallest Cholesky pivot of the x1 contrast variance b - a over its
+    diagonal entry of b (b = V_2sls, a = V_ols rescaled to the 2SLS residual
+    variance): 0.0 where the contrast is rounding alone (|b - a|_ij at most
+    1e-14 sqrt(b_ii b_jj)), so that every form of it is refused, and NaN
+    where it is neither that nor positive definite."""
     if ols.sigma_sq_hat <= 0.0:
-        return False
-    ratio = tsls.sigma_sq_hat / ols.sigma_sq_hat
-    vdiff = tsls.vcov - ratio * ols.vcov
-    evals = np.linalg.eigvalsh(0.5 * (vdiff + vdiff.T))
-    scale = max(np.max(np.abs(tsls.vcov)), ratio * np.max(np.abs(ols.vcov)))
-    return bool(np.all((np.abs(evals) <= 1e-10 * scale) | (evals >= 1e-3 * scale)))
+        return math.nan
+    b = tsls.vcov[:k1, :k1]
+    diff = b - tsls.sigma_sq_hat / ols.sigma_sq_hat * ols.vcov[:k1, :k1]
+    if np.all(np.abs(diff) <= 1e-14 * np.sqrt(np.outer(np.diag(b), np.diag(b)))):
+        return 0.0
+    try:
+        pivots = np.diag(np.linalg.cholesky(0.5 * (diff + diff.T))) ** 2
+    except np.linalg.LinAlgError:
+        return math.nan
+    return float(np.min(pivots / np.diag(b)))
+
+
+def _contrast_is_determined(ols, tsls, k1, margin=1e3):
+    """True when rounding cannot change the DWH dof: the contrast is rounding
+    alone, or its pivots clear the rule's PIVOT_TOL by ``margin``."""
+    pivot = _contrast_margin(ols, tsls, k1)
+    return pivot == 0.0 or pivot >= margin * PIVOT_TOL
 
 
 class TestCountSamples:
@@ -342,10 +360,10 @@ class TestCountSamples:
             assert np.max(np.abs(a.beta - b.beta)) <= 1e-12 * amplify * beta_scale
             assert np.max(np.abs(a.vcov - b.vcov)) <= 1e-12 * amplify * vcov_scale
             assert abs(a.sigma_sq_hat - b.sigma_sq_hat) <= 1e-12 * scale
-        if not _contrast_is_determined(*want):
+        if not _contrast_is_determined(*want, model.k1):
             return
-        stat_counts = dwh_statistic(by_counts, *got)
-        stat_rows = dwh_statistic(by_rows, *want)
+        stat_counts = dwh_statistic(by_counts, model, *got)
+        stat_rows = dwh_statistic(by_rows, model, *want)
         assert stat_counts.dof == stat_rows.dof
         assert stat_counts.value == pytest.approx(stat_rows.value, rel=1e-9, abs=1e-12)
 
@@ -432,11 +450,17 @@ def predicted_biases(instance, g):
 
 
 @pytest.fixture(scope="module")
-def iv_wide_design():
-    """``iv_wide_design(seed)`` of the benchmark's workload definitions."""
+def workloads():
+    """The benchmark's workload definitions (``bench/workloads.py``)."""
     spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def iv_wide_design(workloads):
+    """``iv_wide_design(seed)`` of the benchmark's workload definitions."""
     return workloads.iv_wide_design
 
 
@@ -496,3 +520,185 @@ class TestBiasChannels:
             for name in ("ols", "tsls"):
                 scale = max(1.0, np.max(np.abs(want[name])))
                 assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale
+
+
+# --- the DWH rank: one rule for the sample and the population -------------------
+
+
+def replication_fits(config, count):
+    """(sample, OLS, 2SLS) of the first ``count`` replications of ``config``,
+    drawn as ``run_experiment`` draws them."""
+    local, model = local_distribution(config), config.instance.model
+    for rep in range(1, count + 1):
+        idx = draw_indices(local, config.n, replication_seed(config.master_seed, rep))
+        sample = Dataset(local.support, np.bincount(idx, minlength=local.n_atoms))
+        yield sample, estimate_ols(sample, model), estimate_2sls(sample, model)
+
+
+def near_exogenous_config(eps, reps=200):
+    """IV1 with x1 = z1 + eps w, as an inline config with IV1's drift,
+    n = 1000 and seed 7.  2SLS approaches OLS as eps falls: the contrast
+    variance of x1's coefficient is eps^2 / (1 + eps^2) of 2SLS's."""
+    rows = []
+    for z1 in (-1.0, 1.0):
+        for w in (-1.0, 1.0):
+            x1 = z1 + eps * w
+            rows += [[x1 + e, x1, 1.0, z1] for e in (-1.0, 1.0)]
+    model = {"beta0": [1.0, 0.0], "sigma0_sq": 1.0, "dims": [1, 1, 1]}
+    distribution = {"support": rows, "probs": [0.125] * 8}
+    instance = {"kind": "iv", "model": model, "distribution": distribution}
+    score = {"kind": "values", "values": [0.0, 0.0, 2.0, -2.0, -2.0, 2.0, 0.0, 0.0]}
+    return {
+        "schema": 1, "instance": instance, "score": score, "n": 1000, "reps": reps,
+        "alpha": 0.05, "seed": 7, "estimators": ["ols", "tsls"], "tests": ["dwh"],
+    }
+
+
+def two_regressor_config(seed, self_instrumented=False):
+    """A seeded IV design with k1 = 2 endogenous regressors, an intercept and
+    q = 2 instruments, as an inline config (n = 1000).  Atoms are the sign
+    grid of (z1, z2, w1, w2, e), x1 = A z + diag(c) w and y = beta'x + e;
+    the atoms e = -1 and e = +1 of a cell carry equal mass, so the
+    conditional null holds.  The drift is e (w1 + w2).  With
+    ``self_instrumented`` the second regressor is z2 itself (w2 is dropped):
+    2SLS equals OLS along it, so the contrast variance has rank one."""
+    rng = np.random.default_rng([seed, 2])
+    a = np.eye(2) + rng.uniform(-0.3, 0.3, (2, 2))
+    c = rng.uniform(0.4, 0.8, 2)
+    beta = np.round(rng.uniform(-1.0, 1.0, 3), 2)
+    if self_instrumented:
+        a[1], c[1] = [0.0, 1.0], 0.0
+    rows, probs, drift = [], [], []
+    for z in itertools.product((-1.0, 1.0), repeat=2):
+        for w in itertools.product((-1.0, 1.0), (0.0,) if self_instrumented else (-1.0, 1.0)):
+            x1 = a @ z + c * w
+            mass = float(rng.uniform(0.5, 1.5))
+            for e in (-1.0, 1.0):
+                rows.append([float(beta[:2] @ x1 + beta[2] + e), *x1.tolist(), 1.0, *z])
+                probs.append(mass)
+                drift.append(e * (w[0] + w[1]))
+    model = {"beta0": beta.tolist(), "sigma0_sq": 1.0, "dims": [2, 1, 2]}
+    instance = {"kind": "iv", "model": model, "distribution": {"support": rows, "probs": probs}}
+    return {
+        "schema": 1, "instance": instance, "score": {"kind": "values", "values": drift},
+        "n": 1000, "reps": 1000, "alpha": 0.05, "seed": seed,
+        "estimators": ["ols", "tsls"], "tests": ["dwh"],
+    }
+
+
+NO_DWH_DOF = (
+    "error: the dwh test has no degrees of freedom on this instance: "
+    "2SLS equals OLS along some combination of x1\n"
+)
+
+
+def assert_matches_eigh_contrast(sample, model, ols, tsls, rtol=1e-12):
+    """The DWH statistic agrees with the spectral oracle: the same dof, the
+    value to ``rtol`` relative (absolute below 1), the same reject flag."""
+    stat = dwh_statistic(sample, model, ols, tsls)
+    value, dof = dwh_by_eigh(sample.n, ols, tsls)
+    assert stat.dof == dof
+    assert abs(stat.value - value) <= rtol * max(1.0, value)
+    assert stat.reject(0.05) == TestStatistic(value, dof).reject(0.05)
+
+
+class TestNearlyExogenousRegressor:
+    # with x1 = z1 + eps w the sample statistic kept eigenvalues above 1e-8
+    # of the variance scale and the population basis singular values above
+    # 1e-9: at eps = 1e-4 and 1e-5 the population had dof 1 and most
+    # samples dof 0, and at 1e-8 the population basis failed its mean-zero
+    # check; both rules are now the pivot test on the joint variance
+    @pytest.mark.parametrize("eps", [1e-4, 1e-5, 3e-6, 3e-7, 3e-8])
+    def test_sample_dof_is_the_population_dof(self, eps):
+        # the contrast variance crosses PIVOT_TOL at eps = 1e-6
+        instance = build_instance(near_exogenous_config(eps)["instance"])
+        dof = instance.design.statistic["dwh"].dim
+        assert dof == (eps > 1e-6)
+        for seed in range(200):
+            counts = np.bincount(draw_indices(instance.dist, 1000, seed), minlength=8)
+            sample = Dataset(instance.dist.support, counts)
+            ols, tsls = estimate_ols(sample, instance.model), estimate_2sls(sample, instance.model)
+            assert dwh_statistic(sample, instance.model, ols, tsls).dof == dof
+
+    def test_run_passes(self, tmp_path, capsys):
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(near_exogenous_config(1e-5, reps=1000)))
+        assert execute(["run", "--config", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["comparison"]["all_pass"]
+        assert doc["summary"]["tests"]["dwh"]["mean_dof"] == 1.0
+
+    @pytest.mark.parametrize("command", ["predict", "run"])
+    def test_exogenous_to_rounding_is_refused_by_name(self, tmp_path, capsys, command):
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(near_exogenous_config(1e-8)))
+        assert execute([command, "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == NO_DWH_DOF
+
+
+class TestTwoEndogenousRegressors:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_full_rank_matches_the_eigh_contrast(self, seed):
+        config = build_experiment(validate_raw(two_regressor_config(seed)))
+        assert config.instance.design.dof("dwh") == 2
+        for sample, ols, tsls in replication_fits(config, 300):
+            assert dwh_statistic(sample, config.instance.model, ols, tsls).dof == 2
+            assert_matches_eigh_contrast(sample, config.instance.model, ols, tsls)
+
+    def test_full_rank_run_passes(self, tmp_path, capsys):
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(two_regressor_config(1)))
+        assert execute(["run", "--config", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["comparison"]["all_pass"]
+        assert doc["prediction"]["tests"][0]["dof"] == 2
+        assert doc["summary"]["tests"]["dwh"]["mean_dof"] == 2.0
+
+    @pytest.mark.parametrize("command", ["predict", "run"])
+    def test_a_self_instrumented_regressor_is_refused_by_name(self, tmp_path, capsys, command):
+        # the contrast has rank one; the regressor belongs in x2
+        raw = two_regressor_config(1, self_instrumented=True)
+        with pytest.raises(ConfigInvalid, match="2SLS equals OLS along some combination of x1"):
+            build_experiment(validate_raw(raw))
+        path = tmp_path / "self.json"
+        path.write_text(json.dumps(raw))
+        assert execute([command, "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == NO_DWH_DOF
+
+
+class TestAgainstTheEighContrast:
+    # the statistic the library computed before its rank came from the joint
+    # variance, on the designs the benchmark and the shipped configs run
+    @pytest.mark.parametrize("design", ["iv1_power", 1, 2, 3])
+    def test_shipped_and_wide_designs(self, workloads, design):
+        if design == "iv1_power":
+            raw = load_raw(CONFIG_DIR / "iv1_power.json")
+            raw["seed"] = 3
+        else:
+            raw = workloads.make_config(str(BENCH.parent), "iv_wide", design)
+        config = build_experiment(validate_raw(raw))
+        for sample, ols, tsls in replication_fits(config, 3000):
+            assert_matches_eigh_contrast(sample, config.instance.model, ols, tsls)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=iv_count_samples())
+    def test_count_samples(self, case):
+        support, counts, model, _ = case
+        data = Dataset(support, counts)
+        fits = _fit_or_error(data, model)
+        assume(not isinstance(fits, type) and _contrast_is_determined(*fits, model.k1, 1e6))
+        # a (near-)exact fit leaves residual variances and a contrast made of
+        # rounding, which the two forms invert to different noise (IV1 with
+        # counts [0, 0, 11, 0, 5, 0, 10, 0]: 46.9 and 75.9, both with dof 1)
+        y, X, _ = model.design_matrices(support[counts > 0])
+        scale = np.max((np.abs(y) + np.abs(X) @ np.abs(fits[0].beta)) ** 2)
+        assume(min(fit.sigma_sq_hat for fit in fits) > 1e-6 * scale)
+        # both forms subtract nearly equal variances where the contrast is
+        # small against V_2sls, which amplifies rounding by the reciprocal of
+        # its smallest relative pivot (on 16,595 random samples the two were
+        # at most 255 ulps over that pivot apart, 4500 ulps being the bound)
+        pivot = _contrast_margin(*fits, model.k1)
+        rtol = 1e-12 / min(1.0, pivot) if pivot > 0.0 else 1e-12
+        assert_matches_eigh_contrast(data, model, *fits, rtol)

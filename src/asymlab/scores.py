@@ -458,8 +458,11 @@ def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
     The DWH basis spans the OLS/2SLS influence differences, which are
     uncorrelated with OLS's influence (Hausman 1978), so span(x1_hat e)
     minus span(x e), x1_hat the projection of x1 on z: the k1 trailing
-    columns of a Householder QR of [x e, x1_hat e], which does not cancel
-    where 2SLS is close to OLS, or none unless ``linalg._contrast_solve``
+    columns of a Householder QR of [1, x e, x1_hat e], which does not cancel
+    where 2SLS is close to OLS.  Rounding in a trailing column grows as its
+    pivot shrinks (to 1e-6 of its column at the rule's edge), but the
+    leading constant keeps the column orthogonal to it, so mean-zero, to
+    rounding.  There are none unless ``linalg._contrast_solve``
     (the sample statistic's rule) finds the x1 blocks of E[XX']^{-1} and
     (E[XZ'] E[ZZ']^{-1} E[ZX'])^{-1} a positive definite contrast.
     """
@@ -487,7 +490,8 @@ def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
     k1, dwh = model.k1, np.zeros((dist.n_atoms, 0))
     if _contrast_solve(exx_inv[:k1, :k1], projected_inv[:k1, :k1], np.zeros(k1)) is not None:
         fitted = _white(dist, (Z @ first[:, :k1]) * e[:, None])
-        dwh = np.linalg.qr(np.hstack([_white(dist, X * e[:, None]), fitted]))[0][:, p:]
+        cols = [np.sqrt(dist.probs)[:, None], _white(dist, X * e[:, None]), fitted]
+        dwh = np.linalg.qr(np.hstack(cols))[0][:, 1 + p :]
     dwh = _basis(dist, dwh, "T_perp_cap_M")
     influence = dict(zip(IvDesign.estimators, [ols, tsls]))
     statistic = dict(zip(IvDesign.tests, [dwh]))

@@ -205,18 +205,19 @@ def fsum_moment(probs, a, b) -> np.ndarray:
     )
 
 
-def dwh_by_eigh(n: int, ols, tsls, rank_tol: float = 1e-8) -> tuple[float, int]:
+def dwh_by_eigh(n: int, ols, tsls) -> tuple[float, int]:
     """(statistic, dof) of the DWH contrast n d' V^- d by a spectral
     generalized inverse: d = b_ols - b_2sls over all coefficients, V the
     difference of the two variance matrices with OLS's rescaled to the 2SLS
-    residual variance, and V^- keeps the eigenvalues above ``rank_tol``
-    times the largest entry of the two variance matrices, dropping the rest,
-    negative ones among them."""
+    residual variance, and V^- keeps the eigenvalues above 1e-8 times the
+    largest entry of the two variance matrices, dropping the rest, negative
+    ones among them."""
     delta = ols.beta - tsls.beta
     ratio = tsls.sigma_sq_hat / ols.sigma_sq_hat if ols.sigma_sq_hat > 0.0 else 1.0
     vdiff = tsls.vcov - ratio * ols.vcov
     evals, evecs = np.linalg.eigh(0.5 * (vdiff + vdiff.T))
-    keep = evals > rank_tol * max(tsls.vcov.max(), ratio * ols.vcov.max())
+    # 1e-8: the cut-off the library's eigh form used (iv.RANK_TOL)
+    keep = evals > 1e-8 * max(tsls.vcov.max(), ratio * ols.vcov.max())
     coords = evecs[:, keep].T @ delta
     return float(n * np.sum(coords**2 / evals[keep])), int(keep.sum())
 

@@ -219,19 +219,16 @@ def build_experiment(raw: dict) -> ExperimentConfig:
     for key in _RUN_KEYS:
         _require(raw, key, "config")
     estimators, tests, alpha = prediction_fields(raw)
-    try:
-        return ExperimentConfig(
-            instance=instance,
-            score=score,
-            n=raw["n"],
-            reps=raw["reps"],
-            alpha=alpha,
-            master_seed=raw["seed"],
-            estimators=tuple(estimators),
-            tests=tuple(tests),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad experiment fields: {exc}") from None
+    return ExperimentConfig(
+        instance=instance,
+        score=score,
+        n=raw["n"],
+        reps=raw["reps"],
+        alpha=alpha,
+        master_seed=raw["seed"],
+        estimators=tuple(estimators),
+        tests=tuple(tests),
+    )
 
 
 def prediction_fields(raw: dict) -> tuple[list[str], list[str], float]:

@@ -220,25 +220,26 @@ def resolve_score(instance: Instance, spec: dict) -> ScoreFunction:
         if extra:
             raise ConfigInvalid(f"unknown score fields {sorted(extra)}")
         values = _numbers(spec, "values", "score")
-        try:
-            return ScoreFunction(instance.dist, values)
-        except Exception as exc:
-            raise ConfigInvalid(f"bad score values: {exc}") from None
-    if kind == "basis":
+    elif kind == "basis":
         extra = set(spec) - {"kind", "space", "coefficients"}
         if extra:
             raise ConfigInvalid(f"unknown score fields {sorted(extra)}")
         space = spec.get("space")
         coefs = _numbers(spec, "coefficients", "score")
         bases = tangent_bases(instance)
-        for basis in bases:
-            if basis.label == space:
-                if coefs.shape != (basis.dim,):
-                    raise ConfigInvalid(
-                        f"{space} has dimension {basis.dim}, got {coefs.shape[0]} coefficients"
-                    )
-                values = coefs @ basis.values
-                return ScoreFunction(instance.dist, values)
-        labels = [b.label for b in bases]
-        raise ConfigInvalid(f"space {space!r} not available; choose from {labels}")
-    raise ConfigInvalid(f"unknown score kind {kind!r}")
+        basis = next((b for b in bases if b.label == space), None)
+        if basis is None:
+            labels = [b.label for b in bases]
+            raise ConfigInvalid(f"space {space!r} not available; choose from {labels}")
+        if coefs.shape != (basis.dim,):
+            raise ConfigInvalid(
+                f"{space} has dimension {basis.dim}, got {coefs.shape[0]} coefficients"
+            )
+        with np.errstate(over="ignore"):  # an overflow is refused below, by name
+            values = coefs @ basis.values
+    else:
+        raise ConfigInvalid(f"unknown score kind {kind!r}")
+    try:
+        return ScoreFunction(instance.dist, values)
+    except ValueError as exc:
+        raise ConfigInvalid(f"bad score values: {exc}") from None

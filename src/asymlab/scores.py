@@ -4,12 +4,13 @@ population design of each model kind.
 A score is one real value per support point with zero mean under the carrying
 distribution; the inner product is <f, g> = E[f g].  Subspaces are held as
 explicit orthonormal bases, one (k, S) array each, so projections are matrix
-products.  Every basis comes from a Householder QR in whitened coordinates
+products.  Every basis comes from one Householder QR in whitened coordinates
 (f -> sqrt(p) f): ``_split_span`` turns a few spanning columns A and B into
-orthonormal columns for span(A) minus the projection of span(B) on it.  No
-step pivots or drops a column, so a basis is a fixed sequence of LAPACK
-calls on its inputs, the same bits under any BLAS thread count, and its
-signs are fixed by its first non-negligible coordinate.
+orthonormal columns for span(A) less the constant minus the projection of
+span(B) on it, all mean-zero to rounding.  No other step pivots or drops a
+column, so a basis is a fixed sequence of LAPACK calls on its inputs, the
+same bits under any BLAS thread count, and its signs are fixed by its first
+non-negligible coordinate.
 
 Each instance has one population design (``moment_design`` or
 ``iv_design``), derived once with all of its checks, and the only route to
@@ -18,8 +19,8 @@ products with a score are its bias (``bias``), and each test's statistic
 basis, whose coordinates of a score are the test's limit drift (``drift``;
 J: the moment functions orthogonal to the efficient score; DWH: the
 OLS/2SLS influence differences).  Every inverse a design takes (Sigma, the
-information, E[ZZ'], E[XX'] and E[XZ'] E[ZZ']^{-1} E[ZX']) is a
-``linalg._cholesky`` solve, refused by the design's named error when the
+information; for IV the estimators' own solves on E[rows rows']) is a
+``linalg._cholesky`` solve, refused by a named error when the
 factorisation fails; the mean Jacobian and E[ZX'] are held to
 ``linalg._full_column_rank``, and the DWH rank, as the sample's, to
 ``linalg._contrast_solve``.  A score's three-way split and the tangent
@@ -49,10 +50,9 @@ from .errors import (
     RankDeficientFirstStage,
     RankDeficientJacobian,
     ShapeMismatch,
-    SingularDesign,
-    SingularInstrumentGram,
     SingularSigma,
 )
+from .iv import _least_squares, _two_stage
 from .linalg import PIVOT_TOL, RANK_RATIO, _cholesky, _contrast_solve, _full_column_rank
 from .models import IVModel, MomentModel
 
@@ -166,21 +166,22 @@ def inner_product(dist: DiscreteDistribution, f: ScoreFunction, g: ScoreFunction
 
 
 def _white(dist: DiscreteDistribution, cols: np.ndarray) -> np.ndarray:
-    """Per-atom columns ``cols`` (S, k), centered exactly and whitened (f -> sqrt(p) f)."""
-    return (cols - expectation(dist, cols)) * np.sqrt(dist.probs)[:, None]
+    """Per-atom columns ``cols`` (S, k) whitened (f -> sqrt(p) f)."""
+    return cols * np.sqrt(dist.probs)[:, None]
 
 
-def _split_span(a: np.ndarray | None, b: np.ndarray) -> np.ndarray:
-    """Orthonormal columns (S, i) spanning span(a), in whitened coordinates:
-    the first j span the projection of the columns of ``b`` (S, j) on
-    span(a), the rest span(a) minus that projection.  A Householder QR of
-    ``a`` (S, i), which must have full column rank, rotated by a complete QR
-    of b's coordinates in it; ``a`` None is the whole space.  No step pivots
-    or drops a column, so the output is a fixed sequence of LAPACK calls on
-    the inputs."""
+def _split_span(dist: DiscreteDistribution, a: np.ndarray | None, b: np.ndarray) -> np.ndarray:
+    """Orthonormal columns (S, i) spanning span(a) less the constant, in
+    whitened coordinates: the first j span the projection of the columns of
+    ``b`` (S, j) on it, the rest the remainder.  A Householder QR of
+    [sqrt(p), a], which must have full column rank, less the constant's
+    column, rotated by a complete QR of b's coordinates in it; ``a`` None
+    is the whole space.  The constant leads, so no input need be centered
+    and every column is mean-zero to rounding however ill-conditioned."""
+    root_p = np.sqrt(dist.probs)[:, None]
     if a is None:
-        return np.linalg.qr(b, mode="complete")[0]
-    q, _ = np.linalg.qr(a)
+        return np.linalg.qr(np.hstack([root_p, b]), mode="complete")[0][:, 1:]
+    q = np.linalg.qr(np.hstack([root_p, a]))[0][:, 1:]
     rot, _ = np.linalg.qr(q.T @ b, mode="complete")
     return q @ rot
 
@@ -199,8 +200,7 @@ def _basis(dist: DiscreteDistribution, white: np.ndarray, label: str) -> Subspac
 
 def _tangent_basis(dist: DiscreteDistribution, t_perp: np.ndarray) -> SubspaceBasis:
     """T, the mean-zero functions orthogonal to the whitened columns ``t_perp``."""
-    both = np.hstack([np.sqrt(dist.probs)[:, None], t_perp])
-    return _basis(dist, _split_span(None, both)[:, both.shape[1] :], "T")
+    return _basis(dist, _split_span(dist, None, t_perp)[:, t_perp.shape[1] :], "T")
 
 
 def coordinates(dist: DiscreteDistribution, g: ScoreFunction, basis: SubspaceBasis) -> np.ndarray:
@@ -277,7 +277,7 @@ class PopulationDesign:
         T_perp.  T has nearly S dimensions, so the bases are built only for
         a score given by basis coefficients."""
         dist, (t_perp, m_perp) = self.dist, self._spans
-        middle = _split_span(t_perp, m_perp)[:, m_perp.shape[1] :]
+        middle = _split_span(dist, t_perp, m_perp)[:, m_perp.shape[1] :]
         return (
             _tangent_basis(dist, t_perp),
             _basis(dist, middle, self.middle_label),
@@ -315,8 +315,7 @@ class MomentDesign(PopulationDesign):
         uncorrelated with m).  The maintained model is everything, so M_perp
         is empty."""
         dist = self.dist
-        t_perp = self.statistic["j"].values.T * np.sqrt(dist.probs)[:, None]
-        return t_perp, np.zeros((dist.n_atoms, 0))
+        return _white(dist, self.statistic["j"].values.T), np.zeros((dist.n_atoms, 0))
 
 
 def moment_design(dist: DiscreteDistribution, model: MomentModel, theta0) -> MomentDesign:
@@ -361,7 +360,7 @@ def moment_design(dist: DiscreteDistribution, model: MomentModel, theta0) -> Mom
     if info_inv is None:
         raise RankDeficientJacobian("the information matrix is singular")
     nu = ell @ info_inv
-    frame = _split_span(_white(dist, m_vals), _white(dist, ell)).T / np.sqrt(dist.probs)
+    frame = _split_span(dist, _white(dist, m_vals), _white(dist, ell)).T / np.sqrt(dist.probs)
     frame = SubspaceBasis(dist, frame)
     j_basis = SubspaceBasis(dist, frame.values[model.p :], "T_perp")
     influence = dict(zip(MomentDesign.estimators, [nu - expectation(dist, nu)]))
@@ -397,17 +396,6 @@ def _null_cells(dist: DiscreteDistribution, model: IVModel) -> tuple[np.ndarray,
     return cell, e
 
 
-def iv_population_matrices(
-    dist: DiscreteDistribution, model: IVModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(E[XX'], E[XZ'], E[ZZ']) under ``dist``."""
-    _, X, Z = model.design_matrices(dist.support)
-    exx = expectation(dist, X[:, :, None] * X[:, None, :])
-    exz = expectation(dist, X[:, :, None] * Z[:, None, :])
-    ezz = expectation(dist, Z[:, :, None] * Z[:, None, :])
-    return exx, exz, ezz
-
-
 @dataclass(frozen=True)
 class IvDesign(PopulationDesign):
     """The linear IV null model: X, Z, errors e and (x1, z) cell of each
@@ -435,17 +423,16 @@ class IvDesign(PopulationDesign):
         dist, e, cell = self.dist, self.e, self.cell
         on_cells = np.where(cell[:, None] == np.arange(cell.max() + 1), e[:, None], 0.0)
         xe, p = _white(dist, self.X * e[:, None]), self.X.shape[1]
-        t_perp = _split_span(_white(dist, on_cells), xe)[:, p:]
-        return t_perp, _split_span(_white(dist, self.Z * e[:, None]), xe)[:, p:]
+        t_perp = _split_span(dist, _white(dist, on_cells), xe)[:, p:]
+        return t_perp, _split_span(dist, _white(dist, self.Z * e[:, None]), xe)[:, p:]
 
 
 def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
     """The design of the IV null model once the conditional null holds,
     E[ZX'] has full column rank (``_full_column_rank``, else
-    ``RankDeficientFirstStage``), and E[ZZ'], E[XX'] and
-    E[XZ'] E[ZZ']^{-1} E[ZX'] factor by ``_cholesky`` (else
-    ``SingularInstrumentGram``, ``SingularDesign`` and
-    ``RankDeficientFirstStage``).
+    ``RankDeficientFirstStage``), and the estimators' own solves
+    (``iv._two_stage``, ``iv._least_squares``) accept the population Gram
+    E[rows rows'], refusing by the errors they give a sample.
 
     The null tangent space then nests in the maintained one.  The
     maintained efficient score is E[XZ'] E[ZZ']^{-1} z e / sigma0^2, and
@@ -458,40 +445,34 @@ def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
     The DWH basis spans the OLS/2SLS influence differences, which are
     uncorrelated with OLS's influence (Hausman 1978), so span(x1_hat e)
     minus span(x e), x1_hat the projection of x1 on z: the k1 trailing
-    columns of a Householder QR of [1, x e, x1_hat e], which does not cancel
-    where 2SLS is close to OLS.  Rounding in a trailing column grows as its
-    pivot shrinks (to 1e-6 of its column at the rule's edge), but the
-    leading constant keeps the column orthogonal to it, so mean-zero, to
-    rounding.  There are none unless ``linalg._contrast_solve``
-    (the sample statistic's rule) finds the x1 blocks of E[XX']^{-1} and
-    (E[XZ'] E[ZZ']^{-1} E[ZX'])^{-1} a positive definite contrast.
+    columns of ``_split_span`` of [x e, x1_hat e] and x e, which does not
+    cancel where 2SLS is close to OLS and, like every span, keeps the
+    columns mean-zero to rounding.  There are none unless
+    ``linalg._contrast_solve`` (the sample statistic's rule) finds the x1
+    blocks of E[XX']^{-1} and (E[XZ'] E[ZZ']^{-1} E[ZX'])^{-1} a positive
+    definite contrast.
     """
     cell, e = _null_cells(dist, model)
     _, X, Z = model.design_matrices(dist.support)
-    exx, exz, ezz = iv_population_matrices(dist, model)
-    p, eye = model.n_params, np.eye(model.n_params)
-    if not _full_column_rank(exz.T):
+    gram = expectation(dist, dist.support[:, :, None] * dist.support[:, None, :])
+    if not _full_column_rank(gram[model._z_columns, 1 : 1 + model.n_params]):
         raise RankDeficientFirstStage(
             f"E[ZX']: smallest singular value at most {RANK_RATIO:g} times its largest"
         )
-    first = _cholesky(ezz, exz.T)  # E[ZZ']^{-1} E[ZX']
-    if first is None:
-        raise SingularInstrumentGram("E[ZZ'] is singular")
-    exx_inv = _cholesky(exx, eye)
-    if exx_inv is None:
-        raise SingularDesign("E[XX'] is singular")
-    projected = exz @ first
-    projected_inv = _cholesky(0.5 * (projected + projected.T), eye)
-    if projected_inv is None:
-        raise RankDeficientFirstStage("E[XZ'] E[ZZ']^{-1} E[ZX'] is singular")
+    try:
+        first, solved = _two_stage(gram, model)
+    except RankDeficientFirstStage:  # Z'Z factors: X'X is named before X'P_Z X
+        _least_squares(gram, model)
+        raise
+    exx_inv, projected_inv = _least_squares(gram, model)[:, 1:], solved[:, 1:]
     ols = (X @ exx_inv) * e[:, None]
-    tsls = (Z @ first @ projected_inv) * e[:, None]
+    tsls = (Z @ first[:, 1:] @ projected_inv) * e[:, None]
     ols, tsls = (v - expectation(dist, v) for v in (ols, tsls))
     k1, dwh = model.k1, np.zeros((dist.n_atoms, 0))
     if _contrast_solve(exx_inv[:k1, :k1], projected_inv[:k1, :k1], np.zeros(k1)) is not None:
-        fitted = _white(dist, (Z @ first[:, :k1]) * e[:, None])
-        cols = [np.sqrt(dist.probs)[:, None], _white(dist, X * e[:, None]), fitted]
-        dwh = np.linalg.qr(np.hstack(cols))[0][:, 1 + p :]
+        xe = _white(dist, X * e[:, None])
+        fitted = _white(dist, (Z @ first[:, 1 : 1 + k1]) * e[:, None])
+        dwh = _split_span(dist, np.hstack([xe, fitted]), xe)[:, xe.shape[1] :]
     dwh = _basis(dist, dwh, "T_perp_cap_M")
     influence = dict(zip(IvDesign.estimators, [ols, tsls]))
     statistic = dict(zip(IvDesign.tests, [dwh]))

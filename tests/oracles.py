@@ -25,6 +25,7 @@ from scipy.special import gamma, gammainc, iv
 
 from asymlab.dist import Dataset, draw_indices
 from asymlab.errors import ShapeMismatch
+from asymlab.linalg import PIVOT_TOL
 from asymlab.scores import SubspaceBasis
 
 
@@ -205,21 +206,25 @@ def fsum_moment(probs, a, b) -> np.ndarray:
     )
 
 
-def dwh_by_eigh(n: int, ols, tsls) -> tuple[float, int]:
+def dwh_by_eigh(sample: Dataset, ols, tsls) -> tuple[float, int]:
     """(statistic, dof) of the DWH contrast n d' V^- d by a spectral
     generalized inverse: d = b_ols - b_2sls over all coefficients, V the
     difference of the two variance matrices with OLS's rescaled to the 2SLS
     residual variance, and V^- keeps the eigenvalues above 1e-8 times the
     largest entry of the two variance matrices, dropping the rest, negative
-    ones among them."""
+    ones among them.  An exact fit has no statistic by the library's rule:
+    the OLS residual sum n sigma_ols^2 is not above PIVOT_TOL sum c y^2."""
+    y_sum_sq = math.fsum(sample.counts * sample.rows[:, 0] ** 2)
+    if not sample.n * ols.sigma_sq_hat > PIVOT_TOL * y_sum_sq:
+        return 0.0, 0
     delta = ols.beta - tsls.beta
-    ratio = tsls.sigma_sq_hat / ols.sigma_sq_hat if ols.sigma_sq_hat > 0.0 else 1.0
+    ratio = tsls.sigma_sq_hat / ols.sigma_sq_hat
     vdiff = tsls.vcov - ratio * ols.vcov
     evals, evecs = np.linalg.eigh(0.5 * (vdiff + vdiff.T))
     # 1e-8: the cut-off the library's eigh form used (iv.RANK_TOL)
     keep = evals > 1e-8 * max(tsls.vcov.max(), ratio * ols.vcov.max())
     coords = evecs[:, keep].T @ delta
-    return float(n * np.sum(coords**2 / evals[keep])), int(keep.sum())
+    return float(sample.n * np.sum(coords**2 / evals[keep])), int(keep.sum())
 
 
 def iv_blocks(rows, model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,6 +235,12 @@ def iv_blocks(rows, model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x = rows[:, 1 : 1 + k1 + k2]
     z = np.hstack([rows[:, 1 + k1 + k2 :], rows[:, 1 + k1 : 1 + k1 + k2]])
     return x, z, rows[:, 0] - x @ model.beta0
+
+
+def iv_moments(dist, model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E[xx'], E[xz'], E[zz']) under ``dist``, one ``math.fsum`` per entry."""
+    x, z, _ = iv_blocks(dist.support, model)
+    return tuple(fsum_moment(dist.probs, a, b) for a, b in ((x, x), (x, z), (z, z)))
 
 
 def iv_efficient_scores(probs, rows, model) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ import pytest
 from oracles import read_csv
 
 import asymlab.cli
+import asymlab.instances
 import asymlab.mc
 from asymlab.cli import execute
 from asymlab.config import (
@@ -126,6 +127,15 @@ class TestConfigValidation:
         doc = minimal_config(score={"kind": "basis", "space": "T_perp", "coefficients": [1.0, 2.0]})
         with pytest.raises(ConfigInvalid, match="dimension"):
             build_instance_and_score(validate_raw(load_raw(write_config(tmp_path, doc))))
+
+    @pytest.mark.parametrize("command", ["predict", "run"])
+    def test_non_finite_basis_score_is_refused_by_name(self, capsys, command):
+        # a coefficient of 1e308 overflows the score's values, which once
+        # ended in a ValueError traceback and exit 1
+        path = str(CONFIG_DIR / "g1_perp.json")
+        assert execute([command, "--config", path, "--set", "score.coefficients=[1e308]"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: bad score values: ") and "finite" in err
 
     def test_overrides_parse_json_then_string(self):
         raw = minimal_config()
@@ -358,7 +368,41 @@ class TestCliCommands:
         doc["instance"]["model"]["dims"] = [1, 1, 2]
         assert execute(["predict", "--config", str(write_config(tmp_path, doc))]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "E[ZZ'] is singular" in err
+        assert out == "" and "Z'Z is singular" in err
+
+    def test_a_moment_design_with_nearly_coincident_atoms_predicts(self, tmp_path, capsys):
+        # two atoms 1.8e-6 apart: the J basis's QR did not lead with the
+        # constant, so predict and decompose died in "basis functions are
+        # not mean-zero", and run exited 2 with "bad experiment fields"
+        instance = {
+            "kind": "gmm",
+            "distribution": {
+                "support": [-2.5475157452899326, -2.54751396008218, 0.18981840273196157],
+                "probs": [0.9849203739249818, 0.3361027908389763, 0.20982661178909556],
+            },
+            "model": {"name": "overidentified_mean", "v": 0.8862603849088331},
+            "theta0": [-2.1723214196124596],
+        }
+        score = {"kind": "values", "values": [0.0, 0.0, 0.0]}
+        path = str(write_config(tmp_path, minimal_config(instance=instance, score=score, reps=100)))
+        assert execute(["predict", "--config", path]) == 0
+        assert json.loads(capsys.readouterr().out)["tests"][0]["dof"] == 1
+        assert execute(["decompose", "--config", path]) == 0
+        assert json.loads(capsys.readouterr().out)["variances"]["var_TperpM"] == 0.0
+        assert execute(["run", "--config", path, "--out", os.devnull]) != 2
+        assert "bad experiment fields" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "run"])
+    def test_a_design_derivation_error_is_not_relabelled(self, tmp_path, monkeypatch, command):
+        # run once reported any TypeError or ValueError of the design
+        # derivation as "bad experiment fields"; both commands now surface it
+        def broken(dist, model):
+            raise ValueError("derivation failed")
+
+        monkeypatch.setattr(asymlab.instances, "iv_design", broken)
+        path = str(write_config(tmp_path, inline_config("iv")))
+        with pytest.raises(ValueError, match="^derivation failed$"):
+            execute([command, "--config", path])
 
     def test_predict_reads_negative_zero_as_zero(self, tmp_path, capsys):
         # IV1 written inline, once as is and once with x1 = -0.0 on two of

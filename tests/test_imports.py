@@ -6,7 +6,8 @@ property is used in the library or the benchmark (re-exports from
 outside ``errors.py`` or in the benchmark, no module solves or inverts a
 matrix around ``linalg._cholesky`` or takes an eigendecomposition, only
 ``linalg.py`` takes a singular value decomposition, only
-``PopulationDesign`` splits a score three ways, every JSON parse refuses
+``PopulationDesign`` splits a score three ways, only ``scores._split_span``
+takes a QR factorisation, every JSON parse refuses
 non-finite numbers, and no module imports SciPy."""
 
 import ast
@@ -229,6 +230,40 @@ def test_one_split_route():
         "scores.py: PopulationDesign.bases",
         "scores.py: PopulationDesign.orthocomplement_parts",
     ]
+
+
+def qr_sites(sources: dict[str, str]) -> list[str]:
+    """Every reference to a QR factorisation in ``sources`` (an attribute
+    ``qr``, as in ``np.linalg.qr``, or an imported name ``qr``), as
+    "module: definition" for the top-level function or class it lies in, or
+    "module: -" at module level."""
+    found = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = getattr(top, "name", "-")
+            for node in ast.walk(top):
+                named = isinstance(node, ast.ImportFrom) and "qr" in {a.name for a in node.names}
+                if named or (isinstance(node, ast.Attribute) and node.attr == "qr"):
+                    found.append(f"{module}: {owner}")
+    return found
+
+
+def test_the_check_sees_a_second_qr_route():
+    sources = {
+        "scores.py": (
+            "def _split_span(dist, a, b):\n    return np.linalg.qr(a)[0]\n\n"
+            "def iv_design(dist, model):\n    return np.linalg.qr(b, mode='complete')[0]\n"
+        ),
+        "iv.py": "from numpy.linalg import qr\n",
+    }
+    assert qr_sites(sources) == ["scores.py: _split_span", "scores.py: iv_design", "iv.py: -"]
+
+
+def test_one_qr_route():
+    # every orthonormal basis comes from ``scores._split_span``, which owns
+    # the constant; a second QR would have to lead with it on its own
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert set(qr_sites(sources)) == {"scores.py: _split_span"}
 
 
 # the hook with which ``config`` refuses NaN, Infinity and overflowing numbers

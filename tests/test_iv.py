@@ -13,6 +13,7 @@ from oracles import (
     dwh_by_eigh,
     iv_bias_closed_forms,
     iv_efficient_scores,
+    iv_moments,
     orthonormal_basis,
     read_csv,
 )
@@ -262,11 +263,17 @@ class TestDwh:
         stat = dwh_statistic(data, iv1.model, ols, tsls)
         assert stat.dof == 0 and stat.value == 0.0 and not stat.reject(0.05)
 
+    def test_exact_fit_has_no_statistic(self, iv1):
+        # y = x1 - 1 exactly on these atoms: both residual variances are
+        # rounding alone, which once gave W = 46.9 with dof 1, a rejection
+        data = Dataset(iv1.dist.support, np.array([0, 0, 11, 0, 5, 0, 10, 0]))
+        ols, tsls = estimate_ols(data, iv1.model), estimate_2sls(data, iv1.model)
+        stat = dwh_statistic(data, iv1.model, ols, tsls)
+        assert stat.value == 0.0 and stat.dof == 0 and not stat.reject(0.05)
+
     def test_population_variance_ordering(self, iv1):
         # efficiency under the null: the 2SLS variance dominates the OLS one
-        from asymlab.scores import iv_population_matrices
-
-        exx, exz, ezz = iv_population_matrices(iv1.dist, iv1.model)
+        exx, exz, ezz = iv_moments(iv1.dist, iv1.model)
         v_ols = iv1.model.sigma0_sq * np.linalg.inv(exx)
         v_tsls = iv1.model.sigma0_sq * np.linalg.inv(
             exz @ np.linalg.solve(ezz, exz.T)
@@ -597,7 +604,7 @@ def assert_matches_eigh_contrast(sample, model, ols, tsls):
     """The DWH statistic agrees with the spectral oracle: the same dof, the
     value to 1e-12 relative (absolute below 1), the same reject flag."""
     stat = dwh_statistic(sample, model, ols, tsls)
-    value, dof = dwh_by_eigh(sample.n, ols, tsls)
+    value, dof = dwh_by_eigh(sample, ols, tsls)
     assert stat.dof == dof
     assert abs(stat.value - value) <= 1e-12 * max(1.0, value)
     assert stat.reject(0.05) == TestStatistic(value, dof).reject(0.05)
@@ -707,10 +714,6 @@ class TestAgainstTheEighContrast:
         # 0.02 (two thirds of the samples) or the contrast is rounding alone
         pivot = _contrast_margin(*fits, model.k1)
         assume(pivot == 0.0 or pivot >= 0.02)
-        # an exact fit leaves residual variances of rounding alone, which the
-        # two forms invert to different noise (IV1 with counts
-        # [0, 0, 11, 0, 5, 0, 10, 0]: 46.9 and 75.9, both with dof 1)
-        y, X, _ = model.design_matrices(support[counts > 0])
-        scale = np.max((np.abs(y) + np.abs(X) @ np.abs(fits[0].beta)) ** 2)
-        assume(min(fit.sigma_sq_hat for fit in fits) > 1e-6 * scale)
+        # an exact fit, whose residual variances are rounding alone, has no
+        # statistic in either form (``oracles.dwh_by_eigh``)
         assert_matches_eigh_contrast(data, model, *fits)

@@ -7,25 +7,30 @@ support with its count vector.  Sample moments are count-weighted sums of
 one vectorised moment evaluation over the rows; a row with count zero adds
 exact zeros.  Each GMM step minimises its weighted objective by damped
 Newton (``_newton``), whose Hessian takes the second derivatives of the
-moments from central differences of the vectorised Jacobian.  A Newton step
-costs O(S) array work: one Jacobian evaluation, on the (1 + 2p, p) stack of
-theta and its difference points, two p x p Cholesky factorisations at most,
-and moment-only evaluations for the line-search trials.  Where the residual
-is large, Gauss-Newton converges only linearly; Newton converges
-quadratically and stops at the exact minimiser up to rounding.  Each step
-records why it stopped (``GmmEstimate.stop_reasons``).  Every
-positive-definite system here (the Newton and Gauss-Newton steps, SigmaHat,
-the sample information and the dual Hessian of ``kl_projection``) is
-factored by ``linalg._cholesky``, whose pivot test is also the verdict: a
-system it cannot factor is refused, with no eigenvalue check beside it.  The
-population objects (efficient score, information, influence) live on the
-instance's design (``scores.moment_design``), not here.
+moments from central differences of the vectorised Jacobian.  An iterate's
+only array work is one Jacobian evaluation, on the (1 + 2p, p) stack of
+theta and its difference points, a moment evaluation per line-search trial,
+and their count-weighted sums over the S rows; everything of size l or p
+after those sums runs on Python floats, where a numpy call would cost a
+microsecond for a few nanoseconds of arithmetic.  Where the residual is
+large, Gauss-Newton converges only linearly; Newton converges quadratically
+and stops at the exact minimiser up to rounding.  Each step records why it
+stopped (``GmmEstimate.stop_reasons``).  Every positive-definite system
+here (the Newton and Gauss-Newton steps, SigmaHat, the sample information
+and the dual Hessian of ``kl_projection``) is factored by
+``linalg._cholesky`` or its list form, whose pivot test is also the
+verdict: a system it cannot factor is refused, with no eigenvalue check
+beside it.  The population objects (efficient score, information,
+influence) live on the instance's design (``scores.moment_design``), not
+here.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +43,7 @@ from .errors import (
     ShapeMismatch,
     SingularSigmaHat,
 )
-from .linalg import _cholesky
+from .linalg import _cholesky, _cholesky_lists
 from .models import MomentModel
 
 FIRST_ORDER_TOL = 1e-13
@@ -78,31 +83,42 @@ class GmmEstimate:
     stop_reasons: tuple[str, str]
 
 
+def _dot(a, b) -> float:
+    """sum_i a_i b_i over two equally long sequences of floats, in order."""
+    return sum(map(operator.mul, a, b))
+
+
+def _normal(cols: list[list[float]], weight: list[list[float]]) -> list[list[float]]:
+    """G'WG from G's columns and the symmetric W's rows (up to rounding)."""
+    wg = [[_dot(row, g) for row in weight] for g in cols]
+    return [[_dot(g, h) for h in wg] for g in cols]
+
+
 def _jacobians(
-    model: MomentModel, pts: np.ndarray, w: np.ndarray, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(G, D, widths) from one Jacobian evaluation on the (1 + 2p, p) stack
-    theta, theta + h e_j, theta - h e_j: G the weighted Jacobian at theta, D
-    (p, l, p) with D[j] = G(theta + h e_j) - G(theta - h e_j), and widths[j]
-    the step as rounded in theta, not 2h."""
-    p, t = model.p, theta.tolist()  # the stack is built in Python floats: a few us, not tens
-    h = [6e-6 * max(1.0, abs(x)) for x in t]  # about eps^(1/3), the central-difference optimum
-    ups = [[x + h[j] if i == j else x for i, x in enumerate(t)] for j in range(p)]
-    dns = [[x - h[j] if i == j else x for i, x in enumerate(t)] for j in range(p)]
-    g = w @ model.jacobians_at(np.array([t, *ups, *dns]), pts).reshape(2 * p + 1, len(pts), -1)
-    g = g.reshape(2 * p + 1, model.l, p)
-    return g[0], g[1 : p + 1] - g[p + 1 :], np.array([ups[j][j] - dns[j][j] for j in range(p)])
+    model: MomentModel, pts: np.ndarray, w: np.ndarray, theta: list[float]
+) -> tuple[list[list[float]], list[list[list[float]]], list[float]]:
+    """(G, D, widths) in floats from one Jacobian evaluation on the (1 + 2p, p)
+    stack theta, theta + h e_j, theta - h e_j: G[k] column k of the weighted
+    Jacobian at theta, D[j][k] column k of G(theta + h e_j) - G(theta - h e_j),
+    and widths[j] the step as rounded in theta, not 2h."""
+    p = len(theta)
+    h = [6e-6 * max(1.0, abs(x)) for x in theta]  # about eps^(1/3), the central-difference optimum
+    ups = [[x + h[j] if i == j else x for i, x in enumerate(theta)] for j in range(p)]
+    dns = [[x - h[j] if i == j else x for i, x in enumerate(theta)] for j in range(p)]
+    g = w @ model.jacobians_at(np.array([theta, *ups, *dns]), pts).reshape(2 * p + 1, len(pts), -1)
+    g = g.reshape(2 * p + 1, model.l, p).transpose(0, 2, 1)  # g[b, k]: column k at stack row b
+    widths = [ups[j][j] - dns[j][j] for j in range(p)]
+    return g[0].tolist(), (g[1 : p + 1] - g[p + 1 :]).tolist(), widths
 
 
-@dataclass(frozen=True)
-class _Minimum:
+class _Minimum(NamedTuple):
     """Where a weighted minimisation stopped, with the moments there and the
-    Jacobian evaluation ``jac`` = (gbar, diffs, widths) of ``_jacobians``."""
+    Jacobian evaluation ``jac`` = (G, D, widths) of ``_jacobians``."""
 
-    theta: np.ndarray
+    theta: list[float]
     m_vals: np.ndarray  # (S, l): moments at theta on the sample rows
-    mbar: np.ndarray
-    jac: tuple[np.ndarray, np.ndarray, np.ndarray]
+    mbar: list[float]
+    jac: tuple[list[list[float]], list[list[list[float]]], list[float]]
     steps: int
     reason: str
 
@@ -111,10 +127,10 @@ def _newton(
     model: MomentModel,
     pts: np.ndarray,
     w: np.ndarray,
-    weight: np.ndarray,
-    theta: np.ndarray,
+    weight: list[list[float]],
+    theta: list[float],
     m_vals: np.ndarray,
-    jac: tuple[np.ndarray, np.ndarray, np.ndarray],
+    jac: tuple[list[list[float]], list[list[list[float]]], list[float]],
 ) -> _Minimum:
     """Minimise mbar(theta)' W mbar(theta) by damped Newton from ``theta``.
 
@@ -146,105 +162,111 @@ def _newton(
     evaluation per step.
     """
     gbar, diffs, widths = jac
+    mbar = (w @ m_vals).tolist()
     steps = 0
     unsearched = 0  # steps applied without a line search
     reason = None
     while True:
-        mbar = w @ m_vals
-        wm = weight @ mbar
-        rhs = gbar.T @ wm  # half the gradient
+        wm = [_dot(row, mbar) for row in weight]
+        rhs = [_dot(g, wm) for g in gbar]  # half the gradient
         if reason is None:
-            if rhs @ rhs <= FIRST_ORDER_TOL**2 * np.vdot(gbar, gbar) * (wm @ wm):
+            if _dot(rhs, rhs) <= FIRST_ORDER_TOL**2 * sum(map(_dot, gbar, gbar)) * _dot(wm, wm):
                 reason = FIRST_ORDER
             elif unsearched == FINAL_STEPS:
                 reason = DECREMENT
             elif steps == MAX_ITER:
                 reason = ITERATION_CAP
             else:
-                normal = gbar.T @ weight @ gbar
-                curvature = (wm @ diffs) / widths[:, None]  # row j holds column j
-                step = _cholesky(normal + 0.5 * (curvature + curvature.T), rhs)
+                wg = [[_dot(row, g) for row in weight] for g in gbar]  # the columns of WG
+                curvature = [[_dot(wm, d) / h for d in diff] for diff, h in zip(diffs, widths)]
+                hessian = [
+                    [_dot(g, h) + 0.5 * (c + ct) for h, c, ct in zip(wg, crow, ccol)]
+                    for g, crow, ccol in zip(gbar, curvature, zip(*curvature))
+                ]
+                step = _cholesky_lists(hessian, [rhs])
                 if step is None:  # the Hessian is not positive definite: Gauss-Newton
-                    step = _cholesky(normal, rhs)
+                    step = _cholesky_lists(_normal(gbar, weight), [rhs])
                 if step is None:
                     reason = NOT_POSITIVE_DEFINITE
                 else:
-                    step = -step
+                    step = [-x for x in step[0]]
         if reason is not None:
             return _Minimum(theta, m_vals, mbar, jac, steps, reason)
         steps += 1
-        obj = mbar @ wm
-        slope = 2.0 * (rhs @ step)
-        bound = np.abs(wm) @ (w @ np.abs(m_vals))  # >= obj; eps * bound >= obj's rounding error
-        if unsearched or -slope <= 2.0 * DECREMENT_TOL * bound:
+        slope = 2.0 * _dot(rhs, step)
+        if unsearched or -slope <= 2.0 * DECREMENT_TOL * _dot(
+            map(abs, wm), (w @ np.abs(m_vals)).tolist()  # >= obj; eps times it >= obj's rounding
+        ):
             unsearched += 1
-        elif step @ step < STEP_TOL**2:
+        elif _dot(step, step) < STEP_TOL**2:
             reason = STEP
         if unsearched or reason is not None:
-            theta = theta + step
+            theta = [t + s for t, s in zip(theta, step)]
             m_vals = model.moments_at(theta, pts)
+            mbar = (w @ m_vals).tolist()
         else:
+            obj = _dot(mbar, wm)
             alpha = 1.0
             for _ in range(MAX_HALVINGS):
-                cand = theta + alpha * step
+                cand = [t + alpha * s for t, s in zip(theta, step)]
                 m_c = model.moments_at(cand, pts)
-                mbar_c = w @ m_c
-                if mbar_c @ weight @ mbar_c <= obj + 0.25 * alpha * slope:
+                mbar_c = (w @ m_c).tolist()
+                if _dot(mbar_c, [_dot(r, mbar_c) for r in weight]) <= obj + 0.25 * alpha * slope:
                     break
                 alpha *= 0.5
             else:
                 return _Minimum(theta, m_vals, mbar, jac, steps, LINE_SEARCH)
-            moved = cand - theta
-            if moved @ moved < STEP_TOL**2:
+            moved = [c - t for c, t in zip(cand, theta)]
+            if _dot(moved, moved) < STEP_TOL**2:
                 reason = STEP
-            theta, m_vals = cand, m_c
+            theta, m_vals, mbar = cand, m_c, mbar_c
         jac = gbar, diffs, widths = _jacobians(model, pts, w, theta)
 
 
 def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
     """Classic two-step GMM.
 
-    Step one minimizes the identity-weighted moment norm from ``theta_init``,
-    which must have shape (p,) (else ``ShapeMismatch``); the moment variance
-    is estimated there and held fixed while step two minimizes the
-    efficiently weighted objective from the step-one estimate.  Both steps
-    run ``_newton``, which hands back the moments and the Jacobian evaluation
-    at its minimiser: step two starts from them, and neither is evaluated
-    again, so an estimate makes ``iterations + 1`` Jacobian calls.  The J
-    test, n * mbar' SigmaHat^{-1} mbar (at least 0) with the same fixed
+    Step one minimizes the identity-weighted moment norm from ``theta_init``
+    of shape (p,), on more observations than moments (else ``ShapeMismatch``);
+    the moment variance is estimated there and held fixed while step two
+    minimizes the efficiently weighted objective from the step-one estimate.
+    Both steps run ``_newton``, which hands back the moments and the Jacobian
+    evaluation at its minimiser: step two starts from them, and neither is
+    evaluated again, so an estimate makes ``iterations + 1`` Jacobian calls.
+    The J test, n * mbar' SigmaHat^{-1} mbar (at least 0) with the same fixed
     weight, has l - p dof (none, never rejecting, at l = p).  SigmaHat and
     the sample information are refused (``SingularSigmaHat``,
-    ``RankDeficientJacobian``) when ``_cholesky``, which also forms the
-    weight, does not factor them: the rule every positive-definite system in
-    the library is held to.  A failed line search, a normal matrix that is
-    not positive definite or the iteration cap yields ``converged=False``
-    rather than an exception; ``stop_reasons`` records which.
+    ``RankDeficientJacobian``) when ``_cholesky_lists``, which also forms
+    the weight, does not factor them: the rule every positive-definite
+    system in the library is held to.  A failed line search, a normal matrix
+    that is not positive definite or the iteration cap yields
+    ``converged=False`` rather than an exception; ``stop_reasons`` says which.
     """
     theta_init = np.array(theta_init, dtype=float)
     if theta_init.shape != (model.p,):
         raise ShapeMismatch(f"theta_init has shape {theta_init.shape}, expected ({model.p},)")
     if data.n <= model.l:
-        raise ValueError(f"need n > l, got n={data.n}, l={model.l}")
-    pts, w = data.rows, data.counts / data.n
-    m_init, jac_init = model.moments_at(theta_init, pts), _jacobians(model, pts, w, theta_init)
-    first = _newton(model, pts, w, np.eye(model.l), theta_init, m_init, jac_init)
+        raise ShapeMismatch(f"need more observations than moments, got n={data.n}, l={model.l}")
+    pts, w, theta = data.rows, data.counts / data.n, theta_init.tolist()
+    identity = [[float(i == j) for j in range(model.l)] for i in range(model.l)]
+    m_init, jac_init = model.moments_at(theta, pts), _jacobians(model, pts, w, theta)
+    first = _newton(model, pts, w, identity, theta, m_init, jac_init)
     sigma_hat = (first.m_vals.T * w) @ first.m_vals
     sigma_hat = 0.5 * (sigma_hat + sigma_hat.T)
-    weight = _cholesky(sigma_hat, np.eye(model.l))
-    if weight is None:
+    inverse = _cholesky_lists(sigma_hat.tolist(), identity)
+    if inverse is None:
         raise SingularSigmaHat("first-step moment variance is singular")
-    weight = 0.5 * (weight + weight.T)
+    weight = [[0.5 * (a + b) for a, b in zip(r, c)] for r, c in zip(inverse, zip(*inverse))]
     second = _newton(model, pts, w, weight, first.theta, first.m_vals, first.jac)
-    mbar, gbar = second.mbar, second.jac[0]
-    j_value = float(data.n * mbar @ weight @ mbar)
-    info_hat = gbar.T @ weight @ gbar
-    info_hat = 0.5 * (info_hat + info_hat.T)
-    if _cholesky(info_hat, np.eye(model.p)) is None:
+    info_hat = _normal(second.jac[0], weight)
+    info_hat = [[0.5 * (a + b) for a, b in zip(r, c)] for r, c in zip(info_hat, zip(*info_hat))]
+    if _cholesky_lists(info_hat, []) is None:
         raise RankDeficientJacobian("sample information matrix is singular")
+    j_value = data.n * _dot(second.mbar, [_dot(row, second.mbar) for row in weight])
     return GmmEstimate(
-        theta_hat=second.theta,
+        theta_hat=np.array(second.theta),
         sigma_hat=sigma_hat,
-        info_hat=info_hat,
+        info_hat=np.array(info_hat),
         j=TestStatistic(value=max(j_value, 0.0), dof=model.l - model.p),
         converged=first.reason in CONVERGED_REASONS and second.reason in CONVERGED_REASONS,
         iterations=first.steps + second.steps,

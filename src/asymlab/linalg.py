@@ -1,13 +1,14 @@
 """The one positive-definite solve and the one full-column-rank rule.
 
 Every symmetric positive-definite system in the library, sample or
-population, is solved by ``_cholesky``, and its pivot test is the only rule
-that decides positive-definiteness: a system whose factorisation fails is
-refused, by the caller's named error, with no separate check before it.
-The rule compares each pivot with its own diagonal entry, so it does not
-change when a regressor, an instrument or a moment is rescaled; it also
-decides the DWH rank (``_contrast_solve``).  The one rule for a rectangular
-population matrix (the mean Jacobian, E[ZX']) is ``_full_column_rank``.
+population, is solved by ``_cholesky`` or its list form, and its pivot test
+is the only rule that decides positive-definiteness: a system whose
+factorisation fails is refused, by the caller's named error, with no
+separate check before it.  The rule compares each pivot with its own
+diagonal entry, so it does not change when a regressor, an instrument or a
+moment is rescaled; it also decides the DWH rank (``_contrast_solve``).
+The one rule for a rectangular population matrix (the mean Jacobian,
+E[ZX']) is ``_full_column_rank``.
 """
 
 from __future__ import annotations
@@ -39,15 +40,22 @@ def _cholesky(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     least the smallest eigenvalue and a diagonal entry at most the largest,
     so every matrix whose eigenvalue ratio exceeds PIVOT_TOL passes.
 
-    The cost grows as n^3.  On a shared 2-core x86 machine it takes 2 to
-    3 us at 1 x 1 and 5 to 10 us at 2 x 2 with three right-hand sides, where
-    LAPACK through SciPy takes 1 to 3 us, and 110 us at 8 x 8 with nine,
-    where LAPACK takes 5 us.  Every system of the shipped configs is 1 x 1
-    or 2 x 2: G1's Newton steps are p x p with p = 1, its weight matrix
-    l x l with l = 2, and the IV designs' X'X, Z'Z and X'P_Z X are 2 x 2.
+    ``_cholesky_lists``, the list form GMM's Newton kernel calls, does the
+    work: on a shared 2-core x86 machine 2 to 3 us at 1 x 1 (LAPACK through
+    SciPy 3 us; arrays add 1.5 us), 8 to 9 us at 2 x 2 with three right-hand
+    sides (LAPACK 3 us) and 100 us at 8 x 8 with nine (LAPACK 5 us).  Every
+    shipped system is 1 x 1 or 2 x 2: G1's Newton steps are p x p with p = 1,
+    its weight l x l with l = 2, and the IV designs' X'X, Z'Z, X'P_Z X 2 x 2.
     """
+    x = _cholesky_lists(a.tolist(), [b.tolist()] if b.ndim == 1 else b.T.tolist())
+    return None if x is None else np.array(x[0] if b.ndim == 1 else x).T
+
+
+def _cholesky_lists(a: list[list[float]], cols: list[list[float]]) -> list[list[float]] | None:
+    """``_cholesky`` on lists: a by its rows, the right-hand sides and the
+    solutions as columns; neither input is modified, and no columns give []."""
     n = len(a)
-    u = a.tolist()  # overwritten by U on and above the diagonal
+    u = [list(row) for row in a]  # overwritten by U on and above the diagonal
     inv = [0.0] * n
     for j in range(n):
         row = u[j]
@@ -63,8 +71,8 @@ def _cholesky(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         r = inv[j] = 1.0 / row[j]
         for c in range(j + 1, n):
             row[c] *= r
-    cols = [b.tolist()] if b.ndim == 1 else b.T.tolist()
-    for x in cols:
+    solved = [list(col) for col in cols]
+    for x in solved:
         for i in range(n):  # U'z = b
             s = x[i]
             for k in range(i):
@@ -76,7 +84,7 @@ def _cholesky(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
             for k in range(i + 1, n):
                 s -= row[k] * x[k]
             x[i] = s * inv[i]
-    return np.array(cols[0]) if b.ndim == 1 else np.array(cols).T
+    return solved
 
 
 def _contrast_solve(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray | None:

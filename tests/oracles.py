@@ -12,7 +12,9 @@ and split a score by projecting it on explicit tangent bases instead of on
 the small spanning sets the library uses; the moment-model oracles evaluate
 one observation at a time; the DWH oracle inverts the whole variance
 difference by its spectrum, where the library solves the x1 block through
-the joint variance's Cholesky factor.
+the joint variance's Cholesky factor; the two-step GMM reference holds
+the Newton algebra in numpy arrays, where the library runs it on Python
+floats.
 """
 
 import csv
@@ -23,9 +25,11 @@ from scipy.integrate import quad
 from scipy.optimize import linprog
 from scipy.special import gamma, gammainc, iv
 
+from asymlab import gmm
+from asymlab.chi2 import TestStatistic
 from asymlab.dist import Dataset, draw_indices
-from asymlab.errors import ShapeMismatch
-from asymlab.linalg import PIVOT_TOL
+from asymlab.errors import RankDeficientJacobian, ShapeMismatch, SingularSigmaHat
+from asymlab.linalg import PIVOT_TOL, _cholesky
 from asymlab.scores import SubspaceBasis
 
 
@@ -365,3 +369,134 @@ def overidentified_mean_two_step(values, counts, v) -> float:
             roots.append(d)
         d_hat = min(roots, key=lambda d: objective(Fraction(d)))
         return float(Decimal(mean.numerator) / Decimal(mean.denominator) - d_hat)
+
+
+EPS = np.finfo(float).eps
+
+
+def _jacobians_by_arrays(model, pts, w, theta):
+    """(G, D, widths) as arrays: G (l, p) the weighted Jacobian at theta, D
+    (p, l, p) with D[j] = G(theta + h e_j) - G(theta - h e_j), widths[j] the
+    step as rounded in theta; one Jacobian call on the (1 + 2p, p) stack."""
+    p, t = model.p, theta.tolist()
+    h = [6e-6 * max(1.0, abs(x)) for x in t]
+    ups = [[x + h[j] if i == j else x for i, x in enumerate(t)] for j in range(p)]
+    dns = [[x - h[j] if i == j else x for i, x in enumerate(t)] for j in range(p)]
+    g = w @ model.jacobians_at(np.array([t, *ups, *dns]), pts).reshape(2 * p + 1, len(pts), -1)
+    g = g.reshape(2 * p + 1, model.l, p)
+    return g[0], g[1 : p + 1] - g[p + 1 :], np.array([ups[j][j] - dns[j][j] for j in range(p)])
+
+
+def _newton_by_arrays(model, pts, w, weight, theta, m_vals, jac, ratios):
+    """The damped Newton minimisation of ``gmm._newton`` with every quantity
+    of size l or p held in numpy arrays, the rules and constants the same.
+    Appends to ``ratios``, at each iterate, the first-order ratio
+    ||G'W mbar|| / (||G|| ||W mbar||) and its rounding floor, one ulp of
+    mbar's terms (eps ||W|| ||sum_s w_s |m_s|||) over ||W mbar||, and returns
+    (theta, m_vals, mbar, jac, steps, reason)."""
+    gbar, diffs, widths = jac
+    steps = unsearched = 0
+    reason = None
+    while True:
+        mbar = w @ m_vals
+        wm = weight @ mbar
+        rhs = gbar.T @ wm
+        if reason is None:
+            scale = np.vdot(gbar, gbar) * (wm @ wm)
+            # the ratio, and the ulp of mbar's terms carried through W to it
+            floor = EPS * np.linalg.norm(weight) * np.linalg.norm(w @ np.abs(m_vals))
+            ratios.append(
+                (math.sqrt(rhs @ rhs / scale), floor / math.sqrt(wm @ wm))
+                if scale > 0.0
+                else (0.0, math.inf)
+            )
+            if rhs @ rhs <= gmm.FIRST_ORDER_TOL**2 * scale:
+                reason = gmm.FIRST_ORDER
+            elif unsearched == gmm.FINAL_STEPS:
+                reason = gmm.DECREMENT
+            elif steps == gmm.MAX_ITER:
+                reason = gmm.ITERATION_CAP
+            else:
+                normal = gbar.T @ weight @ gbar
+                curvature = (wm @ diffs) / widths[:, None]
+                step = _cholesky(normal + 0.5 * (curvature + curvature.T), rhs)
+                if step is None:
+                    step = _cholesky(normal, rhs)
+                if step is None:
+                    reason = gmm.NOT_POSITIVE_DEFINITE
+                else:
+                    step = -step
+        if reason is not None:
+            return theta, m_vals, mbar, jac, steps, reason
+        steps += 1
+        obj = mbar @ wm
+        slope = 2.0 * (rhs @ step)
+        bound = np.abs(wm) @ (w @ np.abs(m_vals))
+        if unsearched or -slope <= 2.0 * gmm.DECREMENT_TOL * bound:
+            unsearched += 1
+        elif step @ step < gmm.STEP_TOL**2:
+            reason = gmm.STEP
+        if unsearched or reason is not None:
+            theta = theta + step
+            m_vals = model.moments_at(theta, pts)
+        else:
+            alpha = 1.0
+            for _ in range(gmm.MAX_HALVINGS):
+                cand = theta + alpha * step
+                m_c = model.moments_at(cand, pts)
+                mbar_c = w @ m_c
+                if mbar_c @ weight @ mbar_c <= obj + 0.25 * alpha * slope:
+                    break
+                alpha *= 0.5
+            else:
+                return theta, m_vals, mbar, jac, steps, gmm.LINE_SEARCH
+            moved = cand - theta
+            if moved @ moved < gmm.STEP_TOL**2:
+                reason = gmm.STEP
+            theta, m_vals = cand, m_c
+        jac = gbar, diffs, widths = _jacobians_by_arrays(model, pts, w, theta)
+
+
+def estimate_gmm_by_arrays(data, model, theta_init):
+    """Two-step GMM as ``gmm.estimate_gmm`` computes it, with the Newton
+    algebra on numpy arrays (``_newton_by_arrays``) instead of Python floats:
+    (the estimate, the first-order ratio and its floor at every iterate of
+    both steps).
+    Raises the library's named errors where it does."""
+    theta_init = np.array(theta_init, dtype=float)
+    if theta_init.shape != (model.p,):
+        raise ShapeMismatch(f"theta_init has shape {theta_init.shape}, expected ({model.p},)")
+    if data.n <= model.l:
+        raise ShapeMismatch(f"need more observations than moments, got n={data.n}")
+    pts, w = data.rows, data.counts / data.n
+    ratios = []
+    m_init, jac_init = model.moments_at(theta_init, pts), _jacobians_by_arrays(
+        model, pts, w, theta_init
+    )
+    first = _newton_by_arrays(model, pts, w, np.eye(model.l), theta_init, m_init, jac_init, ratios)
+    theta1, m1, _, jac1, steps1, reason1 = first
+    sigma_hat = (m1.T * w) @ m1
+    sigma_hat = 0.5 * (sigma_hat + sigma_hat.T)
+    weight = _cholesky(sigma_hat, np.eye(model.l))
+    if weight is None:
+        raise SingularSigmaHat("first-step moment variance is singular")
+    weight = 0.5 * (weight + weight.T)
+    theta2, _, mbar, jac2, steps2, reason2 = _newton_by_arrays(
+        model, pts, w, weight, theta1, m1, jac1, ratios
+    )
+    gbar = jac2[0]
+    j_value = float(data.n * mbar @ weight @ mbar)
+    info_hat = gbar.T @ weight @ gbar
+    info_hat = 0.5 * (info_hat + info_hat.T)
+    if _cholesky(info_hat, np.eye(model.p)) is None:
+        raise RankDeficientJacobian("sample information matrix is singular")
+    estimate = gmm.GmmEstimate(
+        theta_hat=theta2,
+        sigma_hat=sigma_hat,
+        info_hat=info_hat,
+        j=TestStatistic(value=max(j_value, 0.0), dof=model.l - model.p),
+        converged=reason1 in gmm.CONVERGED_REASONS and reason2 in gmm.CONVERGED_REASONS,
+        iterations=steps1 + steps2,
+        stop_reasons=(reason1, reason2),
+    )
+    return estimate, ratios

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import draw_sample, expectation_per_atom
 
+import asymlab.dist as dist_module
 from asymlab.dist import (
     Dataset,
     _row_groups,
@@ -230,6 +233,68 @@ class TestReplicationSeeds:
             want = np.searchsorted(dist.cdf, draws, side="right")
             assert np.array_equal(draw_indices(dist, 50, seed), want)
 
+
+
+def fresh_draws(dist, n, seed):
+    """The draws of a newly built ``Generator(Philox(key=seed))``."""
+    uniforms = np.random.Generator(np.random.Philox(key=seed)).random(n)
+    return np.searchsorted(dist.cdf, uniforms, side="right")
+
+
+class TestReusedGenerator:
+    """``draw_indices`` reuses one generator per thread; every call must draw
+    what a fresh generator keyed by its seed draws."""
+
+    DISTS = (
+        make_distribution(SUPPORT5, PROBS5),
+        make_distribution([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], [0.5, 0.3, 0.2]),
+    )
+
+    def test_every_call_draws_a_fresh_generators_stream(self):
+        rng = np.random.default_rng(30)
+        random_keys = rng.integers(0, 2**64, 200, dtype=np.uint64, endpoint=False)
+        for seed in [0, 1, 2**63, 2**64 - 1, *map(int, random_keys)]:
+            for n in (1, 7, 1000):
+                for dist in self.DISTS:  # calls interleaved across two distributions
+                    assert np.array_equal(draw_indices(dist, n, seed), fresh_draws(dist, n, seed))
+
+    def test_two_threads_draw_their_sequential_results(self):
+        jobs = [[(seed, 7 + 50 * (seed % 5)) for seed in range(start, 400, 2)] for start in (0, 1)]
+        want = [[fresh_draws(self.DISTS[t], n, seed) for seed, n in jobs[t]] for t in (0, 1)]
+        got = [[], []]
+        barrier = threading.Barrier(2)
+
+        def work(t):
+            barrier.wait(timeout=10)
+            got[t] = [draw_indices(self.DISTS[t], n, seed) for seed, n in jobs[t]]
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for t in (0, 1):
+            assert len(got[t]) == len(want[t])
+            assert all(np.array_equal(a, b) for a, b in zip(got[t], want[t]))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.7])
+    def test_a_refused_seed_sets_no_state(self, seed):
+        dist = self.DISTS[0]
+        draw_indices(dist, 5, 3)  # leaves the counter and the buffer mid-stream
+        before = dist_module._THREAD.rng.bit_generator.state
+        with pytest.raises(ValueError):
+            draw_indices(dist, 5, seed)
+        after = dist_module._THREAD.rng.bit_generator.state
+        assert before["buffer_pos"] == after["buffer_pos"] != 4
+        for key in ("counter", "key"):
+            assert np.array_equal(before["state"][key], after["state"][key])
+        assert np.array_equal(before["buffer"], after["buffer"])
 
 def test_fsum_accumulation_beats_naive():
     # many tiny atoms summing to one: compensated summation keeps the unit

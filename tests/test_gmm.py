@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     draw_sample,
+    estimate_gmm_by_arrays,
     hull_interior_margin_by_linprog,
     linear_iv_per_row,
     overidentified_mean_per_row,
@@ -24,6 +25,7 @@ from asymlab.dist import (
     replication_seed,
 )
 from asymlab.errors import (
+    AsymlabError,
     Infeasible,
     MomentNotSatisfied,
     RankDeficientJacobian,
@@ -155,8 +157,9 @@ class TestEstimateGmm:
         assert abs(est.theta_hat[0]) < 5.0 * math.sqrt(1.2 / n)
 
     def test_preconditions(self, g1):
+        # a named refusal, which a Monte Carlo run counts as a failed replication
         data = draw_sample(g1.dist, 2, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatch, match="more observations than moments"):
             estimate_gmm(data, g1.model, np.array([0.0]))
 
     @pytest.mark.parametrize("theta_init", [[0.0, 0.0, 0.0], [], 0.0, [[0.0]]])
@@ -558,6 +561,8 @@ class TestEvaluationCounts:
         assert est.iterations > 0
         assert jacobians == [1 + 2 * model.p] * (est.iterations + 1)
         assert all(rows == 1 for kind, rows in calls if kind == "m")
+        # no line-search trial is rejected on these samples: one moment call per iterate
+        assert sum(kind == "m" for kind, _ in calls) == est.iterations + 1
 
     def test_one_jacobian_call_per_newton_step_at_p_2(self):
         # the linear IV moments on a two-parameter design
@@ -567,6 +572,7 @@ class TestEvaluationCounts:
         jacobians = [rows for kind, rows in calls if kind == "jac"]
         assert est.iterations > 0
         assert jacobians == [5] * (est.iterations + 1)
+        assert sum(kind == "m" for kind, _ in calls) == est.iterations + 1
 
     def test_check_jacobian_makes_one_moment_call(self, g1, iv1):
         for base, points, theta in (
@@ -602,9 +608,11 @@ def rows_and_weights(data):
 
 def newton_from(model, pts, w, theta, weight):
     """``_newton`` from ``theta``, with the moments and Jacobian there, as
-    ``estimate_gmm`` starts step one."""
+    ``estimate_gmm`` starts step one; ``theta`` and ``weight`` are arrays."""
+    theta = theta.tolist()
     m_vals = model.moments_at(theta, pts)
-    return _newton(model, pts, w, weight, theta, m_vals, _jacobians(model, pts, w, theta))
+    jac = _jacobians(model, pts, w, theta)
+    return _newton(model, pts, w, weight.tolist(), theta, m_vals, jac)
 
 
 def _flat_direction_model():
@@ -705,7 +713,7 @@ class TestStopReasons:
         sigma_hat = (first.m_vals.T * w) @ first.m_vals
         weight = _cholesky(0.5 * (sigma_hat + sigma_hat.T), np.eye(2))
         weight = 0.5 * (weight + weight.T)
-        second = _newton(model, pts, w, weight, first.theta, first.m_vals, first.jac)
+        second = _newton(model, pts, w, weight.tolist(), first.theta, first.m_vals, first.jac)
         assert second.reason == gmm.NOT_POSITIVE_DEFINITE and second.steps == 0
         assert np.array_equal(second.theta, np.zeros(2))
 
@@ -724,22 +732,22 @@ class TestStopReasons:
         model = overidentified_mean_model(3.0)
         pts, w = rows_and_weights(draw_sample(g1.dist, 200, seed=1))
         refused = []  # per Cholesky factorisation: whether it failed
-        cholesky = gmm._cholesky
+        cholesky = gmm._cholesky_lists
 
-        def recorded_cholesky(a, b):
-            x = cholesky(a, b)
+        def recorded_cholesky(a, cols):
+            x = cholesky(a, cols)
             refused.append(x is None)
             return x
 
-        monkeypatch.setattr(gmm, "_cholesky", recorded_cholesky)
+        monkeypatch.setattr(gmm, "_cholesky_lists", recorded_cholesky)
         found = newton_from(model, pts, w, np.array([0.3]), np.eye(2))
         assert found.reason == gmm.FIRST_ORDER and found.steps == 6
         # step one: the Hessian refused, G'WG accepted; every later Hessian accepted
         assert refused == [True, False] + [False] * (found.steps - 1)
-        gbar = _jacobians(model, pts, w, found.theta)[0]
+        gbar_t = np.array(_jacobians(model, pts, w, found.theta)[0])  # G's columns as rows
         mbar = w @ model.moments_at(found.theta, pts)
-        gradient = np.linalg.norm(gbar.T @ mbar)
-        assert gradient <= gmm.FIRST_ORDER_TOL * np.linalg.norm(gbar) * np.linalg.norm(mbar)
+        gradient = np.linalg.norm(gbar_t @ mbar)
+        assert gradient <= gmm.FIRST_ORDER_TOL * np.linalg.norm(gbar_t) * np.linalg.norm(mbar)
 
     def test_step_two_starts_from_what_step_one_evaluated(self, g1, monkeypatch):
         evaluated = []  # ("m" or "jac", parameter stack) of every evaluation, in order
@@ -787,10 +795,10 @@ class TestCurvature:
         model = MomentModel(m=base.m, jac=jac, p=1, l=2)
         pts, w = rows_and_weights(count_sample(g1.dist, 100, seed=0))
         wm = np.array([0.3, -0.7])
-        gbar, diffs, widths = _jacobians(model, pts, w, np.array([theta]))
-        got = (wm @ diffs) / widths[:, None]
+        gbar, diffs, widths = _jacobians(model, pts, w, [theta])
+        got = (np.array(diffs) @ wm) / np.array(widths)[:, None]  # diffs[j][k]: column k
         assert got == pytest.approx(np.array([[2.0 * wm[1]]]), rel=1e-8)
-        assert np.array_equal(gbar[:, 0], w @ base.jacobians_at(np.array([theta]), pts)[:, :, 0])
+        assert np.array_equal(gbar[0], w @ base.jacobians_at(np.array([theta]), pts)[:, :, 0])
         # one evaluation, on theta and its two difference points
         assert len(seen) == 1 and seen[0].shape == (3, 1)
         assert seen[0][0, 0] == theta and seen[0][1, 0] > theta > seen[0][2, 0]
@@ -872,7 +880,7 @@ def _first_order_residual(model, v, data, est):
     weight = 0.5 * (weight + weight.T)
     theta = est.theta_hat
     wm = weight @ (w @ model.moments_at(theta, pts))
-    gbar = _jacobians(model, pts, w, theta)[0]
+    gbar = np.array(_jacobians(model, pts, w, theta.tolist())[0]).T
     x = pts[:, 0]
     terms = w @ (np.abs(x) + abs(theta[0]) + (x - theta[0]) ** 2 + v)
     g_norm = np.linalg.norm(gbar)
@@ -895,3 +903,57 @@ class TestNewtonOnRandomSupports:
         assert abs(r) <= 1e-13 * scale + floor
         exact = overidentified_mean_two_step(data.rows[:, 0], data.counts, v)
         assert abs(a.theta_hat[0] - exact) <= 1e-12
+
+
+@st.composite
+def linear_iv_samples(draw):
+    """A count sample of 8 to 30 rows (y, x1, x2, z1) with k1 + k2 = p of 1 to
+    3 regressors and q >= k1 instruments, y = x'beta + noise, for the linear
+    IV moments; with a start near beta."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k1, k2, extra = draw(st.integers(1, 2)), draw(st.integers(0, 1)), draw(st.integers(0, 2))
+    q, n_rows = k1 + extra, draw(st.integers(8, 30))
+    z = rng.standard_normal((n_rows, q))
+    first_stage = np.vstack([np.eye(k1), rng.uniform(-0.5, 0.5, (extra, k1))])  # well conditioned
+    x1 = z @ first_stage + 0.5 * rng.standard_normal((n_rows, k1))
+    x2 = rng.standard_normal((n_rows, k2))
+    beta = rng.uniform(-2.0, 2.0, k1 + k2)
+    y = np.column_stack([x1, x2]) @ beta + rng.standard_normal(n_rows)
+    rows = np.column_stack([y, x1, x2, z])
+    counts = rng.integers(1, 6, n_rows)
+    start = beta + rng.uniform(-0.5, 0.5, k1 + k2)
+    return Dataset(rows, counts), linear_iv_moment_model((k1, k2, q)), start
+
+
+@st.composite
+def overidentified_mean_cases(draw):
+    data, v, starts = draw(overidentified_mean_samples())
+    return data, overidentified_mean_model(v), starts[:1]
+
+
+class TestFloatKernelAgainstArrays:
+    """``estimate_gmm`` against the same two-step GMM with the Newton algebra
+    on numpy arrays (``oracles.estimate_gmm_by_arrays``): only the rounding
+    of sums of l or p terms differs between them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.one_of(overidentified_mean_cases(), linear_iv_samples()))
+    def test_the_same_estimate_and_steps(self, case):
+        data, model, start = case
+        try:
+            want, ratios = estimate_gmm_by_arrays(data, model, start)
+        except AsymlabError as exc:
+            with pytest.raises(type(exc)):
+                estimate_gmm(data, model, start)
+            return
+        got = estimate_gmm(data, model, start)
+        assert got.converged and want.converged
+        theta, j = want.theta_hat, want.j.value
+        assert np.max(np.abs(got.theta_hat - theta)) <= 1e-12 * max(1.0, np.max(np.abs(theta)))
+        assert abs(got.j.value - j) <= 1e-12 * max(1.0, j)
+        if got.iterations != want.iterations:
+            # rounding may tip the first-order test only where its ratio is
+            # within 10x of the tolerance, give or take the ratio's rounding
+            # floor (large where the moments vanish at the estimate, l = p)
+            tol = gmm.FIRST_ORDER_TOL
+            assert any(r - floor <= 10.0 * tol and r + floor >= 0.1 * tol for r, floor in ratios)

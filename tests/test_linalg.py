@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymlab.linalg import _cholesky, _full_column_rank
+from asymlab.linalg import _cholesky, _cholesky_lists, _full_column_rank
 
 
 class TestCholesky:
@@ -94,6 +94,18 @@ class TestCholesky:
         g = np.array(entries[: k * (k - 1)], dtype=float).reshape(k, k - 1)
         d = 10.0 ** np.array(u[:k])
         assert _cholesky((g @ g.T) * d[:, None] * d, np.ones(k)) is None
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_list_form_leaves_its_inputs_and_may_give_the_verdict_alone(self, n):
+        rng = np.random.default_rng(40 + n)
+        a, b = self.spd(rng, n), rng.standard_normal((n, 2))
+        rows, cols = a.tolist(), b.T.tolist()
+        kept = [row.copy() for row in rows], [col.copy() for col in cols]
+        assert np.array_equal(np.array(_cholesky_lists(rows, cols)).T, _cholesky(a, b))
+        assert (rows, cols) == kept
+        assert _cholesky_lists(rows, []) == []
+        singular = np.ones((n, n)) if n > 1 else np.zeros((1, 1))
+        assert _cholesky_lists(singular.tolist(), []) is None
 
 
 class TestFullColumnRank:

@@ -177,15 +177,15 @@ def _newton(
             elif steps == MAX_ITER:
                 reason = ITERATION_CAP
             else:
-                wg = [[_dot(row, g) for row in weight] for g in gbar]  # the columns of WG
+                normal = _normal(gbar, weight)
                 curvature = [[_dot(wm, d) / h for d in diff] for diff, h in zip(diffs, widths)]
                 hessian = [
-                    [_dot(g, h) + 0.5 * (c + ct) for h, c, ct in zip(wg, crow, ccol)]
-                    for g, crow, ccol in zip(gbar, curvature, zip(*curvature))
+                    [a + 0.5 * (c + ct) for a, c, ct in zip(*rows)]
+                    for rows in zip(normal, curvature, zip(*curvature))
                 ]
                 step = _cholesky_lists(hessian, [rhs])
                 if step is None:  # the Hessian is not positive definite: Gauss-Newton
-                    step = _cholesky_lists(_normal(gbar, weight), [rhs])
+                    step = _cholesky_lists(normal, [rhs])
                 if step is None:
                     reason = NOT_POSITIVE_DEFINITE
                 else:

@@ -8,21 +8,21 @@ one vectorised moment evaluation over the rows; a row with count zero adds
 exact zeros.  Each GMM step minimises its weighted objective by damped
 Newton (``_newton``), whose Hessian takes the second derivatives of the
 moments from central differences of the vectorised Jacobian.  An iterate's
-only array work is one Jacobian evaluation, on the (1 + 2p, p) stack of
-theta and its difference points, a moment evaluation per line-search trial,
-and their count-weighted sums over the S rows; everything of size l or p
-after those sums runs on Python floats, where a numpy call would cost a
-microsecond for a few nanoseconds of arithmetic.  Where the residual is
-large, Gauss-Newton converges only linearly; Newton converges quadratically
-and stops at the exact minimiser up to rounding.  Each step records why it
-stopped (``GmmEstimate.stop_reasons``).  Every positive-definite system
-here (the Newton and Gauss-Newton steps, SigmaHat, the sample information
-and the dual Hessian of ``kl_projection``) is factored by
-``linalg._cholesky`` or its list form, whose pivot test is also the
-verdict: a system it cannot factor is refused, with no eigenvalue check
-beside it.  The population objects (efficient score, information,
-influence) live on the instance's design (``scores.moment_design``), not
-here.
+only array work is one Jacobian call, on the (1 + 2p, p) stack of theta and
+its difference points, a moment call per line-search trial, and their
+count-weighted sums over the S rows; all that is of size l or p runs on
+Python floats.  On G1 (S = 5, l = 2, p = 1, 4.9 steps) an estimate takes
+230 to 245 us on a shared 2-core x86 machine, one BLAS thread, about 60 of
+them in the model calls.  Where the residual is large, Gauss-Newton
+converges only linearly; Newton converges quadratically and stops at the
+exact minimiser up to rounding.  Each step records why it stopped
+(``GmmEstimate.stop_reasons``).  Every positive-definite system here (the
+Newton and Gauss-Newton steps, SigmaHat, the sample information and the
+dual Hessian of ``kl_projection``) is factored by ``linalg._cholesky`` or
+its list form, whose pivot test is also the verdict: a system it cannot
+factor is refused, with no eigenvalue check beside it.  The population
+objects (efficient score, information, influence) live on the instance's
+design (``scores.moment_design``), not here.
 """
 
 from __future__ import annotations
@@ -103,17 +103,18 @@ def _jacobians(
     and widths[j] the step as rounded in theta, not 2h."""
     p = len(theta)
     h = [6e-6 * max(1.0, abs(x)) for x in theta]  # about eps^(1/3), the central-difference optimum
-    ups = [[x + h[j] if i == j else x for i, x in enumerate(theta)] for j in range(p)]
-    dns = [[x - h[j] if i == j else x for i, x in enumerate(theta)] for j in range(p)]
-    g = w @ model.jacobians_at(np.array([theta, *ups, *dns]), pts).reshape(2 * p + 1, len(pts), -1)
+    stack = [theta] + [theta.copy() for _ in range(2 * p)]
+    for j, hj in enumerate(h):
+        stack[1 + j][j] += hj
+        stack[1 + p + j][j] -= hj
+    g = w @ model.jacobians_at(np.array(stack), pts).reshape(2 * p + 1, len(pts), -1)
     g = g.reshape(2 * p + 1, model.l, p).transpose(0, 2, 1)  # g[b, k]: column k at stack row b
-    widths = [ups[j][j] - dns[j][j] for j in range(p)]
+    widths = [stack[1 + j][j] - stack[1 + p + j][j] for j in range(p)]
     return g[0].tolist(), (g[1 : p + 1] - g[p + 1 :]).tolist(), widths
 
 
 class _Minimum(NamedTuple):
-    """Where a weighted minimisation stopped, with the moments there and the
-    Jacobian evaluation ``jac`` = (G, D, widths) of ``_jacobians``."""
+    """Where a weighted minimisation stopped, with the moments and Jacobian evaluation there."""
 
     theta: list[float]
     m_vals: np.ndarray  # (S, l): moments at theta on the sample rows
@@ -157,17 +158,16 @@ def _newton(
     search, as does a line-searched step that moves theta by less than
     STEP_TOL (STEP).  An iterate reached after MAX_ITER steps ends it too
     (ITERATION_CAP).  FIRST_ORDER, DECREMENT and STEP count as converged.
-    It takes the moments and the Jacobian evaluation at ``theta`` (``m_vals``,
-    ``jac``) and hands back those at the returned theta: one Jacobian
-    evaluation per step.
+    It takes ``m_vals`` and ``jac`` (``_jacobians``) at ``theta`` and hands
+    back those at the returned theta: one Jacobian evaluation per step.
     """
     gbar, diffs, widths = jac
     mbar = (w @ m_vals).tolist()
+    wm = [_dot(row, mbar) for row in weight]
     steps = 0
     unsearched = 0  # steps applied without a line search
     reason = None
     while True:
-        wm = [_dot(row, mbar) for row in weight]
         rhs = [_dot(g, wm) for g in gbar]  # half the gradient
         if reason is None:
             if _dot(rhs, rhs) <= FIRST_ORDER_TOL**2 * sum(map(_dot, gbar, gbar)) * _dot(wm, wm):
@@ -204,6 +204,7 @@ def _newton(
             theta = [t + s for t, s in zip(theta, step)]
             m_vals = model.moments_at(theta, pts)
             mbar = (w @ m_vals).tolist()
+            wm = [_dot(row, mbar) for row in weight]
         else:
             obj = _dot(mbar, wm)
             alpha = 1.0
@@ -211,7 +212,8 @@ def _newton(
                 cand = [t + alpha * s for t, s in zip(theta, step)]
                 m_c = model.moments_at(cand, pts)
                 mbar_c = (w @ m_c).tolist()
-                if _dot(mbar_c, [_dot(r, mbar_c) for r in weight]) <= obj + 0.25 * alpha * slope:
+                wm_c = [_dot(row, mbar_c) for row in weight]
+                if _dot(mbar_c, wm_c) <= obj + 0.25 * alpha * slope:
                     break
                 alpha *= 0.5
             else:
@@ -219,7 +221,7 @@ def _newton(
             moved = [c - t for c, t in zip(cand, theta)]
             if _dot(moved, moved) < STEP_TOL**2:
                 reason = STEP
-            theta, m_vals, mbar = cand, m_c, mbar_c
+            theta, m_vals, mbar, wm = cand, m_c, mbar_c, wm_c
         jac = gbar, diffs, widths = _jacobians(model, pts, w, theta)
 
 

@@ -41,9 +41,9 @@ def _cholesky(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     so every matrix whose eigenvalue ratio exceeds PIVOT_TOL passes.
 
     ``_cholesky_lists``, the list form GMM's Newton kernel calls, does the
-    work: on a shared 2-core x86 machine 2 to 3 us at 1 x 1 (LAPACK through
-    SciPy 3 us; arrays add 1.5 us), 8 to 9 us at 2 x 2 with three right-hand
-    sides (LAPACK 3 us) and 100 us at 8 x 8 with nine (LAPACK 5 us).  Every
+    work: on a shared 2-core x86 machine 1.6 us at 1 x 1 (LAPACK via SciPy
+    1.2 to 1.5 us; arrays add 0.7 us), 5 us at 2 x 2 with three right-hand
+    sides (LAPACK 1.6 us), 64 us at 8 x 8 with nine (LAPACK 2.7 us).  Every
     shipped system is 1 x 1 or 2 x 2: G1's Newton steps are p x p with p = 1,
     its weight l x l with l = 2, and the IV designs' X'X, Z'Z, X'P_Z X 2 x 2.
     """
@@ -55,29 +55,27 @@ def _cholesky_lists(a: list[list[float]], cols: list[list[float]]) -> list[list[
     """``_cholesky`` on lists: a by its rows, the right-hand sides and the
     solutions as columns; neither input is modified, and no columns give []."""
     n = len(a)
-    u = [list(row) for row in a]  # overwritten by U on and above the diagonal
-    inv = [0.0] * n
-    for j in range(n):
-        row = u[j]
-        diag = row[j]
-        for i in range(j):
-            above = u[i]
+    u, inv = [], []  # rows of U, right of the diagonal scaled by the pivot's reciprocal
+    for j, row in enumerate(a):
+        row = row.copy()
+        for above in u:
             f = above[j]
             for c in range(j, n):
                 row[c] -= f * above[c]
-        if not row[j] > PIVOT_TOL * diag:
+        if not row[j] > PIVOT_TOL * a[j][j]:
             return None
         row[j] = math.sqrt(row[j])
-        r = inv[j] = 1.0 / row[j]
+        inv.append(1.0 / row[j])
         for c in range(j + 1, n):
-            row[c] *= r
-    solved = [list(col) for col in cols]
+            row[c] *= inv[j]
+        u.append(row)
+    solved = [col.copy() for col in cols]
     for x in solved:
-        for i in range(n):  # U'z = b
+        for i, r in enumerate(inv):  # U'z = b
             s = x[i]
             for k in range(i):
                 s -= u[k][i] * x[k]
-            x[i] = s * inv[i]
+            x[i] = s * r
         for i in reversed(range(n)):  # U x = z
             s = x[i]
             row = u[i]

@@ -1,14 +1,15 @@
-"""The one positive-definite solve and the one full-column-rank rule.
+"""The one positive-definite solve, and with it the one rank rule.
 
 Every symmetric positive-definite system in the library, sample or
 population, is solved by ``_cholesky`` or its list form, and its pivot test
-is the only rule that decides positive-definiteness: a system whose
+is the only rule that decides positive-definiteness or rank: a system whose
 factorisation fails is refused, by the caller's named error, with no
 separate check before it.  The rule compares each pivot with its own
 diagonal entry, so it does not change when a regressor, an instrument or a
-moment is rescaled; it also decides the DWH rank (``_contrast_solve``).
-The one rule for a rectangular population matrix (the mean Jacobian,
-E[ZX']) is ``_full_column_rank``.
+moment is rescaled; it also decides the DWH rank (``_contrast_solve``).  A
+rectangular population matrix (the mean Jacobian, E[ZX']) is judged by the
+normal matrix its caller factors, and no module takes a singular value
+decomposition.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 import numpy as np
 
 PIVOT_TOL = 1e-12  # a pivot must exceed this times its diagonal entry
-RANK_RATIO = 1e-10  # smallest over largest singular value of a full-column-rank matrix
 
 
 def _cholesky(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -98,11 +98,3 @@ def _contrast_solve(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray |
     solved = _cholesky(joint, np.concatenate([np.zeros(k), r]))
     return None if solved is None else solved[k:]
 
-
-def _full_column_rank(a: np.ndarray) -> bool:
-    """True when ``a`` (rows >= columns) is finite and its smallest
-    singular value exceeds RANK_RATIO times its largest."""
-    if not np.isfinite(a).all():
-        return False
-    svals = np.linalg.svd(a, compute_uv=False)
-    return bool(svals[-1] > RANK_RATIO * svals[0])

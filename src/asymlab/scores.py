@@ -21,10 +21,12 @@ J: the moment functions orthogonal to the efficient score; DWH: the
 OLS/2SLS influence differences).  Every inverse a design takes (Sigma, the
 information; for IV the estimators' own solves on E[rows rows']) is a
 ``linalg._cholesky`` solve, refused by a named error when the
-factorisation fails; the mean Jacobian and E[ZX'] are held to
-``linalg._full_column_rank``, and the DWH rank, as the sample's, to
-``linalg._contrast_solve``.  A score's three-way split and the tangent
-bases are read from the same two small spans of each design (``_spans``):
+factorisation fails.  The same factorisations decide rank: the
+information's for the mean Jacobian, the estimators' own solves for
+E[ZX'], and ``linalg._contrast_solve`` for the DWH rank, as for the
+sample's; no verdict depends on the units of a regressor, an instrument or
+a moment.  A score's three-way split and the tangent bases are read from
+the same two small spans of each design (``_spans``):
 T_perp (the J basis; the IV design's cell-wise errors, over the (x1, z)
 cells that ``dist._row_groups`` finds, minus x e) and M_perp (empty for a
 moment design; the instrument errors z e minus the projection of x e on
@@ -53,7 +55,7 @@ from .errors import (
     SingularSigma,
 )
 from .iv import _least_squares, _two_stage
-from .linalg import PIVOT_TOL, RANK_RATIO, _cholesky, _contrast_solve, _full_column_rank
+from .linalg import PIVOT_TOL, _cholesky, _contrast_solve
 from .models import IVModel, MomentModel
 
 MEAN_ZERO_TOL = 1e-10
@@ -322,9 +324,9 @@ def moment_design(dist: DiscreteDistribution, model: MomentModel, theta0) -> Mom
     """The design of ``model`` at ``theta0`` once theta0 has shape (p,) (else
     ``ShapeMismatch``), the Jacobian agrees with finite differences,
     E[m] = 0, Sigma and the information factor by ``_cholesky`` (else
-    ``SingularSigma``, naming the failing pivot, and ``RankDeficientJacobian``),
-    gbar has full column rank (``_full_column_rank``), and the efficient
-    influence lies in the tangent space (|C(gmm, j)| <= 1e-8).
+    ``SingularSigma``, naming the failing pivot, and ``RankDeficientJacobian``:
+    the information's factorisation is the one rank rule for gbar), and the
+    efficient influence lies in the tangent space (|C(gmm, j)| <= 1e-8).
     The frame is ``_split_span`` of the moments and ell: its first p rows
     span ell, the rest span(m) minus span(ell); with l = p, J has no rows.
     """
@@ -348,10 +350,6 @@ def moment_design(dist: DiscreteDistribution, model: MomentModel, theta0) -> Mom
         raise SingularSigma(
             f"moment second-moment matrix is singular: its Cholesky pivot for moment {j} "
             f"(counting from 0) is not above {PIVOT_TOL:g} times its diagonal entry"
-        )
-    if not _full_column_rank(gbar):
-        raise RankDeficientJacobian(
-            f"mean Jacobian: smallest singular value at most {RANK_RATIO:g} times its largest"
         )
     info = gbar.T @ weighted
     info = 0.5 * (info + info.T)
@@ -428,11 +426,10 @@ class IvDesign(PopulationDesign):
 
 
 def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
-    """The design of the IV null model once the conditional null holds,
-    E[ZX'] has full column rank (``_full_column_rank``, else
-    ``RankDeficientFirstStage``), and the estimators' own solves
-    (``iv._two_stage``, ``iv._least_squares``) accept the population Gram
-    E[rows rows'], refusing by the errors they give a sample.
+    """The design of the IV null model once the conditional null holds and
+    the estimators' own solves (``iv._two_stage``, ``iv._least_squares``)
+    accept the population Gram E[rows rows'], refusing by the errors they
+    give a sample; they are the one rank rule for E[ZX'].
 
     The null tangent space then nests in the maintained one.  The
     maintained efficient score is E[XZ'] E[ZZ']^{-1} z e / sigma0^2, and
@@ -455,10 +452,6 @@ def iv_design(dist: DiscreteDistribution, model: IVModel) -> IvDesign:
     cell, e = _null_cells(dist, model)
     _, X, Z = model.design_matrices(dist.support)
     gram = expectation(dist, dist.support[:, :, None] * dist.support[:, None, :])
-    if not _full_column_rank(gram[model._z_columns, 1 : 1 + model.n_params]):
-        raise RankDeficientFirstStage(
-            f"E[ZX']: smallest singular value at most {RANK_RATIO:g} times its largest"
-        )
     try:
         first, solved = _two_stage(gram, model)
     except RankDeficientFirstStage:  # Z'Z factors: X'X is named before X'P_Z X

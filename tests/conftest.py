@@ -10,6 +10,18 @@ from asymlab.instances import g1_instance, iv1_instance
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# the condition number up to which an absolute 1e-12 bounds the rounding
+# error of a projector computed from, or moved with, ill-conditioned inputs
+FLOAT_COND = 1e3
+
+
+def float_bound(*conds: float) -> float:
+    """1e-12, scaled up by the largest of ``conds`` over FLOAT_COND: a
+    projector's first-order rounding error is about eps times the condition
+    number of the columns it is read from, so one absolute bound holds only
+    for well-conditioned inputs (about 4.5 eps per unit of condition)."""
+    return 1e-12 * max([1.0, *(cond / FLOAT_COND for cond in conds)])
+
 
 @pytest.fixture(scope="session")
 def g1():

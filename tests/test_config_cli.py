@@ -392,6 +392,16 @@ class TestCliCommands:
         assert execute(["run", "--config", path, "--out", os.devnull]) != 2
         assert "bad experiment fields" not in capsys.readouterr().err
 
+    def test_predict_accepts_an_intercept_coded_small(self, tmp_path, capsys):
+        # IV1 with its intercept coded as 1e-6: a singular-value ratio of
+        # E[ZX'] refused it (exit 2), though every sample estimator accepts it
+        doc = inline_config("iv")
+        for row in doc["instance"]["distribution"]["support"]:
+            row[2] *= 1e-6
+        assert execute(["predict", "--config", str(write_config(tmp_path, doc))]) == 0
+        test = json.loads(capsys.readouterr().out)["tests"][0]
+        assert test["dof"] == 1 and test["ncp"] == pytest.approx(2.0, rel=1e-12)
+
     @pytest.mark.parametrize("command", ["predict", "run"])
     def test_a_design_derivation_error_is_not_relabelled(self, tmp_path, monkeypatch, command):
         # run once reported any TypeError or ValueError of the design

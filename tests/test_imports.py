@@ -4,11 +4,10 @@ used somewhere in the library, every public function, class, method and
 property is used in the library or the benchmark (re-exports from
 ``__init__.py`` do not count), every error class is named in the library
 outside ``errors.py`` or in the benchmark, no module solves or inverts a
-matrix around ``linalg._cholesky`` or takes an eigendecomposition, only
-``linalg.py`` takes a singular value decomposition, only
-``PopulationDesign`` splits a score three ways, only ``scores._split_span``
-takes a QR factorisation, every JSON parse refuses
-non-finite numbers, and no module imports SciPy."""
+matrix around ``linalg._cholesky`` or takes an eigendecomposition or a
+singular value decomposition, only ``PopulationDesign`` splits a score three
+ways, only ``scores._split_span`` takes a QR factorisation, every JSON parse
+refuses non-finite numbers, and no module imports SciPy."""
 
 import ast
 import re
@@ -136,24 +135,20 @@ def unnamed_error_classes(errors_source: str, others: dict[str, str]) -> list[st
 
 
 # a positive-definite solve, singularity test or rank cut-off beside
-# ``linalg._cholesky``: any eigendecomposition, and outside ``linalg.py``
-# (whose ``_full_column_rank`` is the one rank rule for a rectangular
-# matrix) any singular value decomposition
+# ``linalg._cholesky``: any eigendecomposition, and any name containing
+# ``svd`` (a singular value decomposition, or a rank rule named after one)
 OTHER_SOLVES = re.compile(
-    r"linalg\.(inv|pinv|solve|cholesky|lstsq)\b|\beig(h|vals|valsh)?\b|cho_solve|_near_singular"
+    r"linalg\.(inv|pinv|solve|cholesky|lstsq)\b|\beig(h|vals|valsh)?\b|svd|cho_solve|_near_singular"
 )
-OTHER_RANK_RULES = re.compile(r"\bsvd(vals)?\b")
 
 
-def other_solves(source: str, name: str) -> list[str]:
-    """Lines of ``source``, the module file ``name``, that name a matrix
-    solve, inverse, eigenvalue or (outside ``linalg.py``) singular value
-    routine other than ``_cholesky``."""
-    patterns = [OTHER_SOLVES] if name == "linalg.py" else [OTHER_SOLVES, OTHER_RANK_RULES]
+def other_solves(source: str) -> list[str]:
+    """Lines of ``source`` that name a matrix solve, inverse, eigenvalue or
+    singular value routine other than ``_cholesky``."""
     return [
         f"line {number}: {line.strip()}"
         for number, line in enumerate(source.splitlines(), 1)
-        if any(pattern.search(line) for pattern in patterns)
+        if OTHER_SOLVES.search(line)
     ]
 
 
@@ -167,21 +162,21 @@ def test_the_check_sees_another_solve():
         "w, v = np.linalg.eigh(a)  # weighted eigenvalues\n"
         "e = scipy.linalg.eig(a) + np.linalg.eigvals(a)\n"
         "s = np.linalg.svd(a, compute_uv=False)\n"
+        "r = _svd_rank(a)  # the rank rule\n"
     )
-    assert other_solves(source, "iv.py") == [
+    assert other_solves(source) == [
         "line 3: x = np.linalg.solve(a, b)",
         "line 5: z = np.linalg.inv(a) @ np.linalg.eigvalsh(a)",
         "line 7: w, v = np.linalg.eigh(a)  # weighted eigenvalues",
         "line 8: e = scipy.linalg.eig(a) + np.linalg.eigvals(a)",
         "line 9: s = np.linalg.svd(a, compute_uv=False)",
+        "line 10: r = _svd_rank(a)  # the rank rule",
     ]
-    # linalg.py's one singular value decomposition is its rank rule
-    assert other_solves(source, "linalg.py") == other_solves(source, "iv.py")[:-1]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_positive_definite_solve_is_the_cholesky_helper(path):
-    assert other_solves(path.read_text(), path.name) == []
+    assert other_solves(path.read_text()) == []
 
 
 # the methods that split a score three ways; ``PopulationDesign`` alone defines them

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymlab.linalg import _cholesky, _cholesky_lists, _full_column_rank
+from asymlab.linalg import _cholesky, _cholesky_lists
 
 
 class TestCholesky:
@@ -107,18 +107,3 @@ class TestCholesky:
         singular = np.ones((n, n)) if n > 1 else np.zeros((1, 1))
         assert _cholesky_lists(singular.tolist(), []) is None
 
-
-class TestFullColumnRank:
-    @pytest.mark.parametrize(
-        "a, full",
-        [
-            ([[1.0], [0.0]], True),
-            ([[0.0], [0.0]], False),
-            ([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]], False),
-            ([[1.0, 0.0], [0.0, 2e-10], [0.0, 0.0]], True),  # singular value ratio 2e-10
-            ([[1.0, 0.0], [0.0, 1e-10], [0.0, 0.0]], False),  # ratio 1e-10: at the cutoff
-            ([[1.0, 0.0], [0.0, math.nan]], False),
-        ],
-    )
-    def test_singular_value_ratio(self, a, full):
-        assert _full_column_rank(np.array(a)) is full

@@ -5,7 +5,9 @@ The library once held E[ZX'] and the mean Jacobian to a singular-value rule
 (refused when the smallest singular value was at most 1e-10 times the
 largest), which depends on the units of each column.  This script compares
 that rule, emulated here, with the library's only rule now, the pivot test
-of the solves each design already makes.
+of the solves each design already makes (X'P_Z X's pivots against X'X's
+diagonal, the information's against each Jacobian column's whitened second
+moment).
 
     PYTHONPATH=src python scripts/identification_sweep.py table
     PYTHONPATH=src python scripts/identification_sweep.py monte-carlo
@@ -47,6 +49,7 @@ from asymlab.predict import build_prediction
 from asymlab.scores import ScoreFunction
 
 N_DESIGNS = 8000
+N, REPS = 2000, 2000  # the Monte Carlo's sample size and replications
 RANK_RATIO = 1e-10  # the singular-value rule's cut-off
 
 
@@ -201,20 +204,20 @@ def table() -> None:
     )
 
 
-def first_stage_strength(dist, model, n: int) -> float:
-    """n times the variance of x1's projection on the instruments over that
+def first_stage_strength(dist, model) -> float:
+    """N times the variance of x1's projection on the instruments over that
     of its residual, per excluded instrument: the first-stage F that a
-    sample of n would show on average.  Where it is small the normal
-    approximation of 2SLS and DWH is poor at n (Staiger and Stock 1997)."""
+    sample of N would show on average.  Where it is small the normal
+    approximation of 2SLS and DWH is poor at N (Staiger and Stock 1997)."""
     _, X, Z = model.design_matrices(dist.support)
     x1, p = X[:, 0], dist.probs
     exz, ezz = instrument_moments(dist, model)
     fitted = Z @ np.linalg.solve(ezz, exz[:, 0])
     spread = p @ (fitted - p @ fitted) ** 2
-    return n * spread / (p @ (x1 - fitted) ** 2) / model.dims[2]
+    return N * spread / (p @ (x1 - fitted) ** 2) / model.dims[2]
 
 
-def monte_carlo(n: int, reps: int) -> None:
+def monte_carlo() -> None:
     comparisons, largest, runs = 0, 0.0, 0
     for index, (features, rows, probs, model) in enumerate(designs()):
         try:
@@ -230,12 +233,12 @@ def monte_carlo(n: int, reps: int) -> None:
         scores = {"zero": np.zeros(dist.n_atoms)}
         if basis.shape[0] == 1:
             scores["dwh ncp 2"] = math.sqrt(2.0) * basis[0]
-        strength = first_stage_strength(dist, model, n)
+        strength = first_stage_strength(dist, model)
         where = f"design {index} ({', '.join(features)}; {now}; F {strength:.3g})"
         for label, values in scores.items():
             g = ScoreFunction(dist, values)
             config = ExperimentConfig(
-                instance, g, n, reps, 0.05, 7001 + index, ("ols", "tsls"), tuple(tests)
+                instance, g, N, REPS, 0.05, 7001 + index, ("ols", "tsls"), tuple(tests)
             )
             try:
                 summary = run_experiment(config)
@@ -263,13 +266,11 @@ def monte_carlo(n: int, reps: int) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("what", choices=["table", "monte-carlo"])
-    parser.add_argument("--n", type=int, default=2000)
-    parser.add_argument("--reps", type=int, default=2000)
     args = parser.parse_args()
     if args.what == "table":
         table()
     else:
-        monte_carlo(args.n, args.reps)
+        monte_carlo()
 
 
 if __name__ == "__main__":

@@ -243,11 +243,9 @@ def estimate_gmm(data: Dataset, model: MomentModel, theta_init) -> GmmEstimate:
     system in the library is held to.  A failed line search, a normal matrix
     that is not positive definite or the iteration cap yields
     ``converged=False`` rather than an exception; ``stop_reasons`` says which.
-    The identity weight of step one mixes the moments' units, so on moments
-    of very different scale its normal matrix can fail the pivot test
-    (IV1 as ``linear_iv_moment_model`` with the intercept coded 1e-8: "not
-    positive definite") where the population design, which whitens them,
-    does not.
+    Step one's identity weight mixes the moments' units: on IV1 as
+    ``linear_iv_moment_model`` with the intercept coded 1e-8 its normal
+    matrix is "not positive definite", where the population design's is not.
     """
     theta_init = np.array(theta_init, dtype=float)
     if theta_init.shape != (model.p,):

@@ -83,14 +83,15 @@ def _least_squares(gram: np.ndarray, model: IVModel) -> np.ndarray:
 def _two_stage(gram: np.ndarray, model: IVModel) -> tuple[np.ndarray, np.ndarray]:
     """((Z'Z)^{-1} [Z'y | Z'X] (q + k2, 1 + p), [b | (X'P_Z X)^{-1}] (p, 1 + p))
     from the Gram of the rows; ``SingularInstrumentGram`` unless Z'Z
-    factors, ``RankDeficientFirstStage`` unless X'P_Z X does."""
+    factors, ``RankDeficientFirstStage`` unless X'P_Z X does, its pivots
+    against X'X's diagonal (the regressors' shares the instruments explain)."""
     z, p = model._z_columns, model.n_params
     zg = gram[z]  # Z' rows
     first = _cholesky(zg[:, z], zg[:, : 1 + p])
     if first is None:
         raise SingularInstrumentGram("Z'Z is singular")
     xp = zg[:, 1 : 1 + p].T @ first  # X' P_Z [y | X]
-    solved = _cholesky(xp[:, 1:], np.column_stack([xp[:, 0], np.eye(p)]))
+    solved = _cholesky(xp[:, 1:], np.column_stack([xp[:, 0], np.eye(p)]), np.diag(gram)[1 : 1 + p])
     if solved is None:
         raise RankDeficientFirstStage("instruments do not span the regressors")
     return first, solved

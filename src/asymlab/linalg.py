@@ -4,12 +4,12 @@ Every symmetric positive-definite system in the library, sample or
 population, is solved by ``_cholesky`` or its list form, and its pivot test
 is the only rule that decides positive-definiteness or rank: a system whose
 factorisation fails is refused, by the caller's named error, with no
-separate check before it.  The rule compares each pivot with its own
-diagonal entry, so it does not change when a regressor, an instrument or a
-moment is rescaled; it also decides the DWH rank (``_contrast_solve``).  A
-rectangular population matrix (the mean Jacobian, E[ZX']) is judged by the
-normal matrix its caller factors, and no module takes a singular value
-decomposition.
+separate check before it.  The rule compares each pivot with a diagonal
+entry that scales with it, so it does not change when a regressor, an
+instrument or a moment is rescaled; it also decides the DWH rank
+(``_contrast_solve``).  A rectangular population matrix (the mean Jacobian,
+E[ZX']) is judged by the normal matrix its caller factors, and no module
+takes a singular value decomposition.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 PIVOT_TOL = 1e-12  # a pivot must exceed this times its diagonal entry
 
 
-def _cholesky(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+def _cholesky(a: np.ndarray, b: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray | None:
     """Solve a x = b by the Cholesky factor of the symmetric ``a``'s upper
     triangle; None unless ``a`` is positive definite.
 
@@ -39,6 +39,9 @@ def _cholesky(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     verdict does not depend on units (Higham 2002, ch. 10).  A pivot is at
     least the smallest eigenvalue and a diagonal entry at most the largest,
     so every matrix whose eigenvalue ratio exceeds PIVOT_TOL passes.
+    ``diag``, if given, replaces ``a``'s diagonal in the test by entries that
+    bound it and scale with it, so that a pivot that is all rounding (E[ZX']
+    of an instrument independent of a regressor) fails against them.
 
     ``_cholesky_lists``, the list form GMM's Newton kernel calls, does the
     work: on a shared 2-core x86 machine 1.6 us at 1 x 1 (LAPACK via SciPy
@@ -47,11 +50,13 @@ def _cholesky(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     shipped system is 1 x 1 or 2 x 2: G1's Newton steps are p x p with p = 1,
     its weight l x l with l = 2, and the IV designs' X'X, Z'Z, X'P_Z X 2 x 2.
     """
-    x = _cholesky_lists(a.tolist(), [b.tolist()] if b.ndim == 1 else b.T.tolist())
+    x = _cholesky_lists(a.tolist(), [b.tolist()] if b.ndim == 1 else b.T.tolist(), diag)
     return None if x is None else np.array(x[0] if b.ndim == 1 else x).T
 
 
-def _cholesky_lists(a: list[list[float]], cols: list[list[float]]) -> list[list[float]] | None:
+def _cholesky_lists(
+    a: list[list[float]], cols: list[list[float]], diag: list[float] | None = None
+) -> list[list[float]] | None:
     """``_cholesky`` on lists: a by its rows, the right-hand sides and the
     solutions as columns; neither input is modified, and no columns give []."""
     n = len(a)
@@ -62,7 +67,7 @@ def _cholesky_lists(a: list[list[float]], cols: list[list[float]]) -> list[list[
             f = above[j]
             for c in range(j, n):
                 row[c] -= f * above[c]
-        if not row[j] > PIVOT_TOL * a[j][j]:
+        if not row[j] > PIVOT_TOL * (a[j][j] if diag is None else diag[j]):
             return None
         row[j] = math.sqrt(row[j])
         inv.append(1.0 / row[j])

@@ -24,8 +24,9 @@ information; for IV the estimators' own solves on E[rows rows']) is a
 factorisation fails.  The same factorisations decide rank: the
 information's for the mean Jacobian, the estimators' own solves for
 E[ZX'], and ``linalg._contrast_solve`` for the DWH rank, as for the
-sample's; no verdict depends on the units of a regressor, an instrument or
-a moment.  A score's three-way split and the tangent bases are read from
+sample's, each pivot against a diagonal rounding cannot shrink; no verdict
+depends on the units of a regressor, an instrument or a moment.  A score's
+three-way split and the tangent bases are read from
 the same two small spans of each design (``_spans``):
 T_perp (the J basis; the IV design's cell-wise errors, over the (x1, z)
 cells that ``dist._row_groups`` finds, minus x e) and M_perp (empty for a
@@ -325,7 +326,8 @@ def moment_design(dist: DiscreteDistribution, model: MomentModel, theta0) -> Mom
     ``ShapeMismatch``), the Jacobian agrees with finite differences,
     E[m] = 0, Sigma and the information factor by ``_cholesky`` (else
     ``SingularSigma``, naming the failing pivot, and ``RankDeficientJacobian``:
-    the information's factorisation is the one rank rule for gbar), and the
+    the information's factorisation, its pivots against the Jacobian columns'
+    E[J_j' Sigma^-1 J_j], is the one rank rule for gbar), and the
     efficient influence lies in the tangent space (|C(gmm, j)| <= 1e-8).
     The frame is ``_split_span`` of the moments and ell: its first p rows
     span ell, the rest span(m) minus span(ell); with l = p, J has no rows.
@@ -342,19 +344,22 @@ def moment_design(dist: DiscreteDistribution, model: MomentModel, theta0) -> Mom
         )
     sigma = (m_vals.T * dist.probs) @ m_vals
     sigma = 0.5 * (sigma + sigma.T)
-    gbar = expectation(dist, model.jacobians_at(theta0, dist.support))
-    weighted = _cholesky(sigma, gbar)
-    if weighted is None:  # a leading block's factor is the leading part of the whole one
+    jac = model.jacobians_at(theta0, dist.support)
+    gbar = expectation(dist, jac)
+    solved = _cholesky(sigma, np.column_stack([gbar, np.eye(model.l)]))
+    if solved is None:  # a leading block's factor is the leading part of the whole one
         blocks = (sigma[: j + 1, : j + 1] for j in range(model.l))
         j = next(j for j, block in enumerate(blocks) if _cholesky(block, block[0]) is None)
         raise SingularSigma(
             f"moment second-moment matrix is singular: its Cholesky pivot for moment {j} "
             f"(counting from 0) is not above {PIVOT_TOL:g} times its diagonal entry"
         )
+    weighted = solved[:, : model.p]
     info = gbar.T @ weighted
     info = 0.5 * (info + info.T)
     ell = -m_vals @ weighted
-    info_inv = _cholesky(info, np.eye(model.p))
+    second = np.einsum("s,sij,ik,skj->j", dist.probs, jac, solved[:, model.p :], jac)
+    info_inv = _cholesky(info, np.eye(model.p), second)
     if info_inv is None:
         raise RankDeficientJacobian("the information matrix is singular")
     nu = ell @ info_inv

@@ -198,6 +198,18 @@ class TestTsls:
         with pytest.raises(RankDeficientFirstStage, match="do not span the regressors"):
             estimate_2sls(data, model)
 
+    def test_first_stage_of_rounding(self):
+        # the same orthogonality on levels that are not binary fractions:
+        # sum x1 z1 and sum x1 are rounding, and so is X'P_Z X's pivot for x1,
+        # of its own diagonal entry's size but not of X'X's
+        cells = [(x1, z1, c) for x1 in (-0.7, 0.2, 0.5) for z1, c in ((0.7, 3), (-0.3, 7))]
+        rows = np.array([[x1 + e, x1, 1.0, z1] for x1, z1, _ in cells for e in (-1.0, 1.0)])
+        data = Dataset(rows, np.repeat([c for *_, c in cells], 2))
+        model = IVModel(beta0=np.array([1.0, 0.0]), sigma0_sq=1.0, dims=(1, 1, 1))
+        assert data.counts @ (rows[:, 1] * rows[:, 3]) != 0.0
+        with pytest.raises(RankDeficientFirstStage, match="do not span the regressors"):
+            estimate_2sls(data, model)
+
 
 class TestDwh:
     def test_equal_estimates_give_zero(self, iv1):

@@ -9,9 +9,16 @@ from asymlab.errors import (
     MomentNotSatisfied,
     NullModelViolated,
     RankDeficientFirstStage,
+    RankDeficientJacobian,
     ShapeMismatch,
 )
-from asymlab.instances import GmmInstance, IvInstance, decompose_score, tangent_bases
+from asymlab.instances import (
+    GmmInstance,
+    IvInstance,
+    decompose_score,
+    linear_iv_moment_model,
+    tangent_bases,
+)
 from asymlab.models import IVModel
 from asymlab.paths import LocalPath, path_distribution
 from asymlab.predict import build_prediction, hall_split, local_power
@@ -236,6 +243,38 @@ class TestBuildPredictionChecks:
         model = IVModel(beta0=np.array([1.0, 0.0]), sigma0_sq=1.0, dims=(1, 1, 1))
         with pytest.raises(RankDeficientFirstStage):
             self.predict(IvInstance(name="weak", dist=dist, model=model), with_lists)
+
+    @staticmethod
+    def independent_in_rounding():
+        """z1 independent of x1 and both mean zero, on levels and
+        probabilities that are not binary fractions: E[x1 z1] and E[x1] are
+        rounding, not 0, so E[ZX'] and X'P_Z X have a column that is all
+        rounding, whose pivot is of the size of its own diagonal entry."""
+        rows, probs = [], []
+        for x1, px in ((-0.7, 1 / 3), (0.2, 1 / 3), (0.5, 1 / 3)):
+            for z1, pz in ((-0.3, 0.7), (0.7, 0.3)):
+                rows += [[x1 + e, x1, 1.0, z1] for e in (-1.0, 1.0)]
+                probs += [0.5 * px * pz] * 2
+        dist = make_distribution(rows, np.array(probs))
+        gram = expectation(dist, dist.support[:, :, None] * dist.support[:, None, :])
+        assert gram[1, 3] != 0.0 and gram[1, 2] != 0.0
+        return dist, IVModel(beta0=np.array([1.0, 0.0]), sigma0_sq=1.0, dims=(1, 1, 1))
+
+    @LISTS
+    def test_first_stage_of_rounding(self, with_lists):
+        # X'P_Z X's pivot for x1 is about 1e-34, refused against E[x1^2] = 0.26
+        dist, model = self.independent_in_rounding()
+        with pytest.raises(RankDeficientFirstStage):
+            self.predict(IvInstance(name="weak", dist=dist, model=model), with_lists)
+
+    @LISTS
+    def test_mean_jacobian_of_rounding(self, with_lists):
+        # the same design's moments z e: the information's pivot for beta_1
+        # is refused against the whitened second moment of the Jacobian's column
+        dist, model = self.independent_in_rounding()
+        moments = linear_iv_moment_model(model.dims)
+        with pytest.raises(RankDeficientJacobian):
+            self.predict(GmmInstance("weak", dist, moments, model.beta0), with_lists)
 
     @LISTS
     def test_moment_not_satisfied(self, g1, with_lists):
